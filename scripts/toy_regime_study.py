@@ -27,7 +27,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 from tscorrect.autodiff import Tape
 from tscorrect.data import (SplitSpec, SyntheticConfig, build_splits,
                             flatten_channels, make_synthetic, regime_index)
-from tscorrect.losses import compute_masks
+from tscorrect.losses import summarize_candidates
 from tscorrect.models import ModelConfig, MlpPredictor, ReconstructionNet
 from tscorrect.sharpness import lambda_max
 from tscorrect.training import TrainConfig, predictor_loss_context, train_scam
@@ -52,18 +52,7 @@ def run_seed(args, seed):
     y = flatten_channels(ds.y)
     y_hat = f.forward(Tape(), x).value
     cands = g.forward(Tape(), y).value
-    mask = np.zeros_like(y)
-    rec = np.zeros_like(y)
-    rec_mass = np.zeros_like(y)
-    for s in range(cands.shape[1]):
-        m = compute_masks(cands[:, s], y_hat, y)
-        ind = m.mask * (1.0 - m.mask_lt)
-        mask += m.mask
-        rec += ind
-        rec_mass += 2.0 * np.abs(cands[:, s] - y) * ind
-    mask /= cands.shape[1]
-    rec /= cands.shape[1]
-    rec_mass /= cands.shape[1]
+    mask, rec, rec_mass, _ = summarize_candidates(cands, y_hat, y)
 
     rows = ds.origins[:, None] + ds.lookback + np.arange(ds.horizon)[None, :]
     high = regime_index(rows, args.window_period) % 2 == 0  # even regimes carry sigma1

@@ -26,7 +26,6 @@ from .losses import (
     scam_masked_loss,
 )
 from .models import (
-    LinearPredictor,
     MlpPredictor,
     ModelConfig,
     ReconstructionNet,
@@ -42,7 +41,6 @@ from .sharpness import (
     HvpContext,
     SharpnessResult,
     channel_histograms,
-    component_sharpness,
     hvp,
     kl_alignment,
     lambda_max,
@@ -53,7 +51,6 @@ from .training import (
     GridRecord,
     TrainConfig,
     evaluate,
-    train_co_objective,
     train_grid_search,
     train_scam,
     train_supervised,

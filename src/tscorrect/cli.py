@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,13 +47,20 @@ from .training import (
     TrainConfig,
     evaluate,
     predictor_loss_context,
-    train_co_objective,
     train_grid_search,
     train_scam,
     train_supervised,
     write_epochs_csv,
 )
 from .autodiff import Tape
+
+
+def _schema_section(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
+    """Keys, type tags and defaults of a section that mirrors a config dataclass."""
+    tags = {int: "int", float: "float", str: "str", bool: "bool"}
+    return {f.name: (tags[type(f.default)], f.default)
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
 
 _SCHEMA: dict[str, dict[str, tuple]] = {
     # section -> key -> (type tag, default)
@@ -73,43 +81,9 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "horizon": ("int", 96),
         "stride": ("int", 1),
     },
-    "synthetic": {
-        "length": ("int", 4000),
-        "amp1": ("float", 1.0),
-        "amp2": ("float", 0.5),
-        "omega1": ("float", float(2.0 * np.pi / 24.0)),
-        "omega2": ("float", float(2.0 * np.pi / 96.0)),
-        "sigma1": ("float", 0.5),
-        "sigma2": ("float", 0.05),
-        "window_period": ("int", 200),
-        "seed": ("int", 0),
-    },
-    "model": {
-        "backbone": ("str", "mlp"),
-        "hidden": ("int", 512),
-        "snr": ("str", "both"),
-        "revin_affine": ("bool", False),
-        "dim_multiplier": ("int", 4),
-        "series_count": ("int", 8),
-        "recon_hidden": ("int", 128),
-    },
-    "train": {
-        "lr": ("float", 1e-3),
-        "beta1": ("float", 0.9),
-        "beta2": ("float", 0.999),
-        "adam_eps": ("float", 1e-8),
-        "batch_size": ("int", 32),
-        "max_epochs": ("int", 100),
-        "patience": ("int", 20),
-        "eval_batch": ("int", 512),
-        "grid_candidates": ("int", 8),
-        "grid_inner_steps": ("int", 2000),
-        "grid_grad_threshold": ("float", 1e-3),
-        "grid_outer_lr": ("float", 0.02),
-        "grid_inner_optimizer": ("str", "adam"),
-        "log_sharpness": ("bool", False),
-        "sharpness_batch": ("int", 512),
-    },
+    "synthetic": _schema_section(SyntheticConfig),
+    "model": _schema_section(ModelConfig, skip=("lookback", "horizon")),
+    "train": _schema_section(TrainConfig, skip=("mode", "seed")),
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -132,7 +106,7 @@ def _parse_value(section: str, key: str, raw: str):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if tag == "int_list":
-            return [int(tok) for tok in raw.split()]
+            return [int(tok) for tok in raw.replace(",", " ").split()]
         return raw
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
@@ -254,10 +228,7 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
         save_checkpoint(ckpt, mode, mcfg, seed, len(records) - 1, {"predictor": f})
     elif mode in ("co_objective", "scam"):
         g = build_recon(mcfg, np.random.default_rng([seed, 11]))
-        if mode == "co_objective":
-            _, _, records = train_co_objective(bundle, g, f, tcfg)
-        else:
-            _, _, records = train_scam(bundle, g, f, tcfg)
+        _, _, records = train_scam(bundle, g, f, tcfg)
         save_checkpoint(ckpt, mode, mcfg, seed, len(records) - 1, {"predictor": f, "recon": g})
         _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
                     cfg["experiment"]["mask_dump_samples"])
@@ -299,10 +270,6 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
     return summary
 
 
-def _run_seed_worker(cfg: dict, seed: int, seed_dir: str) -> dict:
-    return run_seed(cfg, seed, seed_dir)
-
-
 def run_experiment(cfg: dict, out_override: str | None = None) -> str:
     """Run all configured seeds and write the run manifest. Returns run dir."""
     out_root = out_override or cfg["experiment"]["out_dir"]
@@ -319,7 +286,7 @@ def run_experiment(cfg: dict, out_override: str | None = None) -> str:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
             futs = {
-                pool.submit(_run_seed_worker, cfg, seed, os.path.join(run_dir, f"seed{seed}")): seed
+                pool.submit(run_seed, cfg, seed, os.path.join(run_dir, f"seed{seed}")): seed
                 for seed in seeds
             }
             for fut in concurrent.futures.as_completed(futs):
@@ -383,15 +350,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_models(args, cfg: dict):
-    header, blocks = load_checkpoint(args.checkpoint)
-    _, models = restore_models(header, blocks)
-    return header, models
-
-
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    header, models = _load_models(args, cfg)
+    _, models = restore_models(*load_checkpoint(args.checkpoint))
     if "predictor" not in models:
         raise ConfigError(f"checkpoint {args.checkpoint} holds no predictor")
     series = load_series(cfg)
@@ -412,7 +373,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
-    header, models = _load_models(args, cfg)
+    _, models = restore_models(*load_checkpoint(args.checkpoint))
     if "predictor" not in models or "recon" not in models:
         raise ConfigError("diagnose needs a checkpoint holding both predictor and recon")
     f, g = models["predictor"], models["recon"]
@@ -428,26 +389,13 @@ def cmd_diagnose(args) -> int:
     take = min(len(ds), max(1, args.breakdown_windows))
     x = flatten_channels(ds.x[:take])
     y = flatten_channels(ds.y[:take])
-    yhat = f.forward(Tape(), x).value
     cands = g.forward(Tape(), y).value
-    n_cand = cands.shape[1]
-    acc = np.zeros(7)
-    mask_mean = np.zeros_like(y)
-    for s in range(n_cand):
-        masks = LO.compute_masks(cands[:, s], yhat, y)
-        b = LO.loss_breakdown(cands[:, s], yhat, y, masks)
-        acc += np.array([b.rec_corrected, b.pred_corrected, b.sup_in_mask, b.sup_out_mask,
-                         b.loss_rec, b.loss_pred, b.loss_target])
-        mask_mean += masks.mask
-    acc /= n_cand
-    mask_mean /= n_cand
+    mask_mean, _, _, bd = LO.summarize_candidates(cands, f.forward(Tape(), x).value, y)
     breakdown = {
-        "split": args.split, "windows": int(take), "candidates": int(n_cand),
-        "rec_corrected": acc[0], "pred_corrected": acc[1],
-        "sup_in_mask": acc[2], "sup_out_mask": acc[3],
-        "loss_rec": acc[4], "loss_pred": acc[5], "loss_target": acc[6],
-        "components_total": float(acc[:4].sum()),
-        "co_objective": acc[4] + acc[5],
+        "split": args.split, "windows": int(take), "candidates": int(cands.shape[1]),
+        **dataclasses.asdict(bd),
+        "components_total": bd.components_total(),
+        "co_objective": bd.loss_rec + bd.loss_pred,
         "mask_rate": float(mask_mean.mean()),
     }
     _atomic_json(os.path.join(out, "breakdown.json"), breakdown)

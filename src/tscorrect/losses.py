@@ -14,7 +14,7 @@ which is what the masked training loss uses, with masks held constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -135,6 +135,27 @@ def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
         loss_pred=float(np.mean(ap)),
         loss_target=float(np.mean(sup)),
     )
+
+
+def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, LossBreakdown]:
+    """Candidate means for (N, S, H) candidates against (N, H) predictions
+    and labels: per point, the mask M, the reconstruction-corrected
+    indicator M * (1 - M_<) and that indicator's 2|c - t| mass; plus the
+    mean LossBreakdown."""
+    c, p, t = _as_value(cands), _as_value(y_hat), _as_value(y)
+    n = c.shape[1]
+    mask = np.zeros_like(t)
+    rec = np.zeros_like(t)
+    rec_mass = np.zeros_like(t)
+    parts = np.zeros(7)
+    for s in range(n):
+        masks = compute_masks(c[:, s], p, t)
+        ind = masks.mask * (1.0 - masks.mask_lt)
+        mask += masks.mask
+        rec += ind
+        rec_mass += 2.0 * np.abs(c[:, s] - t) * ind
+        parts += astuple(loss_breakdown(c[:, s], p, t, masks))
+    return mask / n, rec / n, rec_mass / n, LossBreakdown(*(parts / n))
 
 
 def aggregate_over_series(tape: Tape, losses: list[Var]) -> Var:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .autodiff import Tape, Var
-from .errors import ConfigError, ContractError, DimensionError, LoadError
+from .errors import ConfigError, DimensionError, LoadError
 
 SIGMA_FLOOR = 1e-12
 # per-step sigma tracking: single-vector budget before the block escape
@@ -87,18 +87,41 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _top_ritz(w: np.ndarray, vb: np.ndarray, iterations: int) -> tuple[float, np.ndarray] | None:
+    """Orthogonal iteration on W^T W from the columns of vb.
+
+    With a block of b columns the top Ritz pair converges at rate
+    (sigma_{b+1}/sigma_1)^2 per step, so clustered leading singular values
+    do not stall it the way a single vector would. Returns the top Ritz
+    value (sigma_max^2) and its vector, or None for a zero matrix.
+    """
+    vb = np.linalg.qr(vb)[0]
+    for _ in range(iterations):
+        z = w.T @ (w @ vb)
+        if float(np.abs(z).max(initial=0.0)) < 1e-300:
+            return None
+        vb = np.linalg.qr(z)[0]
+    wv = w @ vb
+    vals, vecs = np.linalg.eigh(wv.T @ wv)
+    return float(vals[-1]), vb @ vecs[:, -1]
+
+
 class PowerIterState:
-    """Persistent left/right singular-vector estimates for one matrix."""
+    """Persistent left/right singular-vector estimates for one matrix.
+
+    u and v are updated in place, so arrays handed out by a layer's
+    buffers() stay live: writing into them restores the tracked state.
+    """
 
     def __init__(self, w: np.ndarray, rng: np.random.Generator, init_iters: int = 30):
         m, n = w.shape
         self.rng = rng
         self.u = _unit(rng.standard_normal(m))
         self.v = _unit(rng.standard_normal(n))
-        self._block_polish(w, rng)
+        self._block_polish(w)
         self.sync(w, min_iters=init_iters, max_iters=max(200, init_iters))
 
-    def _block_polish(self, w: np.ndarray, rng: np.random.Generator, iterations: int = 100, block: int = 4) -> None:
+    def _block_polish(self, w: np.ndarray, iterations: int = 100, block: int = 4) -> None:
         """Seed (u, v) from a small orthogonal iteration. A single vector can
         stall on clustered leading singular values; the block start does not,
         and the per-step updates afterwards only need to track small drift."""
@@ -106,33 +129,27 @@ class PowerIterState:
         b = max(1, min(block, m, n))
         vb = self.v[:, None]
         if b > 1:
-            vb = np.concatenate([vb, rng.standard_normal((n, b - 1))], axis=1)
-        vb = np.linalg.qr(vb)[0]
-        for _ in range(iterations):
-            z = w.T @ (w @ vb)
-            if float(np.abs(z).max(initial=0.0)) < 1e-300:
-                return  # zero matrix, nothing to align to
-            vb = np.linalg.qr(z)[0]
-        wv = w @ vb
-        _, vecs = np.linalg.eigh(wv.T @ wv)
-        top = vb @ vecs[:, -1]
-        nt = float(np.linalg.norm(top))
+            vb = np.concatenate([vb, self.rng.standard_normal((n, b - 1))], axis=1)
+        ritz = _top_ritz(w, vb, iterations)
+        if ritz is None:
+            return  # zero matrix, nothing to align to
+        nt = float(np.linalg.norm(ritz[1]))
         if nt > 1e-300:
-            self.v = top / nt
+            self.v[...] = ritz[1] / nt
         u = w @ self.v
         nu = float(np.linalg.norm(u))
         if nu > 1e-300:
-            self.u = u / nu
+            self.u[...] = u / nu
 
     def _iterate(self, w: np.ndarray) -> float:
         v = w.T @ self.u
         nv = float(np.linalg.norm(v))
         if nv > 1e-300:
-            self.v = v / nv
+            self.v[...] = v / nv
         u = w @ self.v
         nu = float(np.linalg.norm(u))
         if nu > 1e-300:
-            self.u = u / nu
+            self.u[...] = u / nu
         return max(float(self.u @ (w @ self.v)), SIGMA_FLOOR)
 
     def sync(self, w: np.ndarray, min_iters: int = 1, tol: float = 1e-7, max_iters: int = 500) -> float:
@@ -159,7 +176,7 @@ class PowerIterState:
                 if resid <= tol * sigma:
                     return sigma
         for _ in range(SYNC_BLOCK_ROUNDS):
-            self._block_polish(w, self.rng, iterations=25)
+            self._block_polish(w, iterations=25)
             sigma = self._iterate(w)
             if sigma <= SIGMA_FLOOR:
                 return sigma
@@ -174,27 +191,16 @@ class PowerIterState:
 
 
 def spectral_norm(w: np.ndarray, iterations: int = 100, seed: int = 0, block: int = 4) -> float:
-    """Largest singular value via block power iteration on W^T W.
-
-    Orthogonal iteration with a small block converges for the top value at
-    rate (sigma_{block+1}/sigma_1)^2 per step, so clustered leading singular
-    values do not stall it the way a single vector would.
-    """
+    """Largest singular value via block orthogonal iteration on W^T W."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionError(f"spectral_norm expects a matrix, got {w.shape}")
     m, n = w.shape
     b = max(1, min(block, m, n))
-    rng = np.random.default_rng(seed)
-    v = np.linalg.qr(rng.standard_normal((n, b)))[0]
-    for _ in range(iterations):
-        z = w.T @ (w @ v)
-        if float(np.abs(z).max(initial=0.0)) < 1e-300:
-            return SIGMA_FLOOR
-        v = np.linalg.qr(z)[0]
-    wv = w @ v
-    top = float(np.linalg.eigvalsh(wv.T @ wv)[-1])
-    return max(math.sqrt(max(top, 0.0)), SIGMA_FLOOR)
+    ritz = _top_ritz(w, np.random.default_rng(seed).standard_normal((n, b)), iterations)
+    if ritz is None:
+        return SIGMA_FLOOR
+    return max(math.sqrt(max(ritz[0], 0.0)), SIGMA_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +231,6 @@ class LinearLayer:
         if self.snr_enabled:
             return [("pi_u", self.pi_state.u), ("pi_v", self.pi_state.v)]
         return []
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if not self.snr_enabled:
-            raise ContractError(f"layer has no buffer {name}")
-        setattr(self.pi_state, {"pi_u": "u", "pi_v": "v"}[name], np.asarray(value, dtype=np.float64))
 
     def spectral_step(self) -> None:
         if self.snr_enabled:
@@ -309,83 +310,56 @@ class RevIn:
 
 
 class MlpPredictor:
-    """RevIN -> linear(L, hidden) -> ReLU -> linear(hidden, H) -> inverse RevIN."""
+    """RevIN -> linear layers with ReLU between them -> inverse RevIN.
 
-    kind = "mlp"
+    Layer widths are [L, hidden, H] for the mlp backbone and [L, H] for the
+    linear one. Spectral rescaling applies to the first layer for snr
+    pre/both and to the last for post/both; a single layer is both.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        if cfg.backbone != "mlp":
-            raise ConfigError(f"MlpPredictor built from backbone={cfg.backbone!r}")
         self.cfg = cfg
         self.revin = RevIn(affine=cfg.revin_affine)
-        self.layer1 = LinearLayer(cfg.lookback, cfg.hidden, rng, snr_enabled=cfg.snr in ("pre", "both"))
-        self.layer2 = LinearLayer(cfg.hidden, cfg.horizon, rng, snr_enabled=cfg.snr in ("post", "both"))
+        if cfg.backbone == "mlp":
+            widths = [cfg.lookback, cfg.hidden, cfg.horizon]
+        else:
+            widths = [cfg.lookback, cfg.horizon]
+        last = len(widths) - 2
+        self.layers: dict[str, LinearLayer] = {}
+        for i in range(last + 1):
+            name = f"layer{i + 1}" if last else "layer"
+            snr = (i == 0 and cfg.snr in ("pre", "both")) or (i == last and cfg.snr in ("post", "both"))
+            self.layers[name] = LinearLayer(widths[i], widths[i + 1], rng, snr_enabled=snr)
 
     def forward(self, tape: Tape, x: np.ndarray) -> Var:
-        xn, stats = self.revin.normalize(tape, x)
-        h = tape.relu(self.layer1.apply(tape, xn))
-        out = self.layer2.apply(tape, h)
-        return self.revin.denormalize(tape, out, stats)
+        h, stats = self.revin.normalize(tape, x)
+        for i, layer in enumerate(self.layers.values()):
+            h = layer.apply(tape, tape.relu(h) if i else h)
+        return self.revin.denormalize(tape, h, stats)
 
     def spectral_step(self) -> None:
-        self.layer1.spectral_step()
-        self.layer2.spectral_step()
+        for layer in self.layers.values():
+            layer.spectral_step()
 
     def parameters(self) -> list[tuple[str, Var]]:
-        out = [(f"layer1.{n}", v) for n, v in self.layer1.params()]
-        out += [(f"layer2.{n}", v) for n, v in self.layer2.params()]
+        out = [(f"{name}.{n}", v) for name, layer in self.layers.items() for n, v in layer.params()]
         out += [(f"revin.{n}", v) for n, v in self.revin.params()]
         return out
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = [(f"layer1.{n}", a) for n, a in self.layer1.buffers()]
-        out += [(f"layer2.{n}", a) for n, a in self.layer2.buffers()]
-        return out
+        return [(f"{name}.{n}", a) for name, layer in self.layers.items() for n, a in layer.buffers()]
 
     def segments(self) -> dict[str, list[str]]:
-        return {
-            "embedding": [f"layer1.{n}" for n, _ in self.layer1.params()],
-            "projector": [f"layer2.{n}" for n, _ in self.layer2.params()],
-        }
-
-
-class LinearPredictor:
-    """RevIN -> linear(L, H) -> inverse RevIN."""
-
-    kind = "linear"
-
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        if cfg.backbone != "linear":
-            raise ConfigError(f"LinearPredictor built from backbone={cfg.backbone!r}")
-        self.cfg = cfg
-        self.revin = RevIn(affine=cfg.revin_affine)
-        # single layer: it is both the first and the last linear map
-        self.layer = LinearLayer(cfg.lookback, cfg.horizon, rng, snr_enabled=cfg.snr != "none")
-
-    def forward(self, tape: Tape, x: np.ndarray) -> Var:
-        xn, stats = self.revin.normalize(tape, x)
-        out = self.layer.apply(tape, xn)
-        return self.revin.denormalize(tape, out, stats)
-
-    def spectral_step(self) -> None:
-        self.layer.spectral_step()
-
-    def parameters(self) -> list[tuple[str, Var]]:
-        out = [(f"layer.{n}", v) for n, v in self.layer.params()]
-        out += [(f"revin.{n}", v) for n, v in self.revin.params()]
+        """The last layer is the projector, any earlier ones the embedding."""
+        out: dict[str, list[str]] = {}
+        for i, (name, layer) in enumerate(self.layers.items()):
+            seg = "projector" if i == len(self.layers) - 1 else "embedding"
+            out.setdefault(seg, []).extend(f"{name}.{n}" for n, _ in layer.params())
         return out
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [(f"layer.{n}", a) for n, a in self.layer.buffers()]
 
-    def segments(self) -> dict[str, list[str]]:
-        return {"projector": [f"layer.{n}" for n, _ in self.layer.params()]}
-
-
-def build_predictor(cfg: ModelConfig, rng: np.random.Generator):
-    if cfg.backbone == "mlp":
-        return MlpPredictor(cfg, rng)
-    return LinearPredictor(cfg, rng)
+def build_predictor(cfg: ModelConfig, rng: np.random.Generator) -> MlpPredictor:
+    return MlpPredictor(cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +376,6 @@ class ReconstructionNet:
     position j therefore reads conv position floor(j * T_l / H), whose
     receptive field on the input window is 2^(l+1) - 1 wide.
     """
-
-    kind = "recon"
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -541,16 +513,20 @@ def count_params(params: list[tuple[str, Var]]) -> int:
 _CKPT_VERSION = 1
 
 
+def model_state(model) -> list[tuple[str, np.ndarray]]:
+    """Every array that defines a model, named as in a checkpoint: the
+    parameters, then buffer.<name> for each power-iteration buffer. The
+    arrays are live, so writing into them restores the model's state."""
+    state = [(name, var.value) for name, var in model.parameters()]
+    return state + [(f"buffer.{name}", arr) for name, arr in model.buffers()]
+
+
 def save_checkpoint(path: str, kind: str, config: ModelConfig, seed: int, epoch: int, models: dict) -> None:
     blocks = []
     arrays = []
     for mname in sorted(models):
-        model = models[mname]
-        for pname, var in model.parameters():
-            blocks.append({"name": f"{mname}.{pname}", "shape": list(var.value.shape)})
-            arrays.append(var.value)
-        for bname, arr in model.buffers():
-            blocks.append({"name": f"{mname}.buffer.{bname}", "shape": list(arr.shape)})
+        for name, arr in model_state(models[mname]):
+            blocks.append({"name": f"{mname}.{name}", "shape": list(arr.shape)})
             arrays.append(arr)
     header = {
         "format": "tscorrect-checkpoint",
@@ -586,6 +562,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             raise LoadError(f"{path}: bad checkpoint header: {e}") from None
         if header.get("format") != "tscorrect-checkpoint":
             raise LoadError(f"{path}: not a checkpoint file")
+        if header.get("version") != _CKPT_VERSION:
+            raise LoadError(f"{path}: checkpoint version {header.get('version')!r}, expected {_CKPT_VERSION}")
         blocks = {}
         for spec in header["blocks"]:
             shape = tuple(int(s) for s in spec["shape"])
@@ -596,11 +574,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if len(buf) != 8 * count:
                 raise LoadError(f"{path}: truncated block {spec['name']}")
             blocks[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise LoadError(f"{path}: trailing bytes after the last block")
     return header, blocks
 
 
 def restore_models(header: dict, blocks: dict[str, np.ndarray]) -> tuple[ModelConfig, dict]:
-    """Rebuild models named in a checkpoint and load their parameters."""
+    """Rebuild models named in a checkpoint and load their parameters and buffers."""
     cfg = ModelConfig(**header["config"])
     names = {name.split(".", 1)[0] for name in blocks}
     rng = np.random.default_rng(header.get("seed", 0))
@@ -612,23 +592,14 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray]) -> tuple[ModelCo
             models[mname] = build_recon(cfg, rng)
         else:
             raise LoadError(f"unknown model name {mname!r} in checkpoint")
-        model = models[mname]
-        for pname, var in model.parameters():
-            key = f"{mname}.{pname}"
+        for name, arr in model_state(models[mname]):
+            key = f"{mname}.{name}"
             if key not in blocks:
                 raise LoadError(f"checkpoint missing block {key}")
-            if blocks[key].shape != var.value.shape:
+            if blocks[key].shape != arr.shape:
                 raise LoadError(
                     f"checkpoint block {key} has shape {blocks[key].shape}, "
-                    f"model expects {var.value.shape}"
+                    f"model expects {arr.shape}"
                 )
-            var.value[...] = blocks[key]
-        for bname, _ in model.buffers():
-            key = f"{mname}.buffer.{bname}"
-            if key in blocks:
-                layer_name, leaf = bname.rsplit(".", 1)
-                layer = model
-                for part in layer_name.split("."):
-                    layer = getattr(layer, part)
-                layer.set_buffer(leaf, blocks[key])
+            arr[...] = blocks[key]
     return cfg, models

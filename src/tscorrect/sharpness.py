@@ -151,11 +151,6 @@ def lambda_max(
     return SharpnessResult(theta, steps, steps == dim)
 
 
-def component_sharpness(ctx: HvpContext, segment) -> SharpnessResult:
-    """lambda_max of the principal submatrix for one named parameter block."""
-    return lambda_max(ctx, segment=segment)
-
-
 # ---------------------------------------------------------------------------
 # channel alignment
 

@@ -1,5 +1,6 @@
-"""Training loops: supervised, candidate grid search, co-objective, and
-masked-correction training, plus evaluation and epoch bookkeeping.
+"""Training loops: supervised, candidate grid search, and joint
+(co-objective or masked-correction) training, plus evaluation and epoch
+bookkeeping.
 
 All modes share one protocol: channel-independent mini-batches, Adam,
 early stopping on validation MSE with best-checkpoint restore, metrics in
@@ -9,7 +10,7 @@ standardized units. Runs are deterministic functions of (config, seed).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -18,11 +19,10 @@ from .autodiff import Tape, Var, zero_grads
 from .data import SplitWindows, WindowDataset, flatten_channels
 from .errors import ConfigError, ContractError
 from .models import (
-    ModelConfig,
     ReconstructionNet,
-    build_predictor,
     flat_grads,
     flat_params,
+    model_state,
     param_slices,
     set_flat_params,
 )
@@ -72,44 +72,10 @@ class TrainConfig:
             raise ConfigError("batch sizes must be >= 1")
 
 
-class Adam:
-    """Standard bias-corrected Adam; a non-finite gradient skips the whole
-    step and bumps skipped_steps instead of corrupting the moments."""
-
-    def __init__(self, params: list[Var], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
-        self.skipped_steps = 0
-
-    def zero_grad(self) -> None:
-        zero_grads(self.params)
-
-    def step(self) -> None:
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                self.skipped_steps += 1
-                return
-        self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-
-
-class Sgd:
-    """Plain gradient descent (used by the grid-search outer loop)."""
+class _Optimizer:
+    """Shared step protocol: a non-finite gradient anywhere skips the whole
+    step and bumps skipped_steps instead of corrupting the parameters or the
+    optimizer state. Subclasses define only the update."""
 
     def __init__(self, params: list[Var], lr: float):
         self.params = list(params)
@@ -124,6 +90,42 @@ class Sgd:
             if not np.isfinite(p.grad).all():
                 self.skipped_steps += 1
                 return
+        self._update()
+
+    def _update(self) -> None:
+        raise NotImplementedError
+
+
+class Adam(_Optimizer):
+    """Standard bias-corrected Adam."""
+
+    def __init__(self, params: list[Var], lr: float, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        super().__init__(params, lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def _update(self) -> None:
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class Sgd(_Optimizer):
+    """Plain gradient descent (used by the grid-search outer loop)."""
+
+    def _update(self) -> None:
         for p in self.params:
             p.value -= self.lr * p.grad
 
@@ -208,22 +210,13 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
     return sq / count, ab / count
 
 
-def _snapshot(models: list) -> list[tuple]:
-    state = []
-    for model in models:
-        for _, v in model.parameters():
-            state.append((v, v.value.copy()))
-        for name, arr in model.buffers():
-            state.append((arr, arr.copy()))
-    return state
+def _snapshot(models: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(arr, arr.copy()) for model in models for _, arr in model_state(model)]
 
 
-def _restore(state: list[tuple]) -> None:
+def _restore(state: list[tuple[np.ndarray, np.ndarray]]) -> None:
     for target, saved in state:
-        if isinstance(target, Var):
-            target.value[...] = saved
-        else:
-            target[...] = saved
+        target[...] = saved
 
 
 def _batch_indices(n: int, batch: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -236,7 +229,11 @@ def _batch_indices(n: int, batch: int, rng: np.random.Generator) -> list[np.ndar
 
 
 def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[EpochRecord]:
-    """Run epochs of batch_loss_fn, early-stop on val MSE, restore the best."""
+    """Run epochs of batch_loss_fn, early-stop on val MSE, restore the best.
+
+    batch_loss_fn(tape, x, y) returns the loss, the prediction values and
+    the batch's mean LossBreakdown fields as an array, or None.
+    """
     models = [f] + ([g] if g is not None else [])
     params = [v for _, v in f.parameters()]
     if g is not None:
@@ -258,7 +255,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             x = flatten_channels(bundle.train.x[idx])
             y = flatten_channels(bundle.train.y[idx])
             tape = Tape()
-            loss, yhat, breakdown = batch_loss_fn(tape, x, y)
+            loss, yhat, parts = batch_loss_fn(tape, x, y)
             opt.zero_grad()
             tape.backward(loss)
             opt.step()
@@ -267,12 +264,8 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             sq += float(np.sum(d * d))
             ab += float(np.sum(np.abs(d)))
             count += d.size
-            if breakdown is not None:
-                bsum += np.array([
-                    breakdown.rec_corrected, breakdown.pred_corrected,
-                    breakdown.sup_in_mask, breakdown.sup_out_mask,
-                    breakdown.loss_rec, breakdown.loss_pred, breakdown.loss_target,
-                ]) * d.size
+            if parts is not None:
+                bsum += parts * d.size
                 bweight += d.size
         val_mse, val_mae = evaluate(f, bundle.val, cfg.eval_batch)
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
@@ -318,48 +311,27 @@ def train_supervised(bundle: SplitWindows, model, cfg: TrainConfig) -> tuple[obj
     return model, records
 
 
-def _candidate_losses(tape: Tape, g: ReconstructionNet, f, x: np.ndarray, y: np.ndarray,
-                      masked: bool):
-    """Per-candidate losses plus the batch-mean breakdown."""
-    yhat = f.forward(tape, x)
-    cands = g.head_outputs(tape, y)
-    yconst = tape.constant(y)
-    per = []
-    parts = np.zeros(7)
-    for c in cands:
-        masks = L.compute_masks(c.value, yhat.value, y)
-        if masked:
-            per.append(L.scam_masked_loss(tape, c, yhat, yconst, masks))
-        else:
-            per.append(L.co_objective_loss(tape, c, yhat, yconst))
-        b = L.loss_breakdown(c.value, yhat.value, y, masks)
-        parts += np.array([
-            b.rec_corrected, b.pred_corrected, b.sup_in_mask, b.sup_out_mask,
-            b.loss_rec, b.loss_pred, b.loss_target,
-        ])
-    parts /= len(cands)
-    breakdown = L.LossBreakdown(*parts)
-    return per, yhat, breakdown
-
-
-def train_co_objective(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
-    """Joint training on mean(|c - t| + |c - p|); the raw-label term trains
-    only the reconstruction network, the closeness term trains both."""
-
-    def batch_loss(tape: Tape, x: np.ndarray, y: np.ndarray):
-        per, yhat, breakdown = _candidate_losses(tape, g, f, x, y, masked=False)
-        return L.aggregate_over_series(tape, per), yhat.value, breakdown
-
-    records = _fit(bundle, f, g, cfg, batch_loss)
-    return f, g, records
-
-
 def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
-    """Joint training on the masked correction loss."""
+    """Joint training of the reconstruction net and the predictor, averaged
+    over candidates: the masked correction loss, or for mode co_objective its
+    unmasked form mean(|c - t| + |c - p|), whose raw-label term trains only
+    the reconstruction network and whose closeness term trains both."""
+    masked = cfg.mode != "co_objective"
 
     def batch_loss(tape: Tape, x: np.ndarray, y: np.ndarray):
-        per, yhat, breakdown = _candidate_losses(tape, g, f, x, y, masked=True)
-        return L.aggregate_over_series(tape, per), yhat.value, breakdown
+        yhat = f.forward(tape, x)
+        cands = g.head_outputs(tape, y)
+        yconst = tape.constant(y)
+        per = []
+        parts = np.zeros(7)  # LossBreakdown fields, summed over candidates
+        for c in cands:
+            masks = L.compute_masks(c.value, yhat.value, y)
+            if masked:
+                per.append(L.scam_masked_loss(tape, c, yhat, yconst, masks))
+            else:
+                per.append(L.co_objective_loss(tape, c, yhat, yconst))
+            parts += astuple(L.loss_breakdown(c.value, yhat.value, y, masks))
+        return L.aggregate_over_series(tape, per), yhat.value, parts / len(cands)
 
     records = _fit(bundle, f, g, cfg, batch_loss)
     return f, g, records
@@ -380,11 +352,6 @@ class GridRecord:
     test_mse: float
     test_mae: float
     phi_snapshot: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-
-
-def _recon_candidates(g: ReconstructionNet, y: np.ndarray) -> np.ndarray:
-    """(B, S, H) candidate values with the reconstruction net frozen."""
-    return g.forward(Tape(), y).value
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,
@@ -417,7 +384,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             for idx in _batch_indices(n, cfg.batch_size, rng):
                 x = flatten_channels(bundle.train.x[idx])
                 y = flatten_channels(bundle.train.y[idx])
-                cands = _recon_candidates(g, y)
+                cands = g.forward(Tape(), y).value  # frozen reconstruction net
                 tape = Tape()
                 yhat = f.forward(tape, x)
                 per = [

@@ -28,7 +28,7 @@ from tscorrect.data import (
     make_synthetic,
     regime_index,
 )
-from tscorrect.losses import compute_masks, loss_identity_check
+from tscorrect.losses import loss_identity_check, summarize_candidates
 from tscorrect.models import (
     ModelConfig,
     MlpPredictor,
@@ -219,7 +219,7 @@ def test_criterion_03_spectral_rescaling():
     y = flatten_channels(bundle.train.y)
     params = [v for _, v in f.parameters()]
     opt = Adam(params, lr=3e-3)
-    layers = [f.layer1, f.layer2]
+    layers = [f.layers["layer1"], f.layers["layer2"]]
     worst_dev = 0.0
     batch = 128
     for step in range(500):
@@ -396,14 +396,7 @@ def toy_runs():
         y = flatten_channels(ds.y)
         y_hat = f.forward(Tape(), x).value
         cands = g.forward(Tape(), y).value  # (n, S, H)
-        rec_ind = np.zeros_like(y)
-        mask_mean = np.zeros_like(y)
-        for s in range(cands.shape[1]):
-            masks = compute_masks(cands[:, s], y_hat, y)
-            rec_ind += masks.mask * (1.0 - masks.mask_lt)
-            mask_mean += masks.mask
-        rec_ind /= cands.shape[1]
-        mask_mean /= cands.shape[1]
+        mask_mean, rec_ind, _, _ = summarize_candidates(cands, y_hat, y)
         # regime of each forecast target row; even-indexed regimes carry sigma1
         rows = ds.origins[:, None] + ds.lookback + np.arange(ds.horizon)[None, :]
         high = regime_index(rows, 200) % 2 == 0

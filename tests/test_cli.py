@@ -4,6 +4,7 @@ One small masked-correction training run is shared across the manifest,
 eval, and diagnose tests to keep the suite quick.
 """
 
+import glob
 import json
 import math
 import os
@@ -11,9 +12,10 @@ import os
 import numpy as np
 import pytest
 
-from tscorrect.cli import load_config, main
+from tscorrect.cli import load_config, main, run_experiment
 from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
 from tscorrect.losses import MASK_DUMP_FIELDS
+from tscorrect.models import load_checkpoint, restore_models, spectral_norm
 from tscorrect.training import EPOCH_CSV_FIELDS
 
 BASE_CONFIG = """
@@ -123,6 +125,29 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg["experiment"]["seeds"] == [0]
 
 
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.ini")))
+
+
+def test_seed_list_accepts_commas_and_whitespace(tmp_path):
+    for text in ("0,1,2", "0 1 2", "0, 1, 2"):
+        cfg = write_config(tmp_path, text=BASE_CONFIG.replace("seeds = 0", f"seeds = {text}"),
+                           out_dir=str(tmp_path))
+        assert load_config(cfg)["experiment"]["seeds"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_loads_and_trains(path, tmp_path):
+    cfg = load_config(path)
+    assert cfg["experiment"]["seeds"]
+    if cfg["data"]["source"] != "synthetic":
+        return  # needs a dataset that is not shipped
+    cfg["experiment"]["seeds"] = cfg["experiment"]["seeds"][:1]
+    cfg["train"]["max_epochs"] = 1
+    run_dir = run_experiment(cfg, str(tmp_path))
+    man = json.load(open(os.path.join(run_dir, "manifest.json")))
+    assert list(man["seeds"]) == [str(cfg["experiment"]["seeds"][0])]
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -198,6 +223,27 @@ def test_eval_reproduces_manifest_metrics_exactly(scam_pipeline, capsys):
     assert payload["mse"] == man["seeds"]["0"]["test_mse"]
     assert payload["mae"] == man["seeds"]["0"]["test_mae"]
     assert payload["units"] == "standardized"
+
+
+def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
+    # linear snr=both run whose best epoch is not the last, so the restore
+    # has to roll the power-iteration state back along with the weights
+    text = (BASE_CONFIG.replace("length = 600", "length = 900")
+            .replace("[model]", "[model]\nbackbone = linear").replace("snr = none", "snr = both")
+            .replace("max_epochs = 2", "lr = 3e-2\nmax_epochs = 6"))
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    assert main(["train", "--config", cfg_path]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    summary = json.load(open(os.path.join(run_dir, "manifest.json")))["seeds"]["0"]
+    assert summary["best_epoch"] < summary["epochs"] - 1
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 0
+    assert json.loads(capsys.readouterr().out)["mse"] == summary["test_mse"]
+    _, models = restore_models(*load_checkpoint(ckpt))
+    layer = models["predictor"].layers["layer"]
+    w = layer.w.value
+    sn = spectral_norm(w)
+    assert abs(layer.pi_state.sigma(w) - sn) <= 1e-6 * sn
 
 
 def test_mode_override_and_seed_flag(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tscorrect.autodiff import Tape, Var
-from tscorrect.errors import ConfigError, DimensionError
+from tscorrect.errors import ConfigError, DimensionError, LoadError
 from tscorrect.models import (
     LinearLayer,
     ModelConfig,
@@ -405,8 +405,12 @@ def test_erf_observed_width_matches_bound():
 # checkpoints
 
 
-def test_checkpoint_roundtrip_bit_identical(tmp_path):
-    cfg = tiny_cfg()
+BACKBONE_SNR = [(b, s) for b in ("mlp", "linear") for s in ("none", "pre", "post", "both")]
+
+
+@pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)
+def test_checkpoint_roundtrip_bit_identical(tmp_path, backbone, snr):
+    cfg = tiny_cfg(backbone=backbone, snr=snr)
     f = build_predictor(cfg, RNG([3, 10]))
     g = build_recon(cfg, RNG([3, 11]))
     path = str(tmp_path / "ckpt.bin")
@@ -423,15 +427,59 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(flat_params(f.parameters()), flat_params(f2.parameters()))
 
 
-def test_checkpoint_preserves_power_iteration_buffers(tmp_path):
-    cfg = tiny_cfg(snr="both")
+@pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)
+def test_checkpoint_preserves_power_iteration_buffers(tmp_path, backbone, snr):
+    cfg = tiny_cfg(backbone=backbone, snr=snr)
     f = build_predictor(cfg, RNG([4, 10]))
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, "supervised", cfg, seed=4, epoch=0, models={"predictor": f})
     _, models = restore_models(*load_checkpoint(path))
     f2 = models["predictor"]
-    assert np.array_equal(f.layer1.pi_state.u, f2.layer1.pi_state.u)
-    assert np.array_equal(f.layer1.pi_state.v, f2.layer1.pi_state.v)
+    assert list(f2.layers) == list(f.layers)
+    tracked = [name for name, layer in f.layers.items() if layer.snr_enabled]
+    assert len(tracked) == {"none": 0, "pre": 1, "post": 1, "both": len(f.layers)}[snr]
+    for name in tracked:
+        a, b = f.layers[name].pi_state, f2.layers[name].pi_state
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.v, b.v)
+    assert [n for n, _ in f2.buffers()] == [n for n, _ in f.buffers()]
+
+
+def test_checkpoint_rejects_other_version(tmp_path):
+    cfg = tiny_cfg()
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
+                    models={"predictor": build_predictor(cfg, RNG(0))})
+    raw = open(path, "rb").read()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = raw[8 : 8 + hlen].replace(b'"version": 1', b'"version": 2')
+    assert len(header) == hlen
+    with open(path, "wb") as fh:
+        fh.write(raw[:8] + header + raw[8 + hlen :])
+    with pytest.raises(LoadError, match="version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    cfg = tiny_cfg()
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
+                    models={"predictor": build_predictor(cfg, RNG(0))})
+    with open(path, "ab") as fh:
+        fh.write(np.zeros(1).tobytes())
+    with pytest.raises(LoadError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_restore_rejects_buffer_of_wrong_shape(tmp_path):
+    cfg = tiny_cfg(snr="both")
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
+                    models={"predictor": build_predictor(cfg, RNG(0))})
+    header, blocks = load_checkpoint(path)
+    blocks["predictor.buffer.layer1.pi_u"] = np.zeros(3)
+    with pytest.raises(LoadError, match="pi_u"):
+        restore_models(header, blocks)
 
 
 def test_flat_param_roundtrip():

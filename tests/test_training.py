@@ -5,6 +5,7 @@ from hand-unrolled update recurrences, and the grid-search fixed point uses
 an exactly constructed identity reconstruction network.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from tscorrect.training import (
     TrainConfig,
     _batch_indices,
     evaluate,
-    train_co_objective,
     train_grid_search,
     train_scam,
     train_supervised,
@@ -317,12 +317,17 @@ def test_co_objective_mode_runs_and_tracks_losses():
     g = ReconstructionNet(mc, np.random.default_rng(1))
     cfg = TrainConfig(mode="co_objective", lr=3e-3, batch_size=64,
                       max_epochs=5, patience=5, seed=0)
-    f, g, records = train_co_objective(splits, g, f, cfg)
+    f, g, records = train_scam(splits, g, f, cfg)
     assert len(records) == 5
     assert records[-1].loss_rec < records[0].loss_rec
     for r in records:
         # without masking the in/out split is degenerate: everything co-counts
         assert r.loss_rec >= 0.0 and r.loss_pred >= 0.0
+    # the mode selects the loss: the masked one takes another path from the same start
+    _, _, masked = train_scam(splits, ReconstructionNet(mc, np.random.default_rng(1)),
+                              MlpPredictor(mc, np.random.default_rng(0)),
+                              dataclasses.replace(cfg, mode="scam"))
+    assert [r.train_mse for r in masked] != [r.train_mse for r in records]
 
 
 # ---------------------------------------------------------------------------
