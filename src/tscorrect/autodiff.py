@@ -1,8 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A small define-by-run engine. A ``Tape`` records every operation applied
-to ``Var`` nodes together with a backward rule; ``Tape.backward`` replays
-the records in reverse and accumulates adjoints. Values are numpy arrays
+A small define-by-run engine. A ``Tape`` records each operation on
+``Var`` nodes that has an input needing a gradient, together with a
+backward rule; an operation on constants only returns a constant and is not
+recorded. ``Tape.backward`` replays the records in reverse, keeps the
+adjoints of intermediates in a local map and accumulates into ``.grad`` of
+the leaves. Only a leaf created with ``requires_grad=True`` has a ``.grad``
+array; constants and op outputs have ``.grad is None``, and backward rules
+return None for operands that need no gradient. Values are numpy arrays
 used purely as float64 storage and BLAS; all differentiation logic lives
 here.
 
@@ -18,7 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,8 +32,6 @@ from .errors import ContractError, DimensionError
 
 Array = np.ndarray
 
-_ids = itertools.count()
-
 
 def as_array(data) -> Array:
     """Coerce to a contiguous float64 ndarray."""
@@ -36,22 +39,19 @@ def as_array(data) -> Array:
 
 
 class Var:
-    """A node in the computation graph: value, gradient, and identity."""
+    """A node in the computation graph: a value, plus a gradient array for
+    leaves created with requires_grad=True (None for every other Var)."""
 
-    __slots__ = ("value", "grad", "requires_grad", "node_id")
+    __slots__ = ("value", "grad", "requires_grad")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = as_array(value)
-        self.grad = np.zeros_like(self.value)
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_ids)
+        self.grad = np.zeros_like(self.value) if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -59,36 +59,24 @@ class Var:
 
 def zero_grads(params: Iterable[Var]) -> None:
     for p in params:
-        p.zero_grad()
-
-
-def _is_scalar(v: Var) -> bool:
-    return v.value.size == 1
-
-
-class _Entry:
-    __slots__ = ("out", "inputs", "backward")
-
-    def __init__(self, out: Var, inputs: tuple[Var, ...], backward: Callable):
-        self.out = out
-        self.inputs = inputs
-        self.backward = backward
+        p.grad[...] = 0.0
 
 
 class Tape:
     """Ordered record of operations; replayed in reverse by backward()."""
 
     def __init__(self):
-        self._entries: list[_Entry] = []
-        self._produced: set[int] = set()
+        self._entries: list[tuple[Var, tuple[Var, ...], Callable]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def _record(self, value: Array, inputs: tuple[Var, ...], backward: Callable) -> Var:
-        out = Var(value, requires_grad=any(v.requires_grad for v in inputs))
-        self._entries.append(_Entry(out, inputs, backward))
-        self._produced.add(out.node_id)
+        """Wrap an op output; record the op only if an input needs a gradient."""
+        out = Var(value)
+        if any(v.requires_grad for v in inputs):
+            out.requires_grad = True
+            self._entries.append((out, inputs, backward))
         return out
 
     # ---- graph roots -------------------------------------------------
@@ -110,7 +98,8 @@ class Tape:
             )
 
         def backward(g: Array):
-            return g @ b.value.T, a.value.T @ g
+            return (g @ b.value.T if a.requires_grad else None,
+                    a.value.T @ g if b.requires_grad else None)
 
         return self._record(a.value @ b.value, (a, b), backward)
 
@@ -151,8 +140,10 @@ class Tape:
         def backward(g: Array):
             gv = g if batched else g[None]
             gf = np.ascontiguousarray(gv.transpose(0, 2, 1)).reshape(B * t_out, c_out)
-            gw = (gf.T @ flat).reshape(c_out, c_in, k)
-            gb = gf.sum(axis=0)
+            gw = (gf.T @ flat).reshape(c_out, c_in, k) if w.requires_grad else None
+            gb = gf.sum(axis=0) if b.requires_grad else None
+            if not x.requires_grad:
+                return None, gw, gb
             gcols = (gf @ wf).reshape(B, t_out, c_in, k)
             gxp = np.zeros_like(xp)
             # stride makes the target slices disjoint for each kernel tap
@@ -165,46 +156,37 @@ class Tape:
 
     # ---- elementwise ---------------------------------------------------
 
-    def _coerce(self, other) -> Var:
-        if isinstance(other, Var):
-            return other
-        return Var(np.asarray(other, dtype=np.float64))
-
-    def _binary(self, a: Var, b: Var, fwd, bwd_a, bwd_b) -> Var:
-        if not isinstance(a, Var):
-            a = self._coerce(a)
-        if not isinstance(b, Var):
-            b = self._coerce(b)
-        same = a.value.shape == b.value.shape
-        if not (same or _is_scalar(a) or _is_scalar(b)):
+    def _binary(self, a, b, fwd, bwd_a, bwd_b) -> Var:
+        """Same-shape or scalar-with-array op; bwd_*(g, a_value, b_value)
+        gives the operand's gradient before summing over a broadcast."""
+        a = a if isinstance(a, Var) else Var(a)
+        b = b if isinstance(b, Var) else Var(b)
+        av, bv = a.value, b.value
+        if not (av.shape == bv.shape or av.size == 1 or bv.size == 1):
             raise DimensionError(
                 f"elementwise op supports same-shape or scalar-with-array only, "
-                f"got {a.value.shape} and {b.value.shape}"
+                f"got {av.shape} and {bv.shape}"
             )
 
-        def backward(g: Array):
-            ga = bwd_a(g)
-            gb = bwd_b(g)
-            if ga.shape != a.value.shape:
-                ga = np.sum(ga).reshape(a.value.shape)
-            if gb.shape != b.value.shape:
-                gb = np.sum(gb).reshape(b.value.shape)
-            return ga, gb
+        def grad_of(v: Var, rule, g: Array):
+            if not v.requires_grad:
+                return None
+            gv = rule(g, av, bv)
+            return gv if gv.shape == v.value.shape else np.sum(gv).reshape(v.value.shape)
 
-        return self._record(fwd(a.value, b.value), (a, b), backward)
+        def backward(g: Array):
+            return grad_of(a, bwd_a, g), grad_of(b, bwd_b, g)
+
+        return self._record(fwd(av, bv), (a, b), backward)
 
     def add(self, a, b) -> Var:
-        return self._binary(a, b, lambda x, y: x + y, lambda g: g, lambda g: g)
+        return self._binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
 
     def sub(self, a, b) -> Var:
-        return self._binary(a, b, lambda x, y: x - y, lambda g: g, lambda g: -g)
+        return self._binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
 
     def mul(self, a, b) -> Var:
-        if not isinstance(a, Var):
-            a = self._coerce(a)
-        if not isinstance(b, Var):
-            b = self._coerce(b)
-        return self._binary(a, b, lambda x, y: x * y, lambda g: g * b.value, lambda g: g * a.value)
+        return self._binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
     def scale(self, x: Var, c: float) -> Var:
         c = float(c)
@@ -242,44 +224,35 @@ class Tape:
 
     # ---- reductions ----------------------------------------------------
 
-    def _reduce_axes(self, x: Var, axes) -> tuple[int, ...]:
-        nd = x.value.ndim
+    def _reduce(self, x: Var, axes, mean: bool) -> Var:
+        """Sum, or mean if `mean`, over `axes` (None: all of them)."""
+        shape = x.value.shape
+        nd = len(shape)
         if axes is None:
-            return tuple(range(nd))
-        if isinstance(axes, int):
+            axes = range(nd)
+        elif isinstance(axes, int):
             axes = (axes,)
         axes = tuple(int(a) for a in axes)
         for a in axes:
             if not -nd <= a < nd:
-                raise DimensionError(f"reduce axis {a} out of range for shape {x.value.shape}")
-        norm = tuple(sorted(a % nd for a in axes))
-        if len(set(norm)) != len(norm):
+                raise DimensionError(f"reduce axis {a} out of range for shape {shape}")
+        ax = tuple(sorted(a % nd for a in axes))
+        if len(set(ax)) != len(ax):
             raise DimensionError(f"duplicate reduce axes {axes}")
-        return norm
+        kept = tuple(1 if i in ax else s for i, s in enumerate(shape))
+        scale = 1.0 / math.prod(shape[a] for a in ax) if mean else 1.0
+        value = x.value.mean(axis=ax or None) if mean else x.value.sum(axis=ax or None)
+
+        def backward(g: Array):
+            return (np.broadcast_to(g.reshape(kept) * scale, shape).copy(),)
+
+        return self._record(value, (x,), backward)
 
     def sum(self, x: Var, axes=None) -> Var:
-        ax = self._reduce_axes(x, axes)
-        shape = x.value.shape
-        kept = tuple(1 if i in ax else s for i, s in enumerate(shape))
-
-        def backward(g: Array):
-            return (np.broadcast_to(g.reshape(kept), shape).copy(),)
-
-        return self._record(x.value.sum(axis=ax if ax else None), (x,), backward)
+        return self._reduce(x, axes, mean=False)
 
     def mean(self, x: Var, axes=None) -> Var:
-        ax = self._reduce_axes(x, axes)
-        shape = x.value.shape
-        kept = tuple(1 if i in ax else s for i, s in enumerate(shape))
-        count = 1
-        for a in ax:
-            count *= shape[a]
-        inv = 1.0 / count
-
-        def backward(g: Array):
-            return (np.broadcast_to(g.reshape(kept) * inv, shape).copy(),)
-
-        return self._record(x.value.mean(axis=ax if ax else None), (x,), backward)
+        return self._reduce(x, axes, mean=True)
 
     # ---- shape moves ---------------------------------------------------
 
@@ -333,48 +306,41 @@ class Tape:
         def backward(g: Array):
             sl = [slice(None)] * nd
             outs = []
-            for i in range(len(parts)):
+            for i, p in enumerate(parts):
                 sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-                outs.append(g[tuple(sl)].copy())
+                outs.append(g[tuple(sl)].copy() if p.requires_grad else None)
             return tuple(outs)
 
         return self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
 
     def stop_gradient(self, x: Var) -> Var:
-        """Pass the value through; contribute zero gradient upstream."""
-
-        def backward(g: Array):
-            return (None,)
-
-        return self._record(x.value, (x,), backward)
+        """x's value as a constant: no gradient flows back through it."""
+        return Var(x.value)
 
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, root: Var) -> None:
-        """Accumulate d(root)/d(v) into v.grad for every requires_grad Var
-        reachable from root. Repeated calls accumulate; zero_grad resets.
+        """Accumulate d(root)/d(v) into v.grad for every requires_grad leaf v
+        that root depends on through this tape. Repeated calls accumulate;
+        zero_grads resets.
         """
         if root.value.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
-        if root.node_id not in self._produced:
-            if root.requires_grad:
-                root.grad += np.ones_like(root.value)
+        if root.grad is not None:  # root is itself a leaf
+            root.grad += np.ones_like(root.value)
             return
-        adjoint: dict[int, Array] = {root.node_id: np.ones_like(root.value)}
-        for entry in reversed(self._entries):
-            g = adjoint.pop(entry.out.node_id, None)
+        # keyed by id(): the tape holds every Var it recorded, so ids stay unique
+        adjoint: dict[int, Array] = {id(root): np.ones_like(root.value)}
+        for out, inputs, rule in reversed(self._entries):
+            g = adjoint.pop(id(out), None)
             if g is None:
                 continue
-            if entry.out.requires_grad:
-                entry.out.grad += g
-            grads = entry.backward(g)
-            for v, gv in zip(entry.inputs, grads):
+            for v, gv in zip(inputs, rule(g)):
                 if gv is None:
                     continue
-                if v.node_id in self._produced:
-                    if v.node_id in adjoint:
-                        adjoint[v.node_id] = adjoint[v.node_id] + gv
-                    else:
-                        adjoint[v.node_id] = gv
-                elif v.requires_grad:
+                if v.grad is not None:
                     v.grad += gv
+                elif id(v) in adjoint:
+                    adjoint[id(v)] = adjoint[id(v)] + gv
+                else:
+                    adjoint[id(v)] = gv

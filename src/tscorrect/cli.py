@@ -225,13 +225,11 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
     ckpt = os.path.join(seed_dir, "checkpoints", "best.ckpt")
     if mode == "supervised":
         _, records = train_supervised(bundle, f, tcfg)
-        save_checkpoint(ckpt, mode, mcfg, seed, len(records) - 1, {"predictor": f})
+        models = {"predictor": f}
     elif mode in ("co_objective", "scam"):
         g = build_recon(mcfg, np.random.default_rng([seed, 11]))
         _, _, records = train_scam(bundle, g, f, tcfg)
-        save_checkpoint(ckpt, mode, mcfg, seed, len(records) - 1, {"predictor": f, "recon": g})
-        _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
-                    cfg["experiment"]["mask_dump_samples"])
+        models = {"predictor": f, "recon": g}
     elif mode == "grid_search":
         g = build_recon(mcfg, np.random.default_rng([seed, 11]))
         factory = lambda i: build_predictor(mcfg, np.random.default_rng([seed, 100 + i]))
@@ -255,8 +253,13 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
         return summary
     else:  # pragma: no cover - TrainConfig already validates
         raise ConfigError(f"unhandled mode {mode}")
-    write_epochs_csv(records, os.path.join(seed_dir, "epochs.csv"))
+    # the trainer restored the best epoch's state, so the header names it
     best_epoch = min(records, key=lambda r: r.val_mse)
+    save_checkpoint(ckpt, mode, mcfg, seed, best_epoch.epoch, models)
+    if mode != "supervised":
+        _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
+                    cfg["experiment"]["mask_dump_samples"])
+    write_epochs_csv(records, os.path.join(seed_dir, "epochs.csv"))
     summary.update({
         "epochs": len(records),
         "best_epoch": best_epoch.epoch,

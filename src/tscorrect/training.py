@@ -188,7 +188,6 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
     n = len(ds)
     if n == 0:
         raise ContractError("empty window dataset")
-    nch = ds.n_channels
     sq = 0.0
     ab = 0.0
     count = 0
@@ -394,7 +393,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
                 loss = L.aggregate_over_series(tape, per)
                 inner.zero_grad()
                 tape.backward(loss)
-                gnorm = float(np.linalg.norm(np.concatenate([v.grad.ravel() for v in theta])))
+                gnorm = float(np.linalg.norm(flat_grads(f.parameters())))
                 gnorm /= np.sqrt(n_theta)
                 inner.step()
                 f.spectral_step()
@@ -407,7 +406,6 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         outer.zero_grad()
         loss_rec = 0.0
         loss_target = 0.0
-        total = 0
         for lo in range(0, n, cfg.eval_batch):
             hi = min(lo + cfg.eval_batch, n)
             y = flatten_channels(bundle.train.y[lo:hi])
@@ -422,7 +420,6 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             loss_rec += chunk.value.item() * weight
             with_f = f.forward(Tape(), x).value
             loss_target += float(np.mean(np.abs(with_f - y))) * weight
-            total += y.size
         phi_snapshot = {name: v.value.copy() for name, v in g.loss_parameters()}
         records.append(GridRecord(
             index=i, loss_rec=loss_rec, loss_pred=loss_pred_val, loss_target=loss_target,

@@ -264,6 +264,44 @@ def test_stop_gradient_value_identity():
     assert np.array_equal(Tape().stop_gradient(x).value, x.value)
 
 
+def test_only_requires_grad_leaves_hold_a_grad():
+    t = Tape()
+    c = t.constant(np.ones(2))
+    x = Var(np.array([1.0, 2.0]), requires_grad=True)
+    y = t.mul(x, c)
+    t.backward(t.sum(y))
+    assert c.grad is None and y.grad is None
+    assert y.requires_grad and not t.stop_gradient(y).requires_grad
+    assert np.array_equal(x.grad, [1.0, 1.0])
+
+
+def test_ops_on_constants_only_are_not_recorded():
+    t = Tape()
+    c = t.reshape(t.mul(t.constant(np.ones(4)), t.constant(np.full(4, 2.0))), (2, 2))
+    assert len(t) == 0 and not c.requires_grad and c.grad is None
+    assert np.array_equal(c.value, np.full((2, 2), 2.0))
+    w = Var(np.eye(2), requires_grad=True)
+    t.mean(t.matmul(c, w))
+    assert len(t) == 2
+
+
+def test_constant_operand_leaves_leaf_gradient_unchanged():
+    rng = RNG(19)
+    x0, w0, b0 = rng.uniform(-2, 2, (2, 3, 10)), rng.uniform(-2, 2, (4, 3, 3)), rng.uniform(-2, 2, 4)
+    a0, m0 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (3, 2))
+
+    def grads(data_needs_grad: bool):
+        t = Tape()
+        x, a = Var(x0, data_needs_grad), Var(a0, data_needs_grad)
+        w, b, m = Var(w0, True), Var(b0, True), Var(m0, True)
+        conv = t.conv1d(x, w, b, stride=2, padding=1)
+        t.backward(t.add(t.mean(t.mul(conv, conv)), t.mean(t.abs(t.matmul(a, m)))))
+        return w.grad, b.grad, m.grad
+
+    for full, lean in zip(grads(True), grads(False)):
+        assert np.array_equal(full, lean)
+
+
 def test_backward_requires_scalar_root():
     t = Tape()
     x = Var(np.ones(3), requires_grad=True)

@@ -16,7 +16,7 @@ from tscorrect.cli import load_config, main, run_experiment
 from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
 from tscorrect.losses import MASK_DUMP_FIELDS
 from tscorrect.models import load_checkpoint, restore_models, spectral_norm
-from tscorrect.training import EPOCH_CSV_FIELDS
+from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
 
 BASE_CONFIG = """
 [experiment]
@@ -239,7 +239,9 @@ def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
     assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 0
     assert json.loads(capsys.readouterr().out)["mse"] == summary["test_mse"]
-    _, models = restore_models(*load_checkpoint(ckpt))
+    header, arrays = load_checkpoint(ckpt)
+    assert header["epoch"] == summary["best_epoch"]
+    _, models = restore_models(header, arrays)
     layer = models["predictor"].layers["layer"]
     w = layer.w.value
     sn = spectral_norm(w)
@@ -272,6 +274,36 @@ def test_rerun_is_byte_identical_up_to_timing(tmp_path):
         return [",".join(c for i, c in enumerate(l.split(",")) if i != drop) for l in lines]
 
     assert epochs_lines("runs_a") == epochs_lines("runs_b")
+
+
+def test_seed_pool_matches_serial_run(tmp_path):
+    # threads = 2 runs the seeds in a two-worker process pool; every seed
+    # directory must match the serial run byte for byte, timing aside
+    text = BASE_CONFIG.replace("seeds = 0", "seeds = 0,1")
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    run_dirs = {}
+    for threads in (1, 2):
+        out = os.path.join(str(tmp_path), f"threads{threads}")
+        assert main(["train", "--config", cfg_path, "--threads", str(threads), "--out", out]) == 0
+        run_dirs[threads] = os.path.join(out, os.listdir(out)[0])
+    drop = [EPOCH_CSV_FIELDS.index(name) for name in TIMING_FIELDS]
+
+    def seed_files(run_dir):
+        files = {}
+        for path in sorted(glob.glob(os.path.join(run_dir, "seed*", "**", "*"), recursive=True)):
+            if os.path.isdir(path):
+                continue
+            data = open(path, "rb").read()
+            if os.path.basename(path) == "epochs.csv":
+                rows = [line.split(b",") for line in data.split(b"\n")]
+                data = b"\n".join(b",".join(c for i, c in enumerate(r) if i not in drop) for r in rows)
+            files[os.path.relpath(path, run_dir)] = data
+        return files
+
+    serial, pooled = seed_files(run_dirs[1]), seed_files(run_dirs[2])
+    assert {p.split(os.sep)[0] for p in serial} == {"seed0", "seed1"}
+    assert any(p.endswith("best.ckpt") for p in serial)
+    assert serial == pooled
 
 
 # ---------------------------------------------------------------------------
