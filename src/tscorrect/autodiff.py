@@ -13,9 +13,10 @@ here.
 
 Conventions:
   * everything is float64, row-major;
-  * no broadcasting beyond scalar-with-array (model code reshapes
-    explicitly, e.g. bias rows via a ones-matmul), keeping every backward
-    rule a plain transpose/sum;
+  * no broadcasting beyond scalar-with-array, save for the bias row of
+    ``linear`` (x @ w.T + b): biases go through that one op, added in place
+    to the matmul output, not through a ones-matmul, and every backward rule
+    stays a plain transpose/sum;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread.
@@ -102,6 +103,23 @@ class Tape:
                     a.value.T @ g if b.requires_grad else None)
 
         return self._record(a.value @ b.value, (a, b), backward)
+
+    def linear(self, x: Var, w: Var, b: Var) -> Var:
+        """Dense layer x @ w.T + b for x (B, in), w (out, in), b (out,)."""
+        if w.value.ndim != 2 or b.value.shape != w.value.shape[:1]:
+            raise DimensionError(f"linear weight {w.value.shape} and bias {b.value.shape} do not match")
+        if x.value.ndim != 2 or x.value.shape[1] != w.value.shape[1]:
+            raise DimensionError(f"linear expects (B, {w.value.shape[1]}), got {x.value.shape}")
+        out = x.value @ w.value.T
+        out += b.value
+
+        def backward(g: Array):
+            return (g @ w.value if x.requires_grad else None,
+                    g.T @ x.value if w.requires_grad else None,
+                    # the column sum as a BLAS gemv: faster than g.sum(axis=0)
+                    np.ones(len(g)) @ g if b.requires_grad else None)
+
+        return self._record(out, (x, w, b), backward)
 
     def conv1d(self, x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
         """1-D convolution (cross-correlation) along the last axis.
@@ -205,12 +223,12 @@ class Tape:
         return self._record(np.abs(x.value), (x,), backward)
 
     def relu(self, x: Var) -> Var:
-        m = (x.value > 0.0).astype(np.float64)
+        m = x.value > 0.0
 
         def backward(g: Array):
             return (g * m,)
 
-        return self._record(x.value * m, (x,), backward)
+        return self._record(np.maximum(x.value, 0.0), (x,), backward)
 
     def reciprocal(self, x: Var) -> Var:
         if np.any(x.value == 0.0):
@@ -312,6 +330,20 @@ class Tape:
             return tuple(outs)
 
         return self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
+
+    def take(self, x: Var, index: int, axis: int = 0) -> Var:
+        """The slice at `index` along `axis`, which drops that axis."""
+        shape = x.value.shape
+        if not -len(shape) <= axis < len(shape) or not -shape[axis] <= index < shape[axis]:
+            raise DimensionError(f"take index {index} on axis {axis} out of range for {shape}")
+        sl = (slice(None),) * (axis % len(shape)) + (index,)
+
+        def backward(g: Array):
+            gx = np.zeros(shape)
+            gx[sl] = g
+            return (gx,)
+
+        return self._record(x.value[sl], (x,), backward)
 
     def stop_gradient(self, x: Var) -> Var:
         """x's value as a constant: no gradient flows back through it."""

@@ -353,14 +353,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _restore_for(cfg: dict, path: str) -> dict:
+    """The models of a checkpoint, refused unless it was built for the
+    config's lookback and horizon."""
+    mcfg, models = restore_models(*load_checkpoint(path))
+    d = cfg["data"]
+    if (mcfg.lookback, mcfg.horizon) != (d["lookback"], d["horizon"]):
+        raise ConfigError(f"checkpoint {path} has lookback/horizon {mcfg.lookback}/{mcfg.horizon}, "
+                          f"the config {d['lookback']}/{d['horizon']}")
+    return models
+
+
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    _, models = restore_models(*load_checkpoint(args.checkpoint))
+    models = _restore_for(cfg, args.checkpoint)
     if "predictor" not in models:
         raise ConfigError(f"checkpoint {args.checkpoint} holds no predictor")
-    series = load_series(cfg)
-    bundle = make_bundle(cfg, series)
-    ds = {"train": bundle.train, "val": bundle.val, "test": bundle.test}[args.split]
+    bundle = make_bundle(cfg, load_series(cfg))
+    ds = getattr(bundle, args.split)
     scaler = bundle.scaler if args.raw_units else None
     mse, mae = evaluate(models["predictor"], ds, cfg["train"]["eval_batch"], scaler=scaler)
     print(json.dumps({
@@ -376,13 +386,12 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
-    _, models = restore_models(*load_checkpoint(args.checkpoint))
+    models = _restore_for(cfg, args.checkpoint)
     if "predictor" not in models or "recon" not in models:
         raise ConfigError("diagnose needs a checkpoint holding both predictor and recon")
     f, g = models["predictor"], models["recon"]
-    series = load_series(cfg)
-    bundle = make_bundle(cfg, series)
-    ds = {"train": bundle.train, "val": bundle.val, "test": bundle.test}[args.split]
+    bundle = make_bundle(cfg, load_series(cfg))
+    ds = getattr(bundle, args.split)
     out = args.out or "diagnosis"
     os.makedirs(out, exist_ok=True)
 
@@ -404,21 +413,16 @@ def cmd_diagnose(args) -> int:
     _atomic_json(os.path.join(out, "breakdown.json"), breakdown)
 
     if args.sharpness:
-        report: dict = {"split": args.split, "loss": "l1"}
         ctx = predictor_loss_context(f, ds, cfg["train"]["sharpness_batch"])
-        total = lambda_max(ctx)
-        report["total"] = {"value": total.value, "iterations": total.iterations,
-                           "converged": total.converged}
+        report = {"split": args.split, "loss": "l1", "total": dataclasses.asdict(lambda_max(ctx))}
         for name in sorted(ctx.segments):
-            r = lambda_max(ctx, segment=name)
-            report[name] = {"value": r.value, "iterations": r.iterations, "converged": r.converged}
+            report[name] = dataclasses.asdict(lambda_max(ctx, segment=name))
         # masked variants weight the same L1 loss by the candidate-mean mask
         take_s = min(cfg["train"]["sharpness_batch"], len(ds), take)
         w_in = mask_mean[: take_s * ds.n_channels]
         for label, weights in (("masked_in", w_in), ("masked_out", 1.0 - w_in)):
             ctx_m = predictor_loss_context(f, ds, take_s, point_weights=weights)
-            r = lambda_max(ctx_m)
-            report[label] = {"value": r.value, "iterations": r.iterations, "converged": r.converged}
+            report[label] = dataclasses.asdict(lambda_max(ctx_m))
         _atomic_json(os.path.join(out, "sharpness.json"), report)
 
     # channel alignment: symmetric KL between channel distributions

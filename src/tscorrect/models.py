@@ -5,7 +5,7 @@ of length L mapped to a horizon of length H. Instance normalization wraps
 the backbone (statistics per window, detached). The reconstruction network
 g maps a target window to S candidate corrected labels through four
 stride-2 conv layers whose outputs are transposed and unfolded back onto
-the horizon grid, then a point-wise FFN with parallel heads.
+the horizon grid, then a point-wise FFN and one head layer with S outputs.
 
 Spectral rescaling (snr): a layer's effective weight is gamma * W / sigma_max(W),
 with sigma_max tracked by persistent-state power iteration. gamma is a
@@ -212,8 +212,6 @@ class LinearLayer:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, snr_enabled: bool = False):
         bound = 1.0 / math.sqrt(in_dim)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = Var(rng.uniform(-bound, bound, size=(out_dim, in_dim)), requires_grad=True)
         self.b = Var(np.zeros(out_dim), requires_grad=True)
         self.snr_enabled = bool(snr_enabled)
@@ -246,19 +244,13 @@ class LinearLayer:
         # sigma = u^T W v with u, v held fixed, so the rescaling itself is
         # differentiated (rank-one correction in dL/dW) as in standard
         # spectral normalization
-        u = tape.constant(self.pi_state.u.reshape(1, self.out_dim))
-        v = tape.constant(self.pi_state.v.reshape(self.in_dim, 1))
+        u = tape.constant(self.pi_state.u[None, :])
+        v = tape.constant(self.pi_state.v[:, None])
         sig = tape.reshape(tape.matmul(u, tape.matmul(self.w, v)), (1,))
         return tape.mul(self.gamma, tape.mul(self.w, tape.reciprocal(sig)))
 
     def apply(self, tape: Tape, x: Var) -> Var:
-        if x.value.ndim != 2 or x.value.shape[1] != self.in_dim:
-            raise DimensionError(f"linear expects (B, {self.in_dim}), got {x.value.shape}")
-        w_eff = self.effective_weight(tape)
-        out = tape.matmul(x, tape.transpose(w_eff))
-        # bias row without broadcasting: ones (B,1) @ b (1,out)
-        ones = tape.constant(np.ones((x.value.shape[0], 1)))
-        return tape.add(out, tape.matmul(ones, tape.reshape(self.b, (1, self.out_dim))))
+        return tape.linear(x, self.effective_weight(tape), self.b)
 
 
 class RevIn:
@@ -367,7 +359,7 @@ def build_predictor(cfg: ModelConfig, rng: np.random.Generator) -> MlpPredictor:
 
 
 class ReconstructionNet:
-    """Label-window encoder with S parallel candidate heads.
+    """Label-window encoder with one S-output candidate head layer.
 
     encode: (B, H) -> (B, H, d_feat). Each conv level halves the time axis
     and doubles the channel count, so level l holds exactly dim_multiplier/2
@@ -390,7 +382,8 @@ class ReconstructionNet:
             self.convs.append((w, b))
             c_prev = c
         self.ffn_in = LinearLayer(cfg.d_feat, cfg.recon_hidden, rng)
-        self.heads = [LinearLayer(cfg.recon_hidden, 1, rng) for _ in range(cfg.series_count)]
+        # one (S, recon_hidden) draw: the same numbers as S single-output heads
+        self.heads = LinearLayer(cfg.recon_hidden, cfg.series_count, rng)
         # diagnostic readout on raw conv features; never receives loss gradient
         self.readout = LinearLayer(cfg.d_feat, 1, rng)
 
@@ -422,16 +415,16 @@ class ReconstructionNet:
         flat = tape.reshape(z, (b * h, d))
         return tape.relu(self.ffn_in.apply(tape, flat))
 
-    def head_outputs(self, tape: Tape, y: np.ndarray) -> list[Var]:
-        b, h = y.shape
-        hidden = self._ffn(tape, self.encode(tape, y))
-        return [tape.reshape(head.apply(tape, hidden), (b, h)) for head in self.heads]
-
     def forward(self, tape: Tape, y: np.ndarray) -> Var:
         """All candidate label sets, stacked: (B, S, H)."""
         b, h = y.shape
-        outs = [tape.reshape(o, (b, 1, h)) for o in self.head_outputs(tape, y)]
-        return tape.concat(outs, axis=1)
+        out = self.heads.apply(tape, self._ffn(tape, self.encode(tape, y)))  # (B*H, S)
+        return tape.transpose(tape.reshape(out, (b, h, self.cfg.series_count)), (0, 2, 1))
+
+    def head_outputs(self, tape: Tape, y: np.ndarray) -> list[Var]:
+        """The S candidate label sets, each (B, H)."""
+        out = self.forward(tape, y)
+        return [tape.take(out, s, axis=1) for s in range(self.cfg.series_count)]
 
     def intermediate(self, tape: Tape, y: np.ndarray) -> Var:
         """Diagnostic readout applied to raw conv features, skipping the FFN."""
@@ -446,12 +439,9 @@ class ReconstructionNet:
     def parameters(self) -> list[tuple[str, Var]]:
         out = []
         for i, (w, b) in enumerate(self.convs, start=1):
-            out.append((f"conv{i}.w", w))
-            out.append((f"conv{i}.b", b))
-        out += [(f"ffn_in.{n}", v) for n, v in self.ffn_in.params()]
-        for s, head in enumerate(self.heads):
-            out += [(f"head{s}.{n}", v) for n, v in head.params()]
-        out += [(f"readout.{n}", v) for n, v in self.readout.params()]
+            out += [(f"conv{i}.w", w), (f"conv{i}.b", b)]
+        for name in ("ffn_in", "heads", "readout"):
+            out += [(f"{name}.{n}", v) for n, v in getattr(self, name).params()]
         return out
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
@@ -510,7 +500,7 @@ def count_params(params: list[tuple[str, Var]]) -> int:
 # checkpoints: uint64-LE header length, JSON header, then raw float64 blocks
 
 
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def model_state(model) -> list[tuple[str, np.ndarray]]:
@@ -567,11 +557,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         blocks = {}
         for spec in header["blocks"]:
             shape = tuple(int(s) for s in spec["shape"])
-            count = 1
-            for s in shape:
-                count *= s
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
+            buf = fh.read(8 * math.prod(shape))
+            if len(buf) != 8 * math.prod(shape):
                 raise LoadError(f"{path}: truncated block {spec['name']}")
             blocks[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
         if fh.read(1):

@@ -67,7 +67,7 @@ class TrainConfig:
         if self.grid_grad_threshold <= 0:
             raise ConfigError("grid_grad_threshold must be positive")
         if self.grid_inner_optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"grid_inner_optimizer must be adam or sgd")
+            raise ConfigError(f"grid_inner_optimizer must be adam or sgd, got {self.grid_inner_optimizer!r}")
         if self.eval_batch < 1 or self.sharpness_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
 
@@ -364,7 +364,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     on the reconstruction loss mean|c - t| to propose phi_{i+1}.
     """
     rng = np.random.default_rng([cfg.seed, 2])
-    n = len(bundle.train)
+    n, nch = len(bundle.train), bundle.train.n_channels
     records: list[GridRecord] = []
     phi_params = [v for _, v in g.loss_parameters()]
     outer = Sgd(phi_params, cfg.grid_outer_lr)
@@ -376,14 +376,19 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         else:
             inner = Sgd(theta, cfg.lr)
         n_theta = sum(v.value.size for v in theta)
+        # phi is frozen until the outer step: candidates for every train row,
+        # row w * nch + c as flatten_channels orders a batch
+        frozen = np.concatenate([
+            g.forward(Tape(), flatten_channels(bundle.train.y[lo : lo + cfg.eval_batch])).value
+            for lo in range(0, n, cfg.eval_batch)
+        ])
         steps = 0
         gnorm = np.inf
         loss_pred_val = np.inf
         while steps < cfg.grid_inner_steps and gnorm > cfg.grid_grad_threshold:
             for idx in _batch_indices(n, cfg.batch_size, rng):
                 x = flatten_channels(bundle.train.x[idx])
-                y = flatten_channels(bundle.train.y[idx])
-                cands = g.forward(Tape(), y).value  # frozen reconstruction net
+                cands = frozen[(idx[:, None] * nch + np.arange(nch)).ravel()]
                 tape = Tape()
                 yhat = f.forward(tape, x)
                 per = [

@@ -33,6 +33,13 @@ def test_abs_relu_values():
     assert np.array_equal(t.relu(x).value, [0.0, 0.0, 2.0])
 
 
+def test_relu_subgradient_zero_at_zero():
+    t = Tape()
+    x = Var(np.array([0.0, -0.5, 0.5]), requires_grad=True)
+    t.backward(t.sum(t.relu(x)))
+    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
 def test_abs_subgradient_zero_at_zero():
     t = Tape()
     x = Var(np.array([0.0, -0.5, 0.5]), requires_grad=True)
@@ -177,6 +184,38 @@ def test_fd_abs_relu_away_from_kinks():
     assert fd_worst_rel_err(lambda t, v: t.mean(t.relu(v[0])), [x], rng) < 1e-6
 
 
+def test_fd_linear():
+    rng = RNG(21)
+    x, w, b = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, 4)
+
+    def build(t, v):
+        out = t.linear(v[0], v[1], v[2])
+        return t.mean(t.mul(out, out))
+
+    assert fd_worst_rel_err(build, [x, w, b], rng) < 1e-6
+    assert np.array_equal(Tape().linear(Var(x), Var(w), Var(b)).value, x @ w.T + b)
+    with pytest.raises(DimensionError):
+        Tape().linear(Var(np.ones((5, 4))), Var(w), Var(b))
+    with pytest.raises(DimensionError):
+        Tape().linear(Var(x), Var(w), Var(np.ones(3)))
+
+
+def test_fd_take():
+    rng = RNG(22)
+    x = rng.uniform(-2, 2, (2, 3, 4))
+    for axis, index in ((0, 1), (1, 2), (2, -1)):
+        def build(t, v):
+            part = t.take(v[0], index, axis=axis)
+            return t.mean(t.mul(part, part))
+
+        assert fd_worst_rel_err(build, [x], rng) < 1e-6
+        assert np.array_equal(Tape().take(Var(x), index, axis=axis).value, np.take(x, index, axis=axis))
+    with pytest.raises(DimensionError):
+        Tape().take(Var(x), 3, axis=1)
+    with pytest.raises(DimensionError):
+        Tape().take(Var(x), 0, axis=3)
+
+
 def test_fd_reductions_and_reshapes():
     rng = RNG(16)
     x = rng.uniform(-2, 2, (2, 6))
@@ -289,14 +328,18 @@ def test_constant_operand_leaves_leaf_gradient_unchanged():
     rng = RNG(19)
     x0, w0, b0 = rng.uniform(-2, 2, (2, 3, 10)), rng.uniform(-2, 2, (4, 3, 3)), rng.uniform(-2, 2, 4)
     a0, m0 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (3, 2))
+    lw0, lb0 = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, 4)
 
     def grads(data_needs_grad: bool):
         t = Tape()
         x, a = Var(x0, data_needs_grad), Var(a0, data_needs_grad)
         w, b, m = Var(w0, True), Var(b0, True), Var(m0, True)
+        lw, lb = Var(lw0, True), Var(lb0, True)
         conv = t.conv1d(x, w, b, stride=2, padding=1)
-        t.backward(t.add(t.mean(t.mul(conv, conv)), t.mean(t.abs(t.matmul(a, m)))))
-        return w.grad, b.grad, m.grad
+        lin = t.linear(a, lw, lb)
+        loss = t.add(t.mean(t.mul(conv, conv)), t.mean(t.abs(t.matmul(a, m))))
+        t.backward(t.add(loss, t.mean(t.mul(lin, lin))))
+        return w.grad, b.grad, m.grad, lw.grad, lb.grad
 
     for full, lean in zip(grads(True), grads(False)):
         assert np.array_equal(full, lean)

@@ -225,6 +225,21 @@ def test_eval_reproduces_manifest_metrics_exactly(scam_pipeline, capsys):
     assert payload["units"] == "standardized"
 
 
+def test_checkpoint_of_other_window_shape_exits_2(scam_pipeline, tmp_path, capsys):
+    _, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    text = BASE_CONFIG.replace("lookback = 16\nhorizon = 16", "lookback = 24\nhorizon = 32")
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    out = os.path.join(str(tmp_path), "diag")
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 2
+    assert "16/16" in capsys.readouterr().err
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "16/16" in err and "24/32" in err
+    assert not os.path.exists(out)
+
+
 def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     # linear snr=both run whose best epoch is not the last, so the restore
     # has to roll the power-iteration state back along with the weights

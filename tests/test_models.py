@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tscorrect.autodiff import Tape, Var
 from tscorrect.errors import ConfigError, DimensionError, LoadError
 from tscorrect.models import (
+    _CKPT_VERSION,
     LinearLayer,
     ModelConfig,
     PowerIterState,
@@ -300,14 +301,23 @@ def test_recon_all_zero_input_zero_biases():
 def test_recon_identical_heads_identical_series():
     cfg = tiny_cfg()
     g = build_recon(cfg, RNG([0, 11]))
-    w0 = g.heads[0].w.value.copy()
-    b0 = g.heads[0].b.value.copy()
-    for h in g.heads[1:]:
-        h.w.value[:] = w0
-        h.b.value[:] = b0
+    g.heads.w.value[1:] = g.heads.w.value[0]
+    g.heads.b.value[1:] = g.heads.b.value[0]
     out = g.forward(Tape(), RNG(13).standard_normal((2, 16))).value
     for s in range(1, cfg.series_count):
         assert np.array_equal(out[:, s, :], out[:, 0, :])
+
+
+def test_recon_head_outputs_are_forward_slices():
+    cfg = tiny_cfg()
+    g = build_recon(cfg, RNG([0, 11]))
+    g.heads.b.value[:] = RNG(15).standard_normal(cfg.series_count)
+    y = RNG(13).standard_normal((3, 16))
+    full = g.forward(Tape(), y).value
+    heads = g.head_outputs(Tape(), y)
+    assert len(heads) == cfg.series_count
+    for s, c in enumerate(heads):
+        assert np.array_equal(c.value, full[:, s])
 
 
 def test_recon_gradient_vs_finite_differences():
@@ -452,7 +462,8 @@ def test_checkpoint_rejects_other_version(tmp_path):
                     models={"predictor": build_predictor(cfg, RNG(0))})
     raw = open(path, "rb").read()
     hlen = int.from_bytes(raw[:8], "little")
-    header = raw[8 : 8 + hlen].replace(b'"version": 1', b'"version": 2')
+    header = raw[8 : 8 + hlen].replace(b'"version": %d' % _CKPT_VERSION,
+                                       b'"version": %d' % (_CKPT_VERSION + 1))
     assert len(header) == hlen
     with open(path, "wb") as fh:
         fh.write(raw[:8] + header + raw[8 + hlen :])

@@ -69,9 +69,8 @@ def identity_recon(cfg: ModelConfig) -> ReconstructionNet:
     w1.value[per:, 0, 2] = 1.0
     g.ffn_in.w.value[0, 0] = 1.0
     g.ffn_in.w.value[1, 0] = -1.0
-    for head in g.heads:
-        head.w.value[0, 0] = 1.0
-        head.w.value[0, 1] = -1.0
+    g.heads.w.value[:, 0] = 1.0
+    g.heads.w.value[:, 1] = -1.0
     return g
 
 
