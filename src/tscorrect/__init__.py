@@ -18,7 +18,6 @@ from .data import (
 from .losses import (
     LossBreakdown,
     MaskSet,
-    aggregate_over_series,
     co_objective_loss,
     compute_masks,
     loss_breakdown,

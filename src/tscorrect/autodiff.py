@@ -13,10 +13,12 @@ here.
 
 Conventions:
   * everything is float64, row-major;
-  * no broadcasting beyond scalar-with-array, save for the bias row of
-    ``linear`` (x @ w.T + b): biases go through that one op, added in place
-    to the matmul output, not through a ones-matmul, and every backward rule
-    stays a plain transpose/sum;
+  * no broadcasting beyond scalar-with-array, save for two ops: the bias
+    row of ``linear`` (x @ w.T + b), added in place to the matmul output,
+    not through a ones-matmul; and the candidate axis of ``candidate_l1``,
+    where candidates c of (B, S, ...) meet p and t of (B, ...), read with a
+    length-1 axis 1, and the gradient of p sums over that axis. Every other
+    backward rule stays a plain transpose/sum;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread.
@@ -56,6 +58,16 @@ class Var:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
+
+
+def align_candidates(c: Array, p: Array, t: Array) -> tuple[Array, Array, bool]:
+    """p and t read with a length-1 axis 1 when c is a (B, S, ...) stack of
+    candidates for p and t of (B, ...), as they are when c has p's shape;
+    and whether c is a stack."""
+    stacked = c.ndim == p.ndim + 1
+    if p.shape != t.shape or (c.shape[:1] + c.shape[2:] if stacked else c.shape) != p.shape:
+        raise DimensionError(f"candidates {c.shape} against predictions {p.shape} and labels {t.shape}")
+    return (p[:, None], t[:, None], True) if stacked else (p, t, False)
 
 
 def zero_grads(params: Iterable[Var]) -> None:
@@ -240,6 +252,40 @@ class Tape:
 
         return self._record(inv, (x,), backward)
 
+    # ---- fused losses --------------------------------------------------
+
+    def candidate_l1(self, c, p, t, w_pred, w_rec, w_sup) -> Var:
+        """Mean over candidates of each candidate's mean of
+        w_pred|c - p| + w_rec|c - t| + w_sup|t - p|, for candidates c of
+        (B, S, ...) against p and t of (B, ...), or one c of p's shape. t and
+        the weights are constants broadcast against c; a weight that is the
+        scalar 0 drops its term."""
+        c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
+        cv = c.value
+        pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
+        n_cand = cv.shape[1] if stacked else 1
+        weights = (w_pred, w_rec, w_sup)
+        a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
+                         for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
+        total = np.broadcast_to(sum(np.abs(r) * w for w, r in zip(weights, res) if r is not None), cv.shape)
+        # one contiguous row per candidate, so that each mean adds its points
+        # in the order that the candidate's own (B, ...) array would
+        rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
+        per = rows.reshape(n_cand, -1).mean(axis=1)
+
+        def backward(g: Array):
+            k = g.item() * (1.0 / n_cand) * (1.0 / (cv.size // n_cand))
+            ga = np.sign(a) * w_pred if a is not None else 0.0
+            gc = gp = None
+            if c.requires_grad:
+                gc = np.broadcast_to(ga + (np.sign(b) * w_rec if b is not None else 0.0), cv.shape) * k
+            if p.requires_grad:
+                gp = np.broadcast_to(ga + (np.sign(d) * w_sup if d is not None else 0.0), cv.shape)
+                gp = (gp.sum(axis=1) if stacked else gp) * -k
+            return gc, gp
+
+        return self._record(per.sum() * (1.0 / n_cand), (c, p), backward)
+
     # ---- reductions ----------------------------------------------------
 
     def _reduce(self, x: Var, axes, mean: bool) -> Var:
@@ -330,20 +376,6 @@ class Tape:
             return tuple(outs)
 
         return self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
-
-    def take(self, x: Var, index: int, axis: int = 0) -> Var:
-        """The slice at `index` along `axis`, which drops that axis."""
-        shape = x.value.shape
-        if not -len(shape) <= axis < len(shape) or not -shape[axis] <= index < shape[axis]:
-            raise DimensionError(f"take index {index} on axis {axis} out of range for {shape}")
-        sl = (slice(None),) * (axis % len(shape)) + (index,)
-
-        def backward(g: Array):
-            gx = np.zeros(shape)
-            gx[sl] = g
-            return (gx,)
-
-        return self._record(x.value[sl], (x,), backward)
 
     def stop_gradient(self, x: Var) -> Var:
         """x's value as a constant: no gradient flows back through it."""

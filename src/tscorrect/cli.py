@@ -233,15 +233,16 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
     elif mode == "grid_search":
         g = build_recon(mcfg, np.random.default_rng([seed, 11]))
         factory = lambda i: build_predictor(mcfg, np.random.default_rng([seed, 100 + i]))
-        _, grecords = train_grid_search(bundle, g, factory, tcfg)
-        save_checkpoint(ckpt, mode, mcfg, seed, len(grecords) - 1, {"recon": g})
+        f, g, grecords = train_grid_search(bundle, g, factory, tcfg)
+        best = min(grecords, key=lambda r: r.test_mse)
+        # the trainer hands back the best round's predictor and phi
+        save_checkpoint(ckpt, mode, mcfg, seed, best.index, {"predictor": f, "recon": g})
         traj = os.path.join(seed_dir, "trajectory.csv")
         with open(traj, "w") as fh:
             fh.write("index,loss_rec,loss_pred,loss_target,inner_steps,grad_norm,test_mse,test_mae\n")
             for r in grecords:
                 fh.write(f"{r.index},{float(r.loss_rec)!r},{float(r.loss_pred)!r},{float(r.loss_target)!r},"
                          f"{r.inner_steps},{float(r.grad_norm)!r},{float(r.test_mse)!r},{float(r.test_mae)!r}\n")
-        best = min(grecords, key=lambda r: r.test_mse)
         summary.update({
             "candidates": len(grecords),
             "best_candidate": best.index,
@@ -429,17 +430,11 @@ def cmd_diagnose(args) -> int:
     nch = ds.n_channels
     rows = []
     if nch >= 2:
-        raw_ch = [y[c::nch].ravel() for c in range(nch)]
-        cand_mean = cands.mean(axis=1)
-        cand_ch = [cand_mean[c::nch].ravel() for c in range(nch)]
-        inter = g.intermediate(Tape(), y).value
-        inter_ch = [inter[c::nch].ravel() for c in range(nch)]
-        for i in range(nch):
-            for j in range(i + 1, nch):
-                kl_y = kl_alignment(*channel_histograms([raw_ch[i], raw_ch[j]]))
-                kl_c = kl_alignment(*channel_histograms([cand_ch[i], cand_ch[j]]))
-                kl_m = kl_alignment(*channel_histograms([inter_ch[i], inter_ch[j]]))
-                rows.append((i, j, kl_y, kl_c, kl_m))
+        # raw labels, candidate means and the conv-feature readout
+        views = (y, cands.mean(axis=1), g.intermediate(Tape(), y).value)
+        rows = [(i, j, *(kl_alignment(*channel_histograms([v[i::nch].ravel(), v[j::nch].ravel()]))
+                         for v in views))
+                for i in range(nch) for j in range(i + 1, nch)]
     with open(os.path.join(out, "kl_table.csv"), "w") as fh:
         fh.write("channel_a,channel_b,kl_raw,kl_candidates,kl_intermediate\n")
         for i, j, a, b, c in rows:

@@ -10,15 +10,19 @@ The co-objective per point is |c - t| + |c - p|; it decomposes exactly into
   |t - p|                         on points with M = 0,
   |t - p| + 2*min(|c-p|, |c-t|)   on points with M = 1,
 which is what the masked training loss uses, with masks held constant.
+
+Every function here takes one candidate c of p's shape, or the S stacked
+candidates c of (B, S, ...) against p and t of (B, ...), read with a
+length-1 axis 1; an objective over a stack averages the candidates' means.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var
+from .autodiff import Tape, Var, align_candidates
 from .errors import ContractError, DimensionError
 
 
@@ -26,44 +30,41 @@ def _as_value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _check_finite(name: str, v: np.ndarray) -> None:
-    if not np.isfinite(v).all():
-        raise ContractError(f"non-finite values in {name}")
-
-
 @dataclass
 class MaskSet:
-    """Float 0/1 masks, one triple per output point."""
+    """Boolean masks and the residual product m, one triple per output point."""
 
     m: np.ndarray
     mask: np.ndarray  # M: residual products strictly positive
     mask_lt: np.ndarray  # M_<: |c - p| strictly smaller than |c - t|
 
-    def __post_init__(self):
-        if not (self.m.shape == self.mask.shape == self.mask_lt.shape):
-            raise DimensionError("mask arrays must share one shape")
 
-
-def compute_masks(y_tilde, y_hat, y) -> MaskSet:
+def _residuals(y_tilde, y_hat, y) -> tuple[MaskSet, np.ndarray, np.ndarray, np.ndarray]:
+    """The masks with |c - p|, |c - t| and |t - p|, from one pass over the
+    residuals; p and t get the candidate axis if c is a stack."""
     c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
     for name, v in (("y_tilde", c), ("y_hat", p), ("y", t)):
-        _check_finite(name, v)
-    if not (c.shape == p.shape == t.shape):
-        raise DimensionError(f"shape mismatch: {c.shape}, {p.shape}, {t.shape}")
+        if not np.isfinite(v).all():
+            raise ContractError(f"non-finite values in {name}")
+    p, t, _ = align_candidates(c, p, t)
     a = c - p
     b = c - t
     m = a * b
-    mask = (m > 0.0).astype(np.float64)
-    mask_lt = (np.abs(a) < np.abs(b)).astype(np.float64)
-    return MaskSet(m, mask, mask_lt)
+    np.abs(a, out=a)
+    np.abs(b, out=b)
+    return MaskSet(m, m > 0.0, a < b), a, b, np.abs(t - p)
 
 
-def co_objective_loss(tape: Tape, y_tilde: Var, y_hat: Var, y) -> Var:
-    """mean(|c - t| + |c - p|). The raw-label term never touches p."""
-    yc = y if isinstance(y, Var) else tape.constant(_as_value(y))
-    rec = tape.abs(tape.sub(y_tilde, yc))
-    pred = tape.abs(tape.sub(y_tilde, y_hat))
-    return tape.mean(tape.add(rec, pred))
+def compute_masks(y_tilde, y_hat, y) -> MaskSet:
+    return _residuals(y_tilde, y_hat, y)[0]
+
+
+def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
+                      pred_weight: float = 1.0) -> Var:
+    """mean(|c - t| + |c - p|). The raw-label term never touches p. A half
+    whose weight is 0 is dropped: grid search fits the predictor to the
+    |c - p| half and proposes candidates from the |c - t| half."""
+    return tape.candidate_l1(y_tilde, y_hat, _as_value(y), pred_weight, rec_weight, 0.0)
 
 
 def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) -> Var:
@@ -71,20 +72,11 @@ def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) ->
 
     mean( |t - p| * (1 - M) + 2 * (|c - p| * M_< + |c - t| * (1 - M_<)) * M )
     """
-    yc = y if isinstance(y, Var) else tape.constant(_as_value(y))
     if masks.mask.shape != y_tilde.value.shape:
-        raise DimensionError(
-            f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}"
-        )
-    m_in = tape.constant(masks.mask)
-    m_out = tape.constant(1.0 - masks.mask)
-    lt = tape.constant(masks.mask_lt * masks.mask)
-    ge = tape.constant((1.0 - masks.mask_lt) * masks.mask)
-    sup = tape.mul(tape.abs(tape.sub(yc, y_hat)), m_out)
-    corr_pred = tape.mul(tape.abs(tape.sub(y_tilde, y_hat)), lt)
-    corr_rec = tape.mul(tape.abs(tape.sub(y_tilde, yc)), ge)
-    corrected = tape.scale(tape.add(corr_pred, corr_rec), 2.0)
-    return tape.mean(tape.add(sup, corrected))
+        raise DimensionError(f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}")
+    m, lt = masks.mask, masks.mask_lt
+    return tape.candidate_l1(y_tilde, y_hat, _as_value(y),
+                             2.0 * (m & lt), 2.0 * (m & ~lt), 1.0 * ~m)
 
 
 def loss_identity_check(y_tilde, y_hat, y) -> float:
@@ -119,53 +111,43 @@ class LossBreakdown:
         return self.rec_corrected + self.pred_corrected + self.sup_in_mask + self.sup_out_mask
 
 
-def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
-    c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
-    ap = np.abs(c - p)
-    at = np.abs(c - t)
-    sup = np.abs(t - p)
-    inm = masks.mask
-    lt = masks.mask_lt
+def _breakdown(ap, at, sup, masks: MaskSet) -> LossBreakdown:
+    """LossBreakdown of |c - p|, |c - t| and |t - p| under the masks."""
+    n = ap.size
+    mask, lt = masks.mask, masks.mask_lt
+    inside = mask.sum(axis=1, keepdims=True) if sup.shape != mask.shape else mask  # candidates in M
     return LossBreakdown(
-        rec_corrected=float(np.mean(2.0 * at * (1.0 - lt) * inm)),
-        pred_corrected=float(np.mean(2.0 * ap * lt * inm)),
-        sup_in_mask=float(np.mean(sup * inm)),
-        sup_out_mask=float(np.mean(sup * (1.0 - inm))),
+        rec_corrected=2.0 * float(np.sum(at * (mask & ~lt))) / n,
+        pred_corrected=2.0 * float(np.sum(ap * (mask & lt))) / n,
+        sup_in_mask=float(np.sum(sup * inside)) / n,
+        sup_out_mask=float(np.sum(sup * (mask.size // sup.size - inside))) / n,
         loss_rec=float(np.mean(at)),
         loss_pred=float(np.mean(ap)),
         loss_target=float(np.mean(sup)),
     )
 
 
+def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
+    return _breakdown(*_residuals(y_tilde, y_hat, y)[1:], masks)
+
+
+def masks_and_breakdown(y_tilde, y_hat, y) -> tuple[MaskSet, LossBreakdown]:
+    """compute_masks, and loss_breakdown under those masks, from one pass
+    over the residuals."""
+    masks, ap, at, sup = _residuals(y_tilde, y_hat, y)
+    return masks, _breakdown(ap, at, sup, masks)
+
+
 def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, LossBreakdown]:
     """Candidate means for (N, S, H) candidates against (N, H) predictions
     and labels: per point, the mask M, the reconstruction-corrected
     indicator M * (1 - M_<) and that indicator's 2|c - t| mass; plus the
-    mean LossBreakdown."""
-    c, p, t = _as_value(cands), _as_value(y_hat), _as_value(y)
-    n = c.shape[1]
-    mask = np.zeros_like(t)
-    rec = np.zeros_like(t)
-    rec_mass = np.zeros_like(t)
-    parts = np.zeros(7)
-    for s in range(n):
-        masks = compute_masks(c[:, s], p, t)
-        ind = masks.mask * (1.0 - masks.mask_lt)
-        mask += masks.mask
-        rec += ind
-        rec_mass += 2.0 * np.abs(c[:, s] - t) * ind
-        parts += astuple(loss_breakdown(c[:, s], p, t, masks))
-    return mask / n, rec / n, rec_mass / n, LossBreakdown(*(parts / n))
-
-
-def aggregate_over_series(tape: Tape, losses: list[Var]) -> Var:
-    """Mean of per-candidate scalar losses."""
-    if not losses:
-        raise DimensionError("no per-series losses to aggregate")
-    total = losses[0]
-    for l in losses[1:]:
-        total = tape.add(total, l)
-    return tape.scale(total, 1.0 / len(losses))
+    LossBreakdown over the stack."""
+    masks, ap, at, sup = _residuals(cands, y_hat, y)
+    rec = masks.mask & ~masks.mask_lt
+    n = ap.shape[1]
+    return (masks.mask.sum(axis=1) / n, rec.sum(axis=1) / n, (at * rec).sum(axis=1) * 2.0 / n,
+            _breakdown(ap, at, sup, masks))
 
 
 MASK_DUMP_FIELDS = ["t", "y", "y_hat", "y_tilde", "m", "M", "M_lt"]

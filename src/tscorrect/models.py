@@ -410,21 +410,12 @@ class ReconstructionNet:
             cur = tape.conv1d(cur, w, bias, stride=CONV_STRIDE, padding=CONV_PADDING)
         return cur
 
-    def _ffn(self, tape: Tape, z: Var) -> Var:
-        b, h, d = z.value.shape
-        flat = tape.reshape(z, (b * h, d))
-        return tape.relu(self.ffn_in.apply(tape, flat))
-
     def forward(self, tape: Tape, y: np.ndarray) -> Var:
         """All candidate label sets, stacked: (B, S, H)."""
         b, h = y.shape
-        out = self.heads.apply(tape, self._ffn(tape, self.encode(tape, y)))  # (B*H, S)
+        z = tape.reshape(self.encode(tape, y), (b * h, self.cfg.d_feat))
+        out = self.heads.apply(tape, tape.relu(self.ffn_in.apply(tape, z)))  # (B*H, S)
         return tape.transpose(tape.reshape(out, (b, h, self.cfg.series_count)), (0, 2, 1))
-
-    def head_outputs(self, tape: Tape, y: np.ndarray) -> list[Var]:
-        """The S candidate label sets, each (B, H)."""
-        out = self.forward(tape, y)
-        return [tape.take(out, s, axis=1) for s in range(self.cfg.series_count)]
 
     def intermediate(self, tape: Tape, y: np.ndarray) -> Var:
         """Diagnostic readout applied to raw conv features, skipping the FFN."""
@@ -432,9 +423,6 @@ class ReconstructionNet:
         z = self.encode(tape, y)
         flat = tape.reshape(z, (b * h, self.cfg.d_feat))
         return tape.reshape(self.readout.apply(tape, flat), (b, h))
-
-    def spectral_step(self) -> None:
-        pass
 
     def parameters(self) -> list[tuple[str, Var]]:
         out = []

@@ -10,7 +10,7 @@ standardized units. Runs are deterministic functions of (config, seed).
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -150,11 +150,8 @@ class EpochRecord:
     wall_time_s: float = 0.0
 
 
-EPOCH_CSV_FIELDS = [
-    "epoch", "train_mse", "train_mae", "val_mse", "val_mae", "test_mse", "test_mae",
-    "rec_corrected", "pred_corrected", "sup_in_mask", "sup_out_mask",
-    "loss_rec", "loss_pred", "loss_target", "lambda_max", "wall_time_s",
-]
+EPOCH_CSV_FIELDS = [f.name for f in fields(EpochRecord)]
+BREAKDOWN_FIELDS = [f.name for f in fields(L.LossBreakdown)]
 
 TIMING_FIELDS = {"wall_time_s"}
 
@@ -231,7 +228,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     """Run epochs of batch_loss_fn, early-stop on val MSE, restore the best.
 
     batch_loss_fn(tape, x, y) returns the loss, the prediction values and
-    the batch's mean LossBreakdown fields as an array, or None.
+    the batch's LossBreakdown, or None.
     """
     models = [f] + ([g] if g is not None else [])
     params = [v for _, v in f.parameters()]
@@ -248,7 +245,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
         t0 = time.perf_counter()
         sq = ab = 0.0
         count = 0
-        bsum = np.zeros(7)
+        bsum = np.zeros(len(BREAKDOWN_FIELDS))
         bweight = 0
         for idx in _batch_indices(n, cfg.batch_size, rng):
             x = flatten_channels(bundle.train.x[idx])
@@ -264,11 +261,11 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             ab += float(np.sum(np.abs(d)))
             count += d.size
             if parts is not None:
-                bsum += parts * d.size
+                bsum += np.array(astuple(parts)) * d.size
                 bweight += d.size
         val_mse, val_mae = evaluate(f, bundle.val, cfg.eval_batch)
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
-        bmean = bsum / bweight if bweight else np.zeros(7)
+        bmean = bsum / bweight if bweight else bsum
         lam = None
         if cfg.log_sharpness:
             ctx = predictor_loss_context(f, bundle.val, cfg.sharpness_batch)
@@ -278,9 +275,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             train_mse=sq / count, train_mae=ab / count,
             val_mse=val_mse, val_mae=val_mae,
             test_mse=test_mse, test_mae=test_mae,
-            rec_corrected=float(bmean[0]), pred_corrected=float(bmean[1]),
-            sup_in_mask=float(bmean[2]), sup_out_mask=float(bmean[3]),
-            loss_rec=float(bmean[4]), loss_pred=float(bmean[5]), loss_target=float(bmean[6]),
+            **{name: float(v) for name, v in zip(BREAKDOWN_FIELDS, bmean)},
             lambda_max=lam,
             wall_time_s=time.perf_counter() - t0,
         ))
@@ -319,18 +314,13 @@ def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
 
     def batch_loss(tape: Tape, x: np.ndarray, y: np.ndarray):
         yhat = f.forward(tape, x)
-        cands = g.head_outputs(tape, y)
-        yconst = tape.constant(y)
-        per = []
-        parts = np.zeros(7)  # LossBreakdown fields, summed over candidates
-        for c in cands:
-            masks = L.compute_masks(c.value, yhat.value, y)
-            if masked:
-                per.append(L.scam_masked_loss(tape, c, yhat, yconst, masks))
-            else:
-                per.append(L.co_objective_loss(tape, c, yhat, yconst))
-            parts += astuple(L.loss_breakdown(c.value, yhat.value, y, masks))
-        return L.aggregate_over_series(tape, per), yhat.value, parts / len(cands)
+        cands = g.forward(tape, y)
+        masks, parts = L.masks_and_breakdown(cands, yhat, y)
+        if masked:
+            loss = L.scam_masked_loss(tape, cands, yhat, y, masks)
+        else:
+            loss = L.co_objective_loss(tape, cands, yhat, y)
+        return loss, yhat.value, parts
 
     records = _fit(bundle, f, g, cfg, batch_loss)
     return f, g, records
@@ -354,18 +344,23 @@ class GridRecord:
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,
-                      cfg: TrainConfig) -> tuple[ReconstructionNet, list[GridRecord]]:
+                      cfg: TrainConfig) -> tuple[object, ReconstructionNet, list[GridRecord]]:
     """Outer loop over candidate label sets (Alg: propose, fit, score, refine).
 
     Each outer round i freezes the reconstruction parameters phi_i, fits a
     freshly initialized predictor theta_i on the candidate labels until the
     RMS gradient falls below the threshold or the step budget runs out, then
     scores theta_i on raw test labels and takes one full-batch gradient step
-    on the reconstruction loss mean|c - t| to propose phi_{i+1}.
+    on the reconstruction loss mean|c - t| to propose phi_{i+1}. Both losses
+    are halves of the co-objective. Returns the predictor of the round with
+    the lowest test MSE, and g set back to that round's phi.
     """
     rng = np.random.default_rng([cfg.seed, 2])
     n, nch = len(bundle.train), bundle.train.n_channels
+    # row w * nch + c, as flatten_channels orders a batch
+    labels = flatten_channels(bundle.train.y)
     records: list[GridRecord] = []
+    best = best_f = None
     phi_params = [v for _, v in g.loss_parameters()]
     outer = Sgd(phi_params, cfg.grid_outer_lr)
     for i in range(cfg.grid_candidates):
@@ -376,26 +371,19 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         else:
             inner = Sgd(theta, cfg.lr)
         n_theta = sum(v.value.size for v in theta)
-        # phi is frozen until the outer step: candidates for every train row,
-        # row w * nch + c as flatten_channels orders a batch
+        # phi is frozen until the outer step: candidates for every train row
         frozen = np.concatenate([
-            g.forward(Tape(), flatten_channels(bundle.train.y[lo : lo + cfg.eval_batch])).value
+            g.forward(Tape(), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
             for lo in range(0, n, cfg.eval_batch)
         ])
-        steps = 0
-        gnorm = np.inf
-        loss_pred_val = np.inf
+        steps, gnorm, loss_pred_val = 0, np.inf, np.inf
         while steps < cfg.grid_inner_steps and gnorm > cfg.grid_grad_threshold:
             for idx in _batch_indices(n, cfg.batch_size, rng):
                 x = flatten_channels(bundle.train.x[idx])
-                cands = frozen[(idx[:, None] * nch + np.arange(nch)).ravel()]
+                rows = (idx[:, None] * nch + np.arange(nch)).ravel()
                 tape = Tape()
-                yhat = f.forward(tape, x)
-                per = [
-                    tape.mean(tape.abs(tape.sub(yhat, tape.constant(cands[:, s]))))
-                    for s in range(cands.shape[1])
-                ]
-                loss = L.aggregate_over_series(tape, per)
+                loss = L.co_objective_loss(tape, frozen[rows], f.forward(tape, x), labels[rows],
+                                           rec_weight=0.0)
                 inner.zero_grad()
                 tape.backward(loss)
                 gnorm = float(np.linalg.norm(flat_grads(f.parameters())))
@@ -409,30 +397,28 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
         # full-batch reconstruction gradient at phi_i, then one descent step
         outer.zero_grad()
-        loss_rec = 0.0
-        loss_target = 0.0
+        loss_rec = loss_target = 0.0
         for lo in range(0, n, cfg.eval_batch):
             hi = min(lo + cfg.eval_batch, n)
-            y = flatten_channels(bundle.train.y[lo:hi])
-            x = flatten_channels(bundle.train.x[lo:hi])
+            y = labels[lo * nch : hi * nch]
+            with_f = f.forward(Tape(), flatten_channels(bundle.train.x[lo:hi])).value
             tape = Tape()
-            cands = g.head_outputs(tape, y)
-            yconst = tape.constant(y)
-            per = [tape.mean(tape.abs(tape.sub(c, yconst))) for c in cands]
-            chunk = L.aggregate_over_series(tape, per)
-            weight = y.size / (n * bundle.train.horizon * bundle.train.n_channels)
+            chunk = L.co_objective_loss(tape, g.forward(tape, y), with_f, y, pred_weight=0.0)
+            weight = y.size / (n * bundle.train.horizon * nch)
             tape.backward(tape.scale(chunk, weight))
             loss_rec += chunk.value.item() * weight
-            with_f = f.forward(Tape(), x).value
             loss_target += float(np.mean(np.abs(with_f - y))) * weight
-        phi_snapshot = {name: v.value.copy() for name, v in g.loss_parameters()}
         records.append(GridRecord(
             index=i, loss_rec=loss_rec, loss_pred=loss_pred_val, loss_target=loss_target,
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
-            phi_snapshot=phi_snapshot,
+            phi_snapshot={name: v.value.copy() for name, v in g.loss_parameters()},
         ))
+        if best is None or test_mse < best.test_mse:
+            best, best_f = records[-1], f
         outer.step()
-    return g, records
+    for name, v in g.loss_parameters():
+        v.value[...] = best.phi_snapshot[name]
+    return best_f, g, records
 
 
 # ---------------------------------------------------------------------------

@@ -200,20 +200,27 @@ def test_fd_linear():
         Tape().linear(Var(x), Var(w), Var(np.ones(3)))
 
 
-def test_fd_take():
+def test_fd_candidate_l1():
     rng = RNG(22)
-    x = rng.uniform(-2, 2, (2, 3, 4))
-    for axis, index in ((0, 1), (1, 2), (2, -1)):
-        def build(t, v):
-            part = t.take(v[0], index, axis=axis)
-            return t.mean(t.mul(part, part))
+    c, p, t = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, (3, 5)), rng.uniform(-2, 2, (3, 5))
+    w_pred, w_rec, w_sup = (rng.uniform(0.5, 2.0, (3, 4, 5)) for _ in range(3))
 
-        assert fd_worst_rel_err(build, [x], rng) < 1e-6
-        assert np.array_equal(Tape().take(Var(x), index, axis=axis).value, np.take(x, index, axis=axis))
+    def build(tape, v):
+        return tape.candidate_l1(v[0], v[1], t, w_pred, w_rec, w_sup)
+
+    assert fd_worst_rel_err(build, [c, p], rng) < 1e-6
+    # the mean over candidates of each candidate's mean
+    terms = (w_pred * np.abs(c - p[:, None]) + w_rec * np.abs(c - t[:, None])
+             + w_sup * np.abs(t - p)[:, None])
+    value = Tape().candidate_l1(Var(c), Var(p), t, w_pred, w_rec, w_sup).value.item()
+    assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
+    # one candidate of p's shape; a weight that is the scalar 0 drops its term
+    one = Tape().candidate_l1(Var(c[:, 0]), Var(p), t, 1.0, 0.0, 0.0).value.item()
+    assert one == np.abs(c[:, 0] - p).mean()
     with pytest.raises(DimensionError):
-        Tape().take(Var(x), 3, axis=1)
+        Tape().candidate_l1(Var(c), Var(p[:, :4]), t[:, :4], 1.0, 1.0, 1.0)
     with pytest.raises(DimensionError):
-        Tape().take(Var(x), 0, axis=3)
+        Tape().candidate_l1(Var(c), Var(p), t[:2], 1.0, 1.0, 1.0)
 
 
 def test_fd_reductions_and_reshapes():

@@ -419,3 +419,20 @@ def test_diagnose_kl_table_multichannel(tmp_path, capsys):
     assert cells[0] == "0" and cells[1] == "1"
     for val in map(float, cells[2:]):
         assert np.isfinite(val) and val >= 0.0
+
+
+def test_grid_search_checkpoint_reproduces_best_candidate(tmp_path, capsys):
+    text = BASE_CONFIG.replace(
+        "[train]", "[train]\ngrid_candidates = 3\ngrid_inner_steps = 20\n"
+    )
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    assert main(["grid-search", "--config", cfg_path]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    summary = json.load(open(os.path.join(run_dir, "manifest.json")))["seeds"]["0"]
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    header, _ = load_checkpoint(ckpt)
+    assert header["epoch"] == summary["best_candidate"]
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mse"] == summary["best_test_mse"]
+    assert payload["mae"] == summary["best_test_mae"]

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dataclasses import astuple
+
 from tscorrect.autodiff import Tape, Var
-from tscorrect.errors import ContractError
+from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import (
     LossBreakdown,
-    aggregate_over_series,
     co_objective_loss,
     compute_masks,
     loss_breakdown,
     loss_identity_check,
     scam_masked_loss,
+    summarize_candidates,
     write_mask_dump,
 )
 
@@ -264,23 +266,111 @@ def test_breakdown_components_sum_to_co_objective(seed):
 # aggregation and dumps
 
 
-def test_aggregate_single_series_identity():
-    t = Tape()
-    x = Var(np.array([3.0]))
-    assert aggregate_over_series(t, [x]).value.item() == 3.0
+# ---------------------------------------------------------------------------
+# candidate stacks
 
 
-def test_aggregate_two_series_mean():
-    t = Tape()
-    out = aggregate_over_series(t, [Var(np.array([1.0])), Var(np.array([2.0]))])
-    assert out.value.item() == pytest.approx(1.5)
+def candidate_stack(seed, b=8, s=4, h=16):
+    """(B, S, H) candidates against (B, H) predictions and labels, with the
+    ties A = 0, B = 0 and |A| = |B| in some rows."""
+    rng = RNG(seed)
+    yh = rng.uniform(-3, 3, (b, h))
+    y = rng.uniform(-3, 3, (b, h))
+    c = rng.uniform(-3, 3, (b, s, h))
+    c[0, :, :5] = yh[0, :5]  # A = 0
+    c[1, -1] = y[1]  # B = 0
+    y[2, :6] = yh[2, :6]  # |A| = |B|
+    return c, yh, y
 
 
-def test_aggregate_identical_heads_equals_single():
-    t = Tape()
-    x = Var(np.array([0.7]))
-    same = aggregate_over_series(t, [x] * 8)
-    assert same.value.item() == pytest.approx(0.7)
+def stacked_loss(c, yh, y, masked):
+    """Loss value and gradients of the stacked loss."""
+    tape = Tape()
+    vc, vh = Var(c, requires_grad=True), Var(yh, requires_grad=True)
+    if masked:
+        loss = scam_masked_loss(tape, vc, vh, y, compute_masks(c, yh, y))
+    else:
+        loss = co_objective_loss(tape, vc, vh, y)
+    tape.backward(loss)
+    return loss.value.item(), vc.grad, vh.grad
+
+
+def per_candidate_loss(c, yh, y, masked):
+    """The same loss from plain tape ops, one candidate at a time, averaged
+    over candidates: the formula the stacked loss replaces."""
+    tape = Tape()
+    cands = [Var(c[:, s], requires_grad=True) for s in range(c.shape[1])]
+    vh = Var(yh, requires_grad=True)
+    yc = tape.constant(y)
+    per = []
+    for cs in cands:
+        if masked:
+            ms = compute_masks(cs.value, yh, y)
+            m_out = tape.constant(1.0 - ms.mask)
+            lt = tape.constant(ms.mask_lt * ms.mask)
+            ge = tape.constant((1.0 - ms.mask_lt) * ms.mask)
+            sup = tape.mul(tape.abs(tape.sub(yc, vh)), m_out)
+            corr = tape.scale(tape.add(tape.mul(tape.abs(tape.sub(cs, vh)), lt),
+                                       tape.mul(tape.abs(tape.sub(cs, yc)), ge)), 2.0)
+            per.append(tape.mean(tape.add(sup, corr)))
+        else:
+            per.append(tape.mean(tape.add(tape.abs(tape.sub(cs, yc)), tape.abs(tape.sub(cs, vh)))))
+    total = per[0]
+    for part in per[1:]:
+        total = tape.add(total, part)
+    loss = tape.scale(total, 1.0 / len(per))
+    tape.backward(loss)
+    return loss.value.item(), np.stack([cs.grad for cs in cands], axis=1), vh.grad
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_loss_equals_per_candidate_mean(seed, masked):
+    c, yh, y = candidate_stack(seed)
+    value, gc, gp = stacked_loss(c, yh, y, masked)
+    ref_value, ref_gc, ref_gp = per_candidate_loss(c, yh, y, masked)
+    assert value == ref_value
+    assert np.array_equal(gc, ref_gc)
+    assert np.array_equal(gp, ref_gp)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_identical_candidates_equal_one_candidate(masked):
+    c, yh, y = candidate_stack(3, s=1)
+    one_value, one_gc, one_gp = stacked_loss(c[:, 0], yh, y, masked)
+    value, gc, gp = stacked_loss(np.repeat(c, 4, axis=1), yh, y, masked)
+    assert value == pytest.approx(one_value, rel=1e-15)
+    assert np.array_equal(gp, one_gp)
+    for s in range(4):
+        assert np.array_equal(gc[:, s], one_gc / 4)
+
+
+def test_stacked_loss_rejects_misaligned_shapes():
+    c, yh, y = candidate_stack(4)
+    with pytest.raises(DimensionError):
+        compute_masks(c[:, :, :8], yh, y)
+    with pytest.raises(DimensionError):
+        co_objective_loss(Tape(), Var(c), Var(yh[:4]), y[:4][:, :8])
+
+
+def test_summarize_candidates_equals_per_candidate_loop():
+    c, yh, y = candidate_stack(5)
+    mask, rec, rec_mass, bd = summarize_candidates(c, yh, y)
+    n = c.shape[1]
+    ref = np.zeros((3,) + y.shape)
+    parts = []
+    for s in range(n):
+        ms = compute_masks(c[:, s], yh, y)
+        ind = ms.mask * (1.0 - ms.mask_lt)
+        ref[0] += ms.mask
+        ref[1] += ind
+        ref[2] += 2.0 * np.abs(c[:, s] - y) * ind
+        parts.append(astuple(loss_breakdown(c[:, s], yh, y, ms)))
+    assert np.array_equal(mask, ref[0] / n)
+    assert np.array_equal(rec, ref[1] / n)
+    assert np.array_equal(rec_mass, ref[2] / n)
+    np.testing.assert_allclose(astuple(bd), np.mean(parts, axis=0), rtol=1e-12)
+    assert bd == loss_breakdown(c, yh, y, compute_masks(c, yh, y))
 
 
 def test_mask_dump_roundtrip(tmp_path):

@@ -308,18 +308,6 @@ def test_recon_identical_heads_identical_series():
         assert np.array_equal(out[:, s, :], out[:, 0, :])
 
 
-def test_recon_head_outputs_are_forward_slices():
-    cfg = tiny_cfg()
-    g = build_recon(cfg, RNG([0, 11]))
-    g.heads.b.value[:] = RNG(15).standard_normal(cfg.series_count)
-    y = RNG(13).standard_normal((3, 16))
-    full = g.forward(Tape(), y).value
-    heads = g.head_outputs(Tape(), y)
-    assert len(heads) == cfg.series_count
-    for s, c in enumerate(heads):
-        assert np.array_equal(c.value, full[:, s])
-
-
 def test_recon_gradient_vs_finite_differences():
     cfg = tiny_cfg()
     g = build_recon(cfg, RNG([0, 11]))

@@ -353,7 +353,7 @@ def test_grid_search_identity_is_a_fixed_point():
     cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1,
                       patience=1, seed=0, grid_candidates=2, grid_inner_steps=8,
                       grid_outer_lr=0.05)
-    g, records = train_grid_search(splits, g, factory, cfg)
+    _, g, records = train_grid_search(splits, g, factory, cfg)
     # candidates equal labels, so the reconstruction loss is exactly zero and
     # its subgradient vanishes: phi never moves
     for r in records:
@@ -375,8 +375,26 @@ def grid_run():
     cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=5,
                       patience=5, seed=0, grid_candidates=6, grid_inner_steps=40,
                       grid_grad_threshold=1e-4, grid_outer_lr=0.05)
-    g, records = train_grid_search(splits, g, factory, cfg)
+    _, g, records = train_grid_search(splits, g, factory, cfg)
     return records
+
+
+def test_grid_search_returns_the_best_round():
+    splits = toy_bundle(seed=2)
+    mc = toy_model_config()
+    g = ReconstructionNet(mc, np.random.default_rng(3))
+
+    def factory(i):
+        return MlpPredictor(mc, np.random.default_rng(100 + i))
+
+    cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1, patience=1,
+                      seed=0, grid_candidates=3, grid_inner_steps=10, grid_outer_lr=0.05)
+    f, g, records = train_grid_search(splits, g, factory, cfg)
+    best = min(records, key=lambda r: r.test_mse)
+    assert best.index < len(records) - 1  # g must be set back from a later phi
+    assert evaluate(f, splits.test, cfg.eval_batch) == (best.test_mse, best.test_mae)
+    for name, v in g.loss_parameters():
+        assert np.array_equal(v.value, best.phi_snapshot[name])
 
 
 def test_grid_search_rec_loss_mostly_non_increasing(grid_run):
