@@ -50,8 +50,8 @@ def run_seed(args, seed):
     ds = bundle.train
     x = flatten_channels(ds.x)
     y = flatten_channels(ds.y)
-    y_hat = f.forward(Tape(), x).value
-    cands = g.forward(Tape(), y).value
+    y_hat = f.forward(Tape(record=False), x).value
+    cands = g.forward(Tape(record=False), y).value
     mask, rec, rec_mass, _ = summarize_candidates(cands, y_hat, y)
 
     rows = ds.origins[:, None] + ds.lookback + np.arange(ds.horizon)[None, :]

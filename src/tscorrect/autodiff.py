@@ -13,15 +13,17 @@ here.
 
 Conventions:
   * everything is float64, row-major;
-  * no broadcasting beyond scalar-with-array, save for two ops: the bias
-    row of ``linear`` (x @ w.T + b), added in place to the matmul output,
-    not through a ones-matmul; and the candidate axis of ``candidate_l1``,
-    where candidates c of (B, S, ...) meet p and t of (B, ...), read with a
-    length-1 axis 1, and the gradient of p sums over that axis. Every other
-    backward rule stays a plain transpose/sum;
+  * no broadcasting beyond scalar-with-array, save for three ops: the bias
+    rows of ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place
+    to the matmul output, not through a ones-matmul; and the candidate axis
+    of ``candidate_l1``, where candidates c of (B, S, ...) meet p and t of
+    (B, ...), read with a length-1 axis 1, and the gradient of p sums over
+    that axis. Every other backward rule stays a plain transpose/sum;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
-  * a Tape and the Vars it produced are confined to one thread.
+  * a Tape and the Vars it produced are confined to one thread;
+  * ``Tape(record=False)`` serves forward-only passes: it records nothing,
+    so no op keeps its inputs alive for a backward pass that never comes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 Array = np.ndarray
+
+# Rows per pointwise_mlp block: 0.5 MB of hidden layer at 64 units, not 44 MB.
+POINTWISE_CHUNK = 1024
 
 
 def as_array(data) -> Array:
@@ -78,7 +83,8 @@ def zero_grads(params: Iterable[Var]) -> None:
 class Tape:
     """Ordered record of operations; replayed in reverse by backward()."""
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = bool(record)
         self._entries: list[tuple[Var, tuple[Var, ...], Callable]] = []
 
     def __len__(self) -> int:
@@ -87,7 +93,7 @@ class Tape:
     def _record(self, value: Array, inputs: tuple[Var, ...], backward: Callable) -> Var:
         """Wrap an op output; record the op only if an input needs a gradient."""
         out = Var(value)
-        if any(v.requires_grad for v in inputs):
+        if self.record and any(v.requires_grad for v in inputs):
             out.requires_grad = True
             self._entries.append((out, inputs, backward))
         return out
@@ -132,6 +138,48 @@ class Tape:
                     np.ones(len(g)) @ g if b.requires_grad else None)
 
         return self._record(out, (x, w, b), backward)
+
+    def pointwise_mlp(self, z: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+        """relu(z @ w1.T + b1) @ w2.T + b2 for z (N, in), w1 (hidden, in) and
+        w2 (out, hidden), over blocks of at most POINTWISE_CHUNK rows. Backward
+        recomputes each block's hidden layer and relu mask: at large N an
+        (N, hidden) array is tens of MB that the allocator maps, faults in and
+        unmaps on every use, which costs more than the recomputed matmul."""
+        zv, w1v, b1v, w2v = z.value, w1.value, b1.value, w2.value
+        if (zv.ndim != 2 or w1v.ndim != 2 or w2v.ndim != 2 or zv.shape[1] != w1v.shape[1]
+                or w2v.shape[1] != len(w1v) or b1v.shape != w1v.shape[:1] or b2.value.shape != w2v.shape[:1]):
+            raise DimensionError(f"pointwise_mlp got z {zv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
+                                 f"w2 {w2v.shape}, b2 {b2.value.shape}")
+        # near-equal blocks: a one-row block would go to gemv and round differently
+        n, k = len(zv), -(-len(zv) // POINTWISE_CHUNK)
+        blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+        def hidden(rows: slice) -> Array:
+            h = zv[rows] @ w1v.T
+            h += b1v
+            return np.maximum(h, 0.0, out=h)
+
+        out = np.empty((n, len(w2v)))
+        for rows in blocks:
+            out[rows] = hidden(rows) @ w2v.T
+        out += b2.value
+
+        def backward(g: Array):
+            gz = np.empty_like(zv) if z.requires_grad else None
+            gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v.value) for v in (w1, b1, w2, b2)]
+            for rows in blocks:
+                h, gr = hidden(rows), g[rows]
+                gw2 += gr.T @ h
+                gb2 += np.ones(len(gr)) @ gr
+                gh = gr @ w2v
+                gh *= h > 0.0
+                gw1 += gh.T @ zv[rows]
+                gb1 += np.ones(len(gh)) @ gh
+                if gz is not None:
+                    gz[rows] = gh @ w1v
+            return gz, *(gv if v.requires_grad else None for v, gv in zip((w1, b1, w2, b2), sums))
+
+        return self._record(out, (z, w1, b1, w2, b2), backward)
 
     def conv1d(self, x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
         """1-D convolution (cross-correlation) along the last axis.
@@ -388,6 +436,8 @@ class Tape:
         that root depends on through this tape. Repeated calls accumulate;
         zero_grads resets.
         """
+        if not self.record:
+            raise ContractError("backward on a tape that records nothing")
         if root.value.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
         if root.grad is not None:  # root is itself a leaf

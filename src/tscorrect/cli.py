@@ -198,8 +198,8 @@ def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> Non
     nwin = (take + ds.n_channels - 1) // ds.n_channels
     x = flatten_channels(ds.x[:nwin])[:take]
     y = flatten_channels(ds.y[:nwin])[:take]
-    yhat = f.forward(Tape(), x).value
-    cands = g.forward(Tape(), y).value
+    yhat = f.forward(Tape(record=False), x).value
+    cands = g.forward(Tape(record=False), y).value
     lookback = ds.lookback
     for i in range(take):
         origin = int(ds.origins[i // ds.n_channels])
@@ -402,8 +402,8 @@ def cmd_diagnose(args) -> int:
     take = min(len(ds), max(1, args.breakdown_windows))
     x = flatten_channels(ds.x[:take])
     y = flatten_channels(ds.y[:take])
-    cands = g.forward(Tape(), y).value
-    mask_mean, _, _, bd = LO.summarize_candidates(cands, f.forward(Tape(), x).value, y)
+    cands = g.forward(Tape(record=False), y).value
+    mask_mean, _, _, bd = LO.summarize_candidates(cands, f.forward(Tape(record=False), x).value, y)
     breakdown = {
         "split": args.split, "windows": int(take), "candidates": int(cands.shape[1]),
         **dataclasses.asdict(bd),
@@ -431,7 +431,7 @@ def cmd_diagnose(args) -> int:
     rows = []
     if nch >= 2:
         # raw labels, candidate means and the conv-feature readout
-        views = (y, cands.mean(axis=1), g.intermediate(Tape(), y).value)
+        views = (y, cands.mean(axis=1), g.intermediate(Tape(record=False), y).value)
         rows = [(i, j, *(kl_alignment(*channel_histograms([v[i::nch].ravel(), v[j::nch].ravel()]))
                          for v in views))
                 for i in range(nch) for j in range(i + 1, nch)]

@@ -414,7 +414,7 @@ class ReconstructionNet:
         """All candidate label sets, stacked: (B, S, H)."""
         b, h = y.shape
         z = tape.reshape(self.encode(tape, y), (b * h, self.cfg.d_feat))
-        out = self.heads.apply(tape, tape.relu(self.ffn_in.apply(tape, z)))  # (B*H, S)
+        out = tape.pointwise_mlp(z, self.ffn_in.w, self.ffn_in.b, self.heads.w, self.heads.b)  # (B*H, S)
         return tape.transpose(tape.reshape(out, (b, h, self.cfg.series_count)), (0, 2, 1))
 
     def intermediate(self, tape: Tape, y: np.ndarray) -> Var:

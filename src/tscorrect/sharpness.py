@@ -120,18 +120,19 @@ def lambda_max(
 
     dim = ctx.n if mask is None else int(round(float(mask.sum())))
     steps = min(max_iters, dim)
-    q = _random_unit(ctx.n, rng, mask)
-    basis = [q]
+    # one block for the Krylov basis: rows never written are never faulted in
+    basis = np.empty((steps, ctx.n))
+    basis[0] = _random_unit(ctx.n, rng, mask)
     alphas: list[float] = []
     betas: list[float] = []
     theta = 0.0
     for it in range(1, steps + 1):
+        q, done = basis[it - 1], basis[:it]
         w = matvec(q)
         alphas.append(float(q @ w))
-        for b in basis:  # full reorthogonalization, twice to kill roundoff drift
-            w = w - (b @ w) * b
-        for b in basis:
-            w = w - (b @ w) * b
+        # full reorthogonalization, block Gram-Schmidt twice to kill roundoff drift
+        w -= (done @ w) @ done
+        w -= (done @ w) @ done
         beta = float(np.linalg.norm(w))
         tri = np.diag(alphas)
         if betas:
@@ -145,8 +146,9 @@ def lambda_max(
             return SharpnessResult(theta, it, True)
         if beta <= 1e-12 * max(1.0, scale):
             return SharpnessResult(theta, it, True)  # invariant subspace, exactly
-        q = w / beta
-        basis.append(q)
+        if it == steps:
+            break
+        basis[it] = w / beta
         betas.append(beta)
     return SharpnessResult(theta, steps, steps == dim)
 

@@ -192,7 +192,7 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
         hi = min(lo + batch, n)
         x = flatten_channels(ds.x[lo:hi])
         y = flatten_channels(ds.y[lo:hi])
-        pred = model.forward(Tape(), x).value
+        pred = model.forward(Tape(record=False), x).value
         if scaler is not None:
             # flattened rows cycle through channels within each window
             sd = np.tile(scaler.std, hi - lo)[:, None]
@@ -373,7 +373,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         n_theta = sum(v.value.size for v in theta)
         # phi is frozen until the outer step: candidates for every train row
         frozen = np.concatenate([
-            g.forward(Tape(), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
+            g.forward(Tape(record=False), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
             for lo in range(0, n, cfg.eval_batch)
         ])
         steps, gnorm, loss_pred_val = 0, np.inf, np.inf
@@ -401,7 +401,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         for lo in range(0, n, cfg.eval_batch):
             hi = min(lo + cfg.eval_batch, n)
             y = labels[lo * nch : hi * nch]
-            with_f = f.forward(Tape(), flatten_channels(bundle.train.x[lo:hi])).value
+            with_f = f.forward(Tape(record=False), flatten_channels(bundle.train.x[lo:hi])).value
             tape = Tape()
             chunk = L.co_objective_loss(tape, g.forward(tape, y), with_f, y, pred_weight=0.0)
             weight = y.size / (n * bundle.train.horizon * nch)

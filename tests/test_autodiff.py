@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import Tape, Var, zero_grads
+from tscorrect.autodiff import POINTWISE_CHUNK, Tape, Var, zero_grads
 from tscorrect.errors import ContractError, DimensionError
 from helpers import away_from_kinks, fd_worst_rel_err
 
@@ -200,6 +200,53 @@ def test_fd_linear():
         Tape().linear(Var(x), Var(w), Var(np.ones(3)))
 
 
+def test_fd_pointwise_mlp():
+    rng = RNG(23)
+    z, w1, b1 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (6, 3)), rng.uniform(-2, 2, 6)
+    w2, b2 = rng.uniform(-2, 2, (2, 6)), rng.uniform(-2, 2, 2)
+
+    def build(t, v):
+        out = t.pointwise_mlp(*v)
+        return t.mean(t.mul(out, out))
+
+    assert fd_worst_rel_err(build, [z, w1, b1, w2, b2], rng) < 1e-6
+    value = Tape().pointwise_mlp(Var(z), Var(w1), Var(b1), Var(w2), Var(b2)).value
+    assert np.allclose(value, np.maximum(z @ w1.T + b1, 0.0) @ w2.T + b2, rtol=1e-14, atol=0)
+    for bad in ((np.ones((5, 4)), w1, b1, w2, b2), (z[0], w1, b1, w2, b2),
+                (z, w1, np.ones(5), w2, b2), (z, w1, b1, np.ones((2, 5)), b2),
+                (z, w1, b1, w2, np.ones(3))):
+        with pytest.raises(DimensionError):
+            Tape().pointwise_mlp(*map(Var, bad))
+
+
+def test_pointwise_mlp_matches_layer_chain():
+    # the row blocks must not show: forward bit-equal to linear -> relu ->
+    # linear, and gradients equal up to the order of the sums over blocks
+    rng = RNG(24)
+    w1, b1 = rng.uniform(-1, 1, (64, 8)), rng.uniform(-1, 1, 64)
+    w2, b2 = rng.uniform(-1, 1, (4, 64)), rng.uniform(-1, 1, 4)
+    b1[5] = 0.0
+    for n in (1, POINTWISE_CHUNK - 1, POINTWISE_CHUNK, POINTWISE_CHUNK + 1, 3 * POINTWISE_CHUNK + 5):
+        z = rng.standard_normal((n, 8))
+        z[n // 2] = 0.0  # hidden unit 5 is exactly 0 there: relu's kink
+        weight = rng.standard_normal((n, 4))
+
+        def run(fused: bool):
+            t = Tape()
+            v = [Var(a, requires_grad=True) for a in (z, w1, b1, w2, b2)]
+            if fused:
+                out = t.pointwise_mlp(*v)
+            else:
+                out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
+            t.backward(t.sum(t.mul(out, t.constant(weight))))
+            return out.value, [x.grad for x in v]
+
+        (chain, chain_grads), (fused, fused_grads) = run(False), run(True)
+        assert np.array_equal(fused, chain), n
+        for a, b in zip(fused_grads, chain_grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), n
+
+
 def test_fd_candidate_l1():
     rng = RNG(22)
     c, p, t = rng.uniform(-2, 2, (3, 4, 5)), rng.uniform(-2, 2, (3, 5)), rng.uniform(-2, 2, (3, 5))
@@ -336,20 +383,46 @@ def test_constant_operand_leaves_leaf_gradient_unchanged():
     x0, w0, b0 = rng.uniform(-2, 2, (2, 3, 10)), rng.uniform(-2, 2, (4, 3, 3)), rng.uniform(-2, 2, 4)
     a0, m0 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (3, 2))
     lw0, lb0 = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, 4)
+    z0, pw0, pb0 = rng.uniform(-2, 2, (7, 3)), rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, 5)
+    qw0, qb0 = rng.uniform(-2, 2, (2, 5)), rng.uniform(-2, 2, 2)
 
     def grads(data_needs_grad: bool):
         t = Tape()
         x, a = Var(x0, data_needs_grad), Var(a0, data_needs_grad)
+        z = Var(z0, data_needs_grad)
         w, b, m = Var(w0, True), Var(b0, True), Var(m0, True)
         lw, lb = Var(lw0, True), Var(lb0, True)
+        pw, pb, qw, qb = Var(pw0, True), Var(pb0, True), Var(qw0, True), Var(qb0, True)
         conv = t.conv1d(x, w, b, stride=2, padding=1)
         lin = t.linear(a, lw, lb)
+        mlp = t.pointwise_mlp(z, pw, pb, qw, qb)
         loss = t.add(t.mean(t.mul(conv, conv)), t.mean(t.abs(t.matmul(a, m))))
+        loss = t.add(loss, t.mean(t.mul(mlp, mlp)))
         t.backward(t.add(loss, t.mean(t.mul(lin, lin))))
-        return w.grad, b.grad, m.grad, lw.grad, lb.grad
+        return w.grad, b.grad, m.grad, lw.grad, lb.grad, pw.grad, pb.grad, qw.grad, qb.grad
 
     for full, lean in zip(grads(True), grads(False)):
         assert np.array_equal(full, lean)
+
+
+def test_non_recording_tape_gives_the_same_values_and_records_nothing():
+    rng = RNG(25)
+    x, w, b = rng.uniform(-2, 2, (2, 1, 12)), rng.uniform(-2, 2, (4, 1, 3)), rng.uniform(-2, 2, 4)
+    w1, b1 = rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, 6)
+    w2, b2 = rng.uniform(-2, 2, (2, 6)), rng.uniform(-2, 2, 2)
+
+    def forward(t):
+        p = [Var(a, requires_grad=True) for a in (w, b, w1, b1, w2, b2)]
+        conv = t.conv1d(t.constant(x), p[0], p[1], stride=2, padding=1)
+        z = t.reshape(t.transpose(conv, (0, 2, 1)), (-1, 4))
+        return t.mean(t.abs(t.pointwise_mlp(z, *p[2:])))
+
+    recording, silent = Tape(), Tape(record=False)
+    out = forward(silent)
+    assert np.array_equal(out.value, forward(recording).value)
+    assert len(recording) > 0 and len(silent) == 0 and not out.requires_grad
+    with pytest.raises(ContractError):
+        silent.backward(out)
 
 
 def test_backward_requires_scalar_root():

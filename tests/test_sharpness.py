@@ -15,8 +15,13 @@ from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, make_synthe
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.models import MlpPredictor, ModelConfig
 from tscorrect.sharpness import (
+    MAX_POWER_ITERS,
+    RAYLEIGH_TOL,
     ChannelHistogram,
     HvpContext,
+    SharpnessResult,
+    _random_unit,
+    _segment_mask,
     channel_histograms,
     hvp,
     kl_alignment,
@@ -243,6 +248,54 @@ def test_model_segments_match_submatrix_eigensolve(tiny_mlp_ctx):
         ref = float(np.linalg.eigvalsh(h[sl, sl])[-1])
         res = lambda_max(ctx, segment=name)
         assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-6), name
+
+
+def lambda_max_per_vector(ctx, seed=0, max_iters=MAX_POWER_ITERS, tol=RAYLEIGH_TOL, segment=None):
+    """Reference: Lanczos that reorthogonalizes against one basis vector at
+    a time (modified Gram-Schmidt, twice), the form lambda_max replaced by
+    one block product per pass."""
+    rng = np.random.default_rng(seed)
+    mask = _segment_mask(ctx, segment)
+    dim = ctx.n if mask is None else int(round(float(mask.sum())))
+    steps = min(max_iters, dim)
+    q = _random_unit(ctx.n, rng, mask)
+    basis, alphas, betas, theta = [q], [], [], 0.0
+    for it in range(1, steps + 1):
+        w = hvp(ctx, q)
+        w = w * mask if mask is not None else w
+        alphas.append(float(q @ w))
+        for _ in range(2):
+            for b in basis:
+                w = w - (b @ w) * b
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas)
+        if betas:
+            tri += np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(tri)
+        theta = float(vals[-1])
+        scale = max(abs(theta), 1e-12)
+        if beta * abs(float(vecs[-1, -1])) <= tol * scale or beta <= 1e-12 * max(1.0, scale):
+            return SharpnessResult(theta, it, True)
+        q = w / beta
+        basis.append(q)
+        betas.append(beta)
+    return SharpnessResult(theta, steps, steps == dim)
+
+
+def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
+    # clustered top eigenvalues keep Lanczos going for many steps, where
+    # lost orthogonality would show first
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    eig = np.concatenate([10.0 - 1e-3 * np.arange(8), rng.uniform(-5.0, 5.0, 52)])
+    quad = quad_ctx((q * eig) @ q.T)
+    cases = [(quad, None), (quad, slice(5, 45)), (tiny_mlp_ctx, None)]
+    for ctx, segment in cases:
+        for seed in (0, 1):
+            ref = lambda_max_per_vector(ctx, seed=seed, segment=segment)
+            res = lambda_max(ctx, seed=seed, segment=segment)
+            assert (res.iterations, res.converged) == (ref.iterations, ref.converged), segment
+            assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value), segment
 
 
 # ---------------------------------------------------------------------------
