@@ -8,8 +8,10 @@ stride-2 conv layers whose outputs are transposed and unfolded back onto
 the horizon grid, then a point-wise FFN and one head layer with S outputs.
 
 Spectral rescaling (snr): a layer's effective weight is gamma * W / sigma_max(W),
-with sigma_max tracked by persistent-state power iteration. gamma is a
-learnable scalar initialized to 1; sigma_max enters the graph as a constant.
+with sigma_max and its singular vectors recomputed exactly after every
+optimizer step from one eigensolve of the smaller Gram matrix. gamma is a
+learnable scalar initialized to 1; sigma_max enters the graph as u^T W v
+with u and v held constant.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .autodiff import Tape, Var
 from .errors import ConfigError, DimensionError, LoadError
 
 SIGMA_FLOOR = 1e-12
-# per-step sigma tracking: single-vector budget before the block escape
-SYNC_STALL_ITERS = 50
-SYNC_BLOCK_ROUNDS = 4
 CONV_KERNEL = 3
 CONV_STRIDE = 2
 CONV_PADDING = 1
@@ -87,120 +86,62 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def _top_ritz(w: np.ndarray, vb: np.ndarray, iterations: int) -> tuple[float, np.ndarray] | None:
-    """Orthogonal iteration on W^T W from the columns of vb.
+def top_singular_pair(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """Exact top singular pair of w, written into u and v in place; returns sigma_max.
 
-    With a block of b columns the top Ritz pair converges at rate
-    (sigma_{b+1}/sigma_1)^2 per step, so clustered leading singular values
-    do not stall it the way a single vector would. Returns the top Ritz
-    value (sigma_max^2) and its vector, or None for a zero matrix.
+    One symmetric eigensolve of the smaller Gram matrix (W^T W, or W W^T when
+    W is wide), O(min(m, n)^3) on top of the O(m n min(m, n)) product. Its top
+    eigenvector is one singular vector; W applied to it, normalized, is the
+    other. Clustered leading singular values cost nothing extra, unlike an
+    iteration whose rate is their ratio. A zero matrix has no direction: u
+    and v are left as they are and SIGMA_FLOOR is returned.
     """
-    vb = np.linalg.qr(vb)[0]
-    for _ in range(iterations):
-        z = w.T @ (w @ vb)
-        if float(np.abs(z).max(initial=0.0)) < 1e-300:
-            return None
-        vb = np.linalg.qr(z)[0]
-    wv = w @ vb
-    vals, vecs = np.linalg.eigh(wv.T @ wv)
-    return float(vals[-1]), vb @ vecs[:, -1]
+    a, x, y = (w, v, u) if w.shape[1] <= w.shape[0] else (w.T, u, v)
+    vals, vecs = np.linalg.eigh(a.T @ a)
+    if vals[-1] <= 0.0:
+        return SIGMA_FLOOR
+    x[...] = vecs[:, -1]
+    ax = a @ x
+    sigma = float(np.linalg.norm(ax))
+    y[...] = ax / sigma
+    return max(sigma, SIGMA_FLOOR)
 
 
 class PowerIterState:
-    """Persistent left/right singular-vector estimates for one matrix.
+    """Left/right top singular vectors u, v of one matrix, recomputed exactly
+    by top_singular_pair at construction and at every sync.
 
     u and v are updated in place, so arrays handed out by a layer's
     buffers() stay live: writing into them restores the tracked state.
     """
 
-    def __init__(self, w: np.ndarray, rng: np.random.Generator, init_iters: int = 30):
+    def __init__(self, w: np.ndarray, rng: np.random.Generator):
         m, n = w.shape
-        self.rng = rng
         self.u = _unit(rng.standard_normal(m))
         self.v = _unit(rng.standard_normal(n))
-        self._block_polish(w)
-        self.sync(w, min_iters=init_iters, max_iters=max(200, init_iters))
-
-    def _block_polish(self, w: np.ndarray, iterations: int = 100, block: int = 4) -> None:
-        """Seed (u, v) from a small orthogonal iteration. A single vector can
-        stall on clustered leading singular values; the block start does not,
-        and the per-step updates afterwards only need to track small drift."""
-        m, n = w.shape
-        b = max(1, min(block, m, n))
-        vb = self.v[:, None]
+        # drawn and unused: the start block of the block power iteration that
+        # sigma was once tracked with. Every later draw from rng, and so each
+        # seed's initial parameters, stays as in runs made with it
+        b = min(4, m, n)
         if b > 1:
-            vb = np.concatenate([vb, self.rng.standard_normal((n, b - 1))], axis=1)
-        ritz = _top_ritz(w, vb, iterations)
-        if ritz is None:
-            return  # zero matrix, nothing to align to
-        nt = float(np.linalg.norm(ritz[1]))
-        if nt > 1e-300:
-            self.v[...] = ritz[1] / nt
-        u = w @ self.v
-        nu = float(np.linalg.norm(u))
-        if nu > 1e-300:
-            self.u[...] = u / nu
+            rng.standard_normal((n, b - 1))
+        self.sync(w)
 
-    def _iterate(self, w: np.ndarray) -> float:
-        v = w.T @ self.u
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-300:
-            self.v[...] = v / nv
-        u = w @ self.v
-        nu = float(np.linalg.norm(u))
-        if nu > 1e-300:
-            self.u[...] = u / nu
-        return max(float(self.u @ (w @ self.v)), SIGMA_FLOOR)
-
-    def sync(self, w: np.ndarray, min_iters: int = 1, tol: float = 1e-7, max_iters: int = 500) -> float:
-        """Run at least min_iters power iterations, then keep going until the
-        stationarity residual ||W^T u - sigma v|| drops below tol*sigma.
-
-        The residual certifies |sigma - sigma_true| <~ tol*sigma even when the
-        top singular values are clustered; a change-per-step test does not.
-        Warm state makes the per-step top-up cheap. Training under spectral
-        rescaling pulls the leading singular values together, and a single
-        vector then stalls at the (sigma_2/sigma_1)^2 rate; the escape below
-        re-polishes with a small block, whose top Ritz pair converges at the
-        (sigma_{b+1}/sigma_1)^2 rate no matter how tight the leading cluster.
-        """
-        max_iters = max(max_iters, min_iters)
-        sigma = SIGMA_FLOOR
-        budget = min(max_iters, max(min_iters, SYNC_STALL_ITERS))
-        for it in range(budget):
-            sigma = self._iterate(w)
-            if sigma <= SIGMA_FLOOR:
-                return sigma
-            if it + 1 >= min_iters:
-                resid = float(np.linalg.norm(w.T @ self.u - sigma * self.v))
-                if resid <= tol * sigma:
-                    return sigma
-        for _ in range(SYNC_BLOCK_ROUNDS):
-            self._block_polish(w, iterations=25)
-            sigma = self._iterate(w)
-            if sigma <= SIGMA_FLOOR:
-                return sigma
-            resid = float(np.linalg.norm(w.T @ self.u - sigma * self.v))
-            if resid <= tol * sigma:
-                return sigma
-        return sigma
+    def sync(self, w: np.ndarray) -> float:
+        """Recompute u and v for w; returns sigma_max(w)."""
+        return top_singular_pair(w, self.u, self.v)
 
     def sigma(self, w: np.ndarray) -> float:
         """Current estimate for w without touching the state."""
         return max(float(self.u @ (w @ self.v)), SIGMA_FLOOR)
 
 
-def spectral_norm(w: np.ndarray, iterations: int = 100, seed: int = 0, block: int = 4) -> float:
-    """Largest singular value via block orthogonal iteration on W^T W."""
+def spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value, exact to rounding (see top_singular_pair)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise DimensionError(f"spectral_norm expects a matrix, got {w.shape}")
-    m, n = w.shape
-    b = max(1, min(block, m, n))
-    ritz = _top_ritz(w, np.random.default_rng(seed).standard_normal((n, b)), iterations)
-    if ritz is None:
-        return SIGMA_FLOOR
-    return max(math.sqrt(max(ritz[0], 0.0)), SIGMA_FLOOR)
+    return top_singular_pair(w, np.zeros(w.shape[0]), np.zeros(w.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +173,7 @@ class LinearLayer:
 
     def spectral_step(self) -> None:
         if self.snr_enabled:
-            self.pi_state.sync(self.w.value, min_iters=1)
+            self.pi_state.sync(self.w.value)
 
     def effective_weight(self, tape: Tape) -> Var:
         if not self.snr_enabled:
@@ -493,7 +434,7 @@ _CKPT_VERSION = 2
 
 def model_state(model) -> list[tuple[str, np.ndarray]]:
     """Every array that defines a model, named as in a checkpoint: the
-    parameters, then buffer.<name> for each power-iteration buffer. The
+    parameters, then buffer.<name> for each singular-vector buffer. The
     arrays are live, so writing into them restores the model's state."""
     state = [(name, var.value) for name, var in model.parameters()]
     return state + [(f"buffer.{name}", arr) for name, arr in model.buffers()]
