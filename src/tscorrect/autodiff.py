@@ -13,12 +13,13 @@ here.
 
 Conventions:
   * everything is float64, row-major;
-  * no broadcasting beyond scalar-with-array, save for three ops: the bias
-    rows of ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place
-    to the matmul output, not through a ones-matmul; and the candidate axis
-    of ``candidate_l1``, where candidates c of (B, S, ...) meet p and t of
-    (B, ...), read with a length-1 axis 1, and the gradient of p sums over
-    that axis. Every other backward rule stays a plain transpose/sum;
+  * no broadcasting beyond scalar-with-array, save for the bias rows of
+    ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place to the
+    matmul output, not through a ones-matmul; and the candidate axis of
+    ``candidate_l1`` and ``masked_l1``, where candidates c of (B, S, ...)
+    meet p and t of (B, ...), read with a length-1 axis 1, and the gradient
+    of p sums over that axis. Every other backward rule stays a plain
+    transpose/sum;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread;
@@ -73,6 +74,40 @@ def align_candidates(c: Array, p: Array, t: Array) -> tuple[Array, Array, bool]:
     if p.shape != t.shape or (c.shape[:1] + c.shape[2:] if stacked else c.shape) != p.shape:
         raise DimensionError(f"candidates {c.shape} against predictions {p.shape} and labels {t.shape}")
     return (p[:, None], t[:, None], True) if stacked else (p, t, False)
+
+
+def packed(x: Array) -> Array:
+    """x (..., n), last axis contiguous, as (...) n-float blobs that numpy
+    copies in one move each, not in an n-long inner loop (2.4x at n = 2)."""
+    return x.view(np.dtype((np.void, x.shape[-1] * x.itemsize)))[..., 0]
+
+
+def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
+    """conv1d on x (B, T, C_in): the (B, T_out, C_out) output, and
+    backward(g, need_x) -> (gx or None, gw, gb) for g of its shape."""
+    B, T, c_in = x.shape
+    c_out, _, k = w.shape
+    t_out = (T + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (0, 0))) if padding else x
+    # im2col: (B, T_out, C_in, k) -> GEMM against the flattened kernel
+    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    flat = np.ascontiguousarray(cols).reshape(B * t_out, c_in * k)
+    wf = w.reshape(c_out, c_in * k)
+    out = flat @ wf.T
+    out += b
+
+    def backward(g: Array, need_x: bool):
+        gf = g.reshape(B * t_out, c_out)
+        gw, gb = (gf.T @ flat).reshape(w.shape), gf.sum(axis=0)
+        if not need_x:
+            return None, gw, gb
+        gcols = (gf @ wf).reshape(B, t_out, c_in, k)
+        gxp = np.zeros(xp.shape)
+        for j in range(k):  # stride makes the target rows disjoint for each tap
+            gxp[:, j : j + stride * t_out : stride] += gcols[:, :, :, j]
+        return gxp[:, padding : padding + T], gw, gb
+
+    return out.reshape(B, t_out, c_out), backward
 
 
 def zero_grads(params: Iterable[Var]) -> None:
@@ -203,34 +238,45 @@ class Tape:
             raise DimensionError(f"conv1d bias must be ({c_out},), got {b.value.shape}")
         if T + 2 * padding < k:
             raise DimensionError(f"conv1d window {k} exceeds padded length {T + 2 * padding}")
-        t_out = (T + 2 * padding - k) // stride + 1
-
-        xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
-        # im2col: (B, T_out, C_in, k) -> GEMM against the flattened kernel.
-        cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride]
-        cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3))
-        flat = cols.reshape(B * t_out, c_in * k)
-        wf = w.value.reshape(c_out, c_in * k)
-        out = (flat @ wf.T).reshape(B, t_out, c_out).transpose(0, 2, 1) + b.value[None, :, None]
-        if not batched:
-            out = out[0]
+        out, back = conv_channels_last(xv.transpose(0, 2, 1), w.value, b.value, stride, padding)
+        out = out.transpose(0, 2, 1)
 
         def backward(g: Array):
-            gv = g if batched else g[None]
-            gf = np.ascontiguousarray(gv.transpose(0, 2, 1)).reshape(B * t_out, c_out)
-            gw = (gf.T @ flat).reshape(c_out, c_in, k) if w.requires_grad else None
-            gb = gf.sum(axis=0) if b.requires_grad else None
-            if not x.requires_grad:
-                return None, gw, gb
-            gcols = (gf @ wf).reshape(B, t_out, c_in, k)
-            gxp = np.zeros_like(xp)
-            # stride makes the target slices disjoint for each kernel tap
-            for j in range(k):
-                gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j].transpose(0, 2, 1)
-            gx = gxp[:, :, padding : padding + T] if padding else gxp
-            return (gx if batched else gx[0]), gw, gb
+            gx, gw, gb = back((g if batched else g[None]).transpose(0, 2, 1), x.requires_grad)
+            if gx is not None:
+                gx = gx.transpose(0, 2, 1) if batched else gx[0].T
+            return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
 
-        return self._record(out, (x, w, b), backward)
+        return self._record(out if batched else out[0], (x, w, b), backward)
+
+    def conv_pyramid(self, x: Var, layers: Sequence[tuple[Var, Var]], stride: int, padding: int) -> Var:
+        """Channels-last conv1d levels on x (B, T, C_0), each level's output
+        (B, T_l, C_l) the next one's input; returns them side by side, each
+        flattened per row and folded onto T positions: (B, T, sum T_l C_l / T)."""
+        B, T, _ = x.value.shape
+        params = [v for layer in layers for v in layer]
+        levels, cur = [], x.value  # (output, backward) of each level
+        for w, b in layers:
+            levels.append(conv_channels_last(cur, w.value, b.value, stride, padding))
+            cur = levels[-1][0]
+        folded = [out.reshape(B, T, -1) for out, _ in levels]
+        edges = np.cumsum([0] + [f.shape[2] for f in folded])
+        feats = np.empty((B, T, edges[-1]))
+        for f, lo, hi in zip(folded, edges, edges[1:]):
+            packed(feats[:, :, lo:hi])[...] = packed(f)
+
+        def backward(g: Array):
+            g, grads, gx = np.ascontiguousarray(g), [], None
+            for level in reversed(range(len(layers))):
+                go = np.empty(levels[level][0].shape)
+                packed(go.reshape(B, T, -1))[...] = packed(g[:, :, edges[level] : edges[level + 1]])
+                if gx is not None:
+                    go += gx  # what the next level sends back
+                gx, gw, gb = levels[level][1](go, level > 0 or x.requires_grad)
+                grads[:0] = [gw, gb]
+            return gx, *(gv if v.requires_grad else None for v, gv in zip(params, grads))
+
+        return self._record(feats, (x, *params), backward)
 
     # ---- elementwise ---------------------------------------------------
 
@@ -311,26 +357,59 @@ class Tape:
         c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
         cv = c.value
         pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
-        n_cand = cv.shape[1] if stacked else 1
         weights = (w_pred, w_rec, w_sup)
         a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                          for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
         total = np.broadcast_to(sum(np.abs(r) * w for w, r in zip(weights, res) if r is not None), cv.shape)
-        # one contiguous row per candidate, so that each mean adds its points
-        # in the order that the candidate's own (B, ...) array would
-        rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
-        per = rows.reshape(n_cand, -1).mean(axis=1)
 
-        def backward(g: Array):
-            k = g.item() * (1.0 / n_cand) * (1.0 / (cv.size // n_cand))
+        def grads(k: float, over_cands, need_c: bool, need_p: bool):
             ga = np.sign(a) * w_pred if a is not None else 0.0
             gc = gp = None
-            if c.requires_grad:
+            if need_c:
                 gc = np.broadcast_to(ga + (np.sign(b) * w_rec if b is not None else 0.0), cv.shape) * k
-            if p.requires_grad:
+            if need_p:
                 gp = np.broadcast_to(ga + (np.sign(d) * w_sup if d is not None else 0.0), cv.shape)
-                gp = (gp.sum(axis=1) if stacked else gp) * -k
+                gp = over_cands(gp) * -k
             return gc, gp
+
+        return self._candidate_mean(c, p, stacked, total, grads)
+
+    def masked_l1(self, c: Var, p: Var, t, mask: Array, lt: Array, ap: Array, at: Array) -> Var:
+        """candidate_l1 with the weights 2[M and M_<], 2[M and not M_<] and
+        [not M] of c, p and t's masks, given ap = |c - p| and at = |c - t|: per
+        point 2 min(ap, at) on M, where c - p and c - t share a nonzero sign,
+        and |t - p| off M."""
+        pv, tv, stacked = align_candidates(c.value, p.value, as_array(t))
+        d, off = tv - pv, ~mask
+        # arithmetic on the bool masks: np.where and masked copies run 5x slower
+        total = np.minimum(ap, at)
+        total *= 2.0
+        total *= mask
+        total += np.abs(d) * off
+
+        def grads(k: float, over_cands, need_c: bool, need_p: bool):
+            up = mask & (c.value > pv)  # sign(c - p) on M: 1 on up, -1 on down
+            down = mask & ~up
+            gc = np.subtract(up, down, dtype=np.float64) * (2.0 * k) if need_c else None
+            gp = (2.0 * np.subtract(over_cands(up & lt), over_cands(down & lt), dtype=np.float64)
+                  + np.sign(d).reshape(p.value.shape) * over_cands(off)) * -k if need_p else None
+            return gc, gp
+
+        return self._candidate_mean(c, p, stacked, total, grads)
+
+    def _candidate_mean(self, c: Var, p: Var, stacked: bool, total: Array, grads) -> Var:
+        """Record the mean over candidates of each one's mean of the per-point
+        loss `total`; grads(k, over_cands, need_c, need_p) gives c's and p's
+        gradients (None if not needed) for upstream k per point."""
+        n_cand = c.value.shape[1] if stacked else 1
+        # one contiguous row per candidate: each mean adds as its own array would
+        rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
+        per = rows.reshape(n_cand, -1).mean(axis=1)
+        n_points = rows.size // n_cand
+
+        def backward(g: Array):
+            return grads(g.item() * (1.0 / n_cand) * (1.0 / n_points),
+                         lambda x: x.sum(axis=1) if stacked else x, c.requires_grad, p.requires_grad)
 
         return self._record(per.sum() * (1.0 / n_cand), (c, p), backward)
 

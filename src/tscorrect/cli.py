@@ -134,6 +134,10 @@ def load_config(path: str) -> dict:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
             cfg[section][key] = _parse_value(section, key, raw)
+    seeds, dumps = cfg["experiment"]["seeds"], cfg["experiment"]["mask_dump_samples"]
+    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds) or dumps < 0:  # one seed<N>/ each
+        raise ConfigError(f"{path}: [experiment] needs distinct seeds >= 0 and mask_dump_samples >= 0, "
+                          f"got seeds {seeds}, mask_dump_samples {dumps}")
     # data paths are relative to the config file
     src = cfg["data"]["source"]
     if src != "synthetic" and not os.path.isabs(src):

@@ -18,7 +18,7 @@ length-1 axis 1; an objective over a stack averages the candidates' means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,17 +32,19 @@ def _as_value(x) -> np.ndarray:
 
 @dataclass
 class MaskSet:
-    """Boolean masks and the residual product m, one triple per output point."""
+    """Boolean masks and the residual product m, one triple per output point.
+    `source` holds the arrays c, p, t they came from and |c - p|, |c - t|,
+    |t - p|, which a loss or breakdown of those same arrays reads."""
 
     m: np.ndarray
     mask: np.ndarray  # M: residual products strictly positive
     mask_lt: np.ndarray  # M_<: |c - p| strictly smaller than |c - t|
+    source: tuple = field(default=(), repr=False, compare=False)
 
 
-def _residuals(y_tilde, y_hat, y) -> tuple[MaskSet, np.ndarray, np.ndarray, np.ndarray]:
-    """The masks with |c - p|, |c - t| and |t - p|, from one pass over the
-    residuals; p and t get the candidate axis if c is a stack."""
-    c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
+def compute_masks(y_tilde, y_hat, y) -> MaskSet:
+    """The masks with their residuals, from one pass."""
+    arrays = c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
     for name, v in (("y_tilde", c), ("y_hat", p), ("y", t)):
         if not np.isfinite(v).all():
             raise ContractError(f"non-finite values in {name}")
@@ -52,11 +54,14 @@ def _residuals(y_tilde, y_hat, y) -> tuple[MaskSet, np.ndarray, np.ndarray, np.n
     m = a * b
     np.abs(a, out=a)
     np.abs(b, out=b)
-    return MaskSet(m, m > 0.0, a < b), a, b, np.abs(t - p)
+    return MaskSet(m, m > 0.0, a < b, (arrays, a, b, np.abs(t - p)))
 
 
-def compute_masks(y_tilde, y_hat, y) -> MaskSet:
-    return _residuals(y_tilde, y_hat, y)[0]
+def _residuals(masks: MaskSet, y_tilde, y_hat, y) -> tuple:
+    """|c - p|, |c - t|, |t - p|: the masks' own if of these very arrays."""
+    arrays = tuple(map(_as_value, (y_tilde, y_hat, y)))
+    same = masks.source and all(u is v for u, v in zip(masks.source[0], arrays))
+    return (masks if same else compute_masks(*arrays)).source[1:]
 
 
 def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
@@ -68,15 +73,15 @@ def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
 
 
 def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) -> Var:
-    """Masked correction loss; masks enter as constants (no gradient).
+    """Masked correction loss; masks, those of these values, enter as
+    constants (no gradient).
 
     mean( |t - p| * (1 - M) + 2 * (|c - p| * M_< + |c - t| * (1 - M_<)) * M )
     """
     if masks.mask.shape != y_tilde.value.shape:
         raise DimensionError(f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}")
-    m, lt = masks.mask, masks.mask_lt
-    return tape.candidate_l1(y_tilde, y_hat, _as_value(y),
-                             2.0 * (m & lt), 2.0 * (m & ~lt), 1.0 * ~m)
+    ap, at, _ = _residuals(masks, y_tilde, y_hat, y)
+    return tape.masked_l1(y_tilde, y_hat, _as_value(y), masks.mask, masks.mask_lt, ap, at)
 
 
 def loss_identity_check(y_tilde, y_hat, y) -> float:
@@ -111,7 +116,7 @@ class LossBreakdown:
         return self.rec_corrected + self.pred_corrected + self.sup_in_mask + self.sup_out_mask
 
 
-def _breakdown(ap, at, sup, masks: MaskSet) -> LossBreakdown:
+def _breakdown(masks: MaskSet, ap, at, sup) -> LossBreakdown:
     """LossBreakdown of |c - p|, |c - t| and |t - p| under the masks."""
     n = ap.size
     mask, lt = masks.mask, masks.mask_lt
@@ -128,14 +133,7 @@ def _breakdown(ap, at, sup, masks: MaskSet) -> LossBreakdown:
 
 
 def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
-    return _breakdown(*_residuals(y_tilde, y_hat, y)[1:], masks)
-
-
-def masks_and_breakdown(y_tilde, y_hat, y) -> tuple[MaskSet, LossBreakdown]:
-    """compute_masks, and loss_breakdown under those masks, from one pass
-    over the residuals."""
-    masks, ap, at, sup = _residuals(y_tilde, y_hat, y)
-    return masks, _breakdown(ap, at, sup, masks)
+    return _breakdown(masks, *_residuals(masks, y_tilde, y_hat, y))
 
 
 def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, LossBreakdown]:
@@ -143,11 +141,12 @@ def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.nd
     and labels: per point, the mask M, the reconstruction-corrected
     indicator M * (1 - M_<) and that indicator's 2|c - t| mass; plus the
     LossBreakdown over the stack."""
-    masks, ap, at, sup = _residuals(cands, y_hat, y)
+    masks = compute_masks(cands, y_hat, y)
+    _, ap, at, sup = masks.source
     rec = masks.mask & ~masks.mask_lt
     n = ap.shape[1]
     return (masks.mask.sum(axis=1) / n, rec.sum(axis=1) / n, (at * rec).sum(axis=1) * 2.0 / n,
-            _breakdown(ap, at, sup, masks))
+            _breakdown(masks, ap, at, sup))
 
 
 MASK_DUMP_FIELDS = ["t", "y", "y_hat", "y_tilde", "m", "M", "M_lt"]

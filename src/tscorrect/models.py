@@ -302,10 +302,10 @@ def build_predictor(cfg: ModelConfig, rng: np.random.Generator) -> MlpPredictor:
 class ReconstructionNet:
     """Label-window encoder with one S-output candidate head layer.
 
-    encode: (B, H) -> (B, H, d_feat). Each conv level halves the time axis
-    and doubles the channel count, so level l holds exactly dim_multiplier/2
-    features per horizon position once its (C_l, T_l) output is transposed
-    to (T_l, C_l) and unfolded row-major onto the horizon grid. Horizon
+    encode: (B, H) -> (B, H, d_feat). The conv levels run channels-last;
+    each halves the time axis and doubles the channel count, so level l
+    holds exactly dim_multiplier/2 features per horizon position once its
+    (T_l, C_l) output is unfolded row-major onto the horizon grid. Horizon
     position j therefore reads conv position floor(j * T_l / H), whose
     receptive field on the input window is 2^(l+1) - 1 wide.
     """
@@ -331,15 +331,7 @@ class ReconstructionNet:
     def encode(self, tape: Tape, y: np.ndarray) -> Var:
         if y.ndim != 2 or y.shape[1] != self.cfg.horizon:
             raise DimensionError(f"encode expects (B, {self.cfg.horizon}), got {y.shape}")
-        b, h = y.shape
-        per = self.cfg.dim_multiplier // 2
-        cur = tape.reshape(tape.constant(y), (b, 1, h))
-        feats = []
-        for w, bias in self.convs:
-            cur = tape.conv1d(cur, w, bias, stride=CONV_STRIDE, padding=CONV_PADDING)
-            f = tape.transpose(cur, (0, 2, 1))  # (B, T_l, C_l)
-            feats.append(tape.reshape(f, (b, h, per)))
-        return tape.concat(feats, axis=2)
+        return tape.conv_pyramid(tape.constant(y[:, :, None]), self.convs, CONV_STRIDE, CONV_PADDING)
 
     def conv_features(self, tape: Tape, y: np.ndarray, level: int) -> Var:
         """Raw (B, C_l, T_l) output of conv level `level` (0-based)."""

@@ -315,7 +315,8 @@ def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
     def batch_loss(tape: Tape, x: np.ndarray, y: np.ndarray):
         yhat = f.forward(tape, x)
         cands = g.forward(tape, y)
-        masks, parts = L.masks_and_breakdown(cands, yhat, y)
+        masks = L.compute_masks(cands, yhat, y)
+        parts = L.loss_breakdown(cands, yhat, y, masks)
         if masked:
             loss = L.scam_masked_loss(tape, cands, yhat, y, masks)
         else:

@@ -109,6 +109,22 @@ def test_bad_value_type_exits_2(tmp_path, capsys):
     assert "max_epochs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", ""),
+    ("seeds", "0,0"),
+    ("seeds", "1 -2"),
+    ("mask_dump_samples", "-1"),
+])
+def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, value):
+    out = os.path.join(str(tmp_path), "runs")
+    old = {"seeds": "seeds = 0", "mask_dump_samples": "mask_dump_samples = 2"}[key]
+    cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, f"{key} = {value}"), out_dir=out)
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "config error" in err
+    assert not os.path.exists(out)
+
+
 def test_missing_checkpoint_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=str(tmp_path))
     rc = main(["eval", "--config", cfg, "--checkpoint",

@@ -353,6 +353,52 @@ def test_stacked_loss_rejects_misaligned_shapes():
         co_objective_loss(Tape(), Var(c), Var(yh[:4]), y[:4][:, :8])
 
 
+def tie_stack(seed, b=8, s=4, h=16):
+    """candidate_stack plus the ties c = p, c = t, p = t and (c - p)(c - t)
+    = 0 by underflow, and -0.0 inputs."""
+    c, yh, y = candidate_stack(seed, b, s, h)
+    c[3, 0] = yh[3]  # c = p
+    c[4, 1] = y[4]  # c = t
+    y[5] = yh[5]  # p = t
+    yh[6, :4], y[6, :4] = 0.0, 0.0
+    c[6, :, :4] = [1e-200, -1e-200, -0.0, 0.0]  # same-sign residuals whose product underflows
+    c[7, 2, :8], yh[7, :8], y[7, 8:] = -0.0, 0.0, -0.0
+    return c, yh, y
+
+
+def weighted_masked_loss(c, yh, y, masks):
+    """scam_masked_loss as candidate_l1 with the weight arrays 2[M and M_<],
+    2[M and not M_<] and [not M]: value and gradients."""
+    m, lt = masks.mask, masks.mask_lt
+    tape = Tape()
+    vc, vh = Var(c, requires_grad=True), Var(yh, requires_grad=True)
+    loss = tape.candidate_l1(vc, vh, y, 2.0 * (m & lt), 2.0 * (m & ~lt), 1.0 * ~m)
+    tape.backward(loss)
+    return loss.value.item(), vc.grad, vh.grad
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("make", [candidate_stack, tie_stack])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_masked_loss_equals_weight_array_form(seed, make, stacked):
+    c, yh, y = make(seed)
+    if not stacked:
+        c = c[:, 0].copy()
+    masks = compute_masks(c, yh, y)
+    ref = weighted_masked_loss(c, yh, y, masks)
+    bd = loss_breakdown(c, yh, y, masks)
+    # the arrays that made the masks reuse their residuals; copies form them afresh
+    for vc, vh, vy in ((c, yh, y), (c.copy(), yh.copy(), y.copy())):
+        tape = Tape()
+        vc, vh = Var(vc, requires_grad=True), Var(vh, requires_grad=True)
+        loss = scam_masked_loss(tape, vc, vh, vy, masks)
+        tape.backward(loss)
+        assert loss.value.item() == ref[0]
+        assert np.array_equal(vc.grad, ref[1])
+        assert np.array_equal(vh.grad, ref[2])
+        assert loss_breakdown(vc.value, vh.value, vy, masks) == bd
+
+
 def test_summarize_candidates_equals_per_candidate_loop():
     c, yh, y = candidate_stack(5)
     mask, rec, rec_mass, bd = summarize_candidates(c, yh, y)

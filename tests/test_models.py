@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import Tape, Var
+from tscorrect.autodiff import Tape, Var, zero_grads
 from tscorrect.errors import ConfigError, DimensionError, LoadError
 from tscorrect.models import (
     _CKPT_VERSION,
@@ -350,6 +350,47 @@ def test_recon_shape_walk():
     assert all(t_l * c_l == 2 * 96 for t_l, c_l in zip(lengths, [4, 8, 16, 32]))
     out = g.forward(Tape(), y)
     assert out.value.shape == (2, 8, 96)
+
+
+def per_level_encode(tape, g, y):
+    """The encoder as separate tape ops: conv1d, transpose and reshape per
+    level, then concat."""
+    b, h = y.shape
+    per = g.cfg.dim_multiplier // 2
+    cur = tape.reshape(tape.constant(y), (b, 1, h))
+    feats = []
+    for w, bias in g.convs:
+        cur = tape.conv1d(cur, w, bias, stride=2, padding=1)
+        feats.append(tape.reshape(tape.transpose(cur, (0, 2, 1)), (b, h, per)))
+    return tape.concat(feats, axis=2)
+
+
+@pytest.mark.parametrize("dm", [2, 4])
+@pytest.mark.parametrize("h", [16, 96])
+@pytest.mark.parametrize("b", [1, 7, 896])
+def test_encoder_equals_per_level_ops(b, h, dm):
+    g = build_recon(tiny_cfg(horizon=h, dim_multiplier=dm), RNG([0, 11]))
+    y = RNG(17).standard_normal((b, h))
+    y[0, :3] = -0.0
+    upstream = RNG(18).standard_normal((b, h, 2 * dm))
+    upstream[:, ::5] = 0.0
+    upstream[:, 1::7] = -0.0
+    results = []
+    for encode in (g.encode, lambda t, y: per_level_encode(t, g, y)):
+        zero_grads(v for _, v in g.parameters())
+        t = Tape()
+        feats = encode(t, y)
+        t.backward(t.sum(t.mul(feats, t.constant(upstream))))
+        results.append([feats.value] + [v.grad.copy() for w, bias in g.convs for v in (w, bias)])
+    for new, ref in zip(*results):
+        assert np.array_equal(new, ref)
+    # conv_features stays channels-first: (B, C_l, T_l), the level's slice of the features
+    per = dm // 2
+    for level, c_l in enumerate(g.channels):
+        conv = g.conv_features(Tape(), y, level).value
+        assert conv.shape == (b, c_l, h >> (level + 1))
+        assert np.array_equal(conv.transpose(0, 2, 1).reshape(b, h, per),
+                              results[0][0][:, :, level * per:(level + 1) * per])
 
 
 def test_recon_parameter_count_pin():
