@@ -15,7 +15,8 @@ Conventions:
   * everything is float64, row-major;
   * no broadcasting beyond scalar-with-array, save for the bias rows of
     ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place to the
-    matmul output, not through a ones-matmul; and the candidate axis of
+    matmul output, not through a ones-matmul; the (B, 1) constant columns
+    of ``affine_rows``; and the candidate axis of
     ``candidate_l1`` and ``masked_l1``, where candidates c of (B, S, ...)
     meet p and t of (B, ...), read with a length-1 axis 1, and the gradient
     of p sums over that axis. Every other backward rule stays a plain
@@ -278,6 +279,16 @@ class Tape:
 
         return self._record(feats, (x, *params), backward)
 
+    def affine_rows(self, y: Var, scale: Array, shift: Array) -> Var:
+        """y * scale + shift for y (B, n) and constant (B, 1) columns."""
+        if y.value.ndim != 2 or scale.shape != (len(y.value), 1) or shift.shape != scale.shape:
+            raise DimensionError(f"affine_rows got {y.value.shape} with {scale.shape} and {shift.shape}")
+
+        def backward(g: Array):
+            return (g * scale,)
+
+        return self._record(y.value * scale + shift, (y,), backward)
+
     # ---- elementwise ---------------------------------------------------
 
     def _binary(self, a, b, fwd, bwd_a, bwd_b) -> Var:
@@ -360,16 +371,18 @@ class Tape:
         weights = (w_pred, w_rec, w_sup)
         a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                          for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
-        total = np.broadcast_to(sum(np.abs(r) * w for w, r in zip(weights, res) if r is not None), cv.shape)
+        kept = [np.abs(r) * w for w, r in zip(weights, res) if r is not None]
+        full = lambda x: x if np.shape(x) == cv.shape else np.broadcast_to(x, cv.shape)
+        total = full(sum(kept[1:], kept[0]) if kept else 0.0)
 
         def grads(k: float, over_cands, need_c: bool, need_p: bool):
+            # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
             ga = np.sign(a) * w_pred if a is not None else 0.0
             gc = gp = None
             if need_c:
-                gc = np.broadcast_to(ga + (np.sign(b) * w_rec if b is not None else 0.0), cv.shape) * k
+                gc = full(ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k
             if need_p:
-                gp = np.broadcast_to(ga + (np.sign(d) * w_sup if d is not None else 0.0), cv.shape)
-                gp = over_cands(gp) * -k
+                gp = over_cands(full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0)) * -k
             return gc, gp
 
         return self._candidate_mean(c, p, stacked, total, grads)
@@ -403,7 +416,7 @@ class Tape:
         gradients (None if not needed) for upstream k per point."""
         n_cand = c.value.shape[1] if stacked else 1
         # one contiguous row per candidate: each mean adds as its own array would
-        rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
+        rows = np.ascontiguousarray(total.swapaxes(0, 1) if stacked else total)
         per = rows.reshape(n_cand, -1).mean(axis=1)
         n_points = rows.size // n_cand
 

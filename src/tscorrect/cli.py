@@ -134,14 +134,20 @@ def load_config(path: str) -> dict:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
             cfg[section][key] = _parse_value(section, key, raw)
-    seeds, dumps = cfg["experiment"]["seeds"], cfg["experiment"]["mask_dump_samples"]
-    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds) or dumps < 0:  # one seed<N>/ each
-        raise ConfigError(f"{path}: [experiment] needs distinct seeds >= 0 and mask_dump_samples >= 0, "
-                          f"got seeds {seeds}, mask_dump_samples {dumps}")
+    _check_experiment(cfg, path)
     # data paths are relative to the config file
     src = cfg["data"]["source"]
     if src != "synthetic" and not os.path.isabs(src):
         cfg["data"]["source"] = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), src))
+    return cfg
+
+
+def _check_experiment(cfg: dict, where: str) -> dict:
+    """Refuse seeds and mask dump counts that would fail only after output exists."""
+    seeds, dumps = cfg["experiment"]["seeds"], cfg["experiment"]["mask_dump_samples"]
+    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds) or dumps < 0:  # one seed<N>/ each
+        raise ConfigError(f"{where}: [experiment] needs distinct seeds >= 0 and mask_dump_samples >= 0, "
+                          f"got seeds {seeds}, mask_dump_samples {dumps}")
     return cfg
 
 
@@ -195,10 +201,13 @@ def _atomic_json(path: str, payload: dict) -> None:
 
 
 def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> None:
-    """Mask dumps for the first validation samples, one CSV per candidate."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Mask dumps for the first validation samples, one CSV per candidate;
+    nothing, not even the directory, when there are none to take."""
     ds = bundle.val
     take = min(n_samples, len(ds) * ds.n_channels)
+    if take == 0:
+        return
+    os.makedirs(out_dir, exist_ok=True)
     nwin = (take + ds.n_channels - 1) // ds.n_channels
     x = flatten_channels(ds.x[:nwin])[:take]
     y = flatten_channels(ds.y[:nwin])[:take]
@@ -326,7 +335,9 @@ def _apply_overrides(cfg: dict, args) -> dict:
         cfg["model"]["snr"] = args.snr
     if getattr(args, "threads", None) is not None:
         cfg["experiment"]["threads"] = args.threads
-    return cfg
+    if getattr(args, "samples", None) is not None:
+        cfg["experiment"]["mask_dump_samples"] = args.samples
+    return _check_experiment(cfg, "command line")
 
 
 def cmd_train(args) -> int:
@@ -390,7 +401,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _apply_overrides(load_config(args.config), args)
     models = _restore_for(cfg, args.checkpoint)
     if "predictor" not in models or "recon" not in models:
         raise ConfigError("diagnose needs a checkpoint holding both predictor and recon")
@@ -400,7 +411,7 @@ def cmd_diagnose(args) -> int:
     out = args.out or "diagnosis"
     os.makedirs(out, exist_ok=True)
 
-    _dump_masks(os.path.join(out, "masks"), g, f, bundle, args.samples)
+    _dump_masks(os.path.join(out, "masks"), g, f, bundle, cfg["experiment"]["mask_dump_samples"])
 
     # loss breakdown over a capped number of windows of the chosen split
     take = min(len(ds), max(1, args.breakdown_windows))

@@ -208,29 +208,23 @@ class RevIn:
             self.weight = Var(np.ones(1), requires_grad=True)
             self.bias = Var(np.zeros(1), requires_grad=True)
 
-    def stats(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu = x.mean(axis=1, keepdims=True)
-        sd = np.sqrt(x.var(axis=1, keepdims=True) + self.eps)
-        return mu, sd
-
     def normalize(self, tape: Tape, x: np.ndarray) -> tuple[Var, tuple[np.ndarray, np.ndarray]]:
         if x.ndim != 2:
             raise DimensionError(f"revin expects (B, T), got {x.shape}")
-        mu, sd = self.stats(x)
-        out = tape.constant((x - mu) / sd)
+        mu = x.mean(axis=1, keepdims=True)
+        d = x - mu
+        # np.var's own arithmetic, without its wrapper
+        sd = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / x.shape[1] + self.eps)
+        out = tape.constant(d / sd)
         if self.affine:
             out = tape.add(tape.mul(out, self.weight), self.bias)
         return out, (mu, sd)
 
     def denormalize(self, tape: Tape, y: Var, stats: tuple[np.ndarray, np.ndarray]) -> Var:
         mu, sd = stats
-        if y.value.ndim != 2 or y.value.shape[0] != mu.shape[0]:
-            raise DimensionError(f"denormalize got {y.value.shape} for stats of {mu.shape[0]} rows")
         if self.affine:
             y = tape.mul(tape.sub(y, self.bias), tape.reciprocal(self.weight))
-        h = y.value.shape[1]
-        y = tape.mul(y, tape.constant(np.repeat(sd, h, axis=1)))
-        return tape.add(y, tape.constant(np.repeat(mu, h, axis=1)))
+        return tape.affine_rows(y, sd, mu)
 
     def params(self) -> list[tuple[str, Var]]:
         if self.affine:

@@ -75,21 +75,33 @@ class TrainConfig:
 class _Optimizer:
     """Shared step protocol: a non-finite gradient anywhere skips the whole
     step and bumps skipped_steps instead of corrupting the parameters or the
-    optimizer state. Subclasses define only the update."""
+    optimizer state. Subclasses define only the update.
+
+    The optimizer takes over its parameters' storage: it packs their values
+    and gradients, in list order, into the flat arrays `value` and `grad`
+    (the order of flat_params) and rebinds each Var's .value and .grad to a
+    view of them, so every update is one op over all parameters.
+    """
 
     def __init__(self, params: list[Var], lr: float):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params) or any(p.grad is None for p in self.params):
+            raise ContractError("optimizer parameters must be distinct leaves with requires_grad")
         self.lr = float(lr)
         self.skipped_steps = 0
+        self.value = np.concatenate([p.value.ravel() for p in self.params] + [np.zeros(0)])
+        self.grad = np.concatenate([p.grad.ravel() for p in self.params] + [np.zeros(0)])
+        edges = np.cumsum([0] + [p.value.size for p in self.params])
+        for p, lo, hi in zip(self.params, edges, edges[1:]):
+            p.value, p.grad = self.value[lo:hi].reshape(p.value.shape), self.grad[lo:hi].reshape(p.grad.shape)
 
     def zero_grad(self) -> None:
-        zero_grads(self.params)
+        self.grad.fill(0.0)
 
     def step(self) -> None:
-        for p in self.params:
-            if not np.isfinite(p.grad).all():
-                self.skipped_steps += 1
-                return
+        if not np.isfinite(self.grad).all():
+            self.skipped_steps += 1
+            return
         self._update()
 
     def _update(self) -> None:
@@ -106,28 +118,26 @@ class Adam(_Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(self.value)
+        self.v = np.zeros_like(self.value)
 
     def _update(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 class Sgd(_Optimizer):
     """Plain gradient descent (used by the grid-search outer loop)."""
 
     def _update(self) -> None:
-        for p in self.params:
-            p.value -= self.lr * p.grad
+        self.value -= self.lr * self.grad
 
 
 @dataclass
@@ -371,7 +381,6 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             inner = Adam(theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         else:
             inner = Sgd(theta, cfg.lr)
-        n_theta = sum(v.value.size for v in theta)
         # phi is frozen until the outer step: candidates for every train row
         frozen = np.concatenate([
             g.forward(Tape(record=False), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
@@ -387,8 +396,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
                                            rec_weight=0.0)
                 inner.zero_grad()
                 tape.backward(loss)
-                gnorm = float(np.linalg.norm(flat_grads(f.parameters())))
-                gnorm /= np.sqrt(n_theta)
+                gnorm = float(np.linalg.norm(inner.grad)) / np.sqrt(inner.grad.size)
                 inner.step()
                 f.spectral_step()
                 loss_pred_val = loss.value.item()

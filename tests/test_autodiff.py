@@ -270,6 +270,77 @@ def test_fd_candidate_l1():
         Tape().candidate_l1(Var(c), Var(p), t[:2], 1.0, 1.0, 1.0)
 
 
+def test_affine_rows_value_grad_and_shapes():
+    rng = RNG(23)
+    y, sd, mu = rng.standard_normal((5, 3)), rng.uniform(0.5, 2.0, (5, 1)), rng.standard_normal((5, 1))
+    assert np.array_equal(Tape().affine_rows(Var(y), sd, mu).value, y * sd + mu)
+    up = rng.standard_normal(y.shape)
+
+    def build(tape, v):
+        return tape.sum(tape.mul(tape.affine_rows(v[0], sd, mu), tape.constant(up)))
+
+    assert fd_worst_rel_err(build, [y], rng) < 1e-6
+    for bad_sd, bad_mu in ((sd[:4], mu[:4]), (sd[:, 0], mu[:, 0]), (sd, mu[:4])):
+        with pytest.raises(DimensionError):
+            Tape().affine_rows(Var(y), bad_sd, bad_mu)
+
+
+def candidate_l1_reference(cv, pv, tv, w_pred, w_rec, w_sup):
+    """candidate_l1 as written before its lean form, from its sum() and
+    broadcast_to total: the value and the rule's c and p gradients for an
+    upstream gradient of 1."""
+    stacked = cv.ndim == pv.ndim + 1
+    pa, ta = (pv[:, None], tv[:, None]) if stacked else (pv, tv)
+    weights = (w_pred, w_rec, w_sup)
+    a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
+                     for w, x, y in zip(weights, (cv, cv, ta), (pa, ta, pa))]
+    total = np.broadcast_to(sum(np.abs(r) * w for w, r in zip(weights, res) if r is not None), cv.shape)
+    n_cand = cv.shape[1] if stacked else 1
+    rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
+    value = rows.reshape(n_cand, -1).mean(axis=1).sum() * (1.0 / n_cand)
+    k = 1.0 * (1.0 / n_cand) * (1.0 / (rows.size // n_cand))
+    ga = np.sign(a) * w_pred if a is not None else 0.0
+    gc = np.broadcast_to(ga + (np.sign(b) * w_rec if b is not None else 0.0), cv.shape) * k
+    gp = np.broadcast_to(ga + (np.sign(d) * w_sup if d is not None else 0.0), cv.shape)
+    return value, gc, (gp.sum(axis=1) if stacked else gp) * -k
+
+
+def tied_candidates(seed, stacked):
+    """c, p, t with ties (c = p, c = t, p = t) and -0.0 entries."""
+    rng = RNG(seed)
+    c, p, t = rng.uniform(-2, 2, (6, 3, 8)), rng.uniform(-2, 2, (6, 8)), rng.uniform(-2, 2, (6, 8))
+    c[0, 0] = p[0]
+    c[1, 1] = t[1]
+    t[2] = p[2]
+    c[3, :, :4], p[3, :4], t[3, :4] = -0.0, 0.0, -0.0
+    c[4, 2, :3], p[4, :3], t[4, :3] = 0.0, -0.0, -0.0
+    return (c, p, t) if stacked else (c[:, 0].copy(), p, t)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0),
+                                     (0.5, 2.0, 1.5), ("m", "m", "m"), ("m", 0.0, 0.0), ("m", 0.0, "m")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_candidate_l1_equals_sum_and_broadcast_form(seed, weights, stacked):
+    c, p, t = tied_candidates(seed, stacked)
+    # "m": a 0/1/2 array of c's shape, as the masked loss passes; its zeros
+    # times a negative sign make -0.0 gradient terms
+    rng = RNG(seed + 10)
+    weights = tuple(rng.integers(0, 3, c.shape) * 1.0 if w == "m" else w for w in weights)
+    value, gc, gp = candidate_l1_reference(c, p, t, *weights)
+    tape = Tape()
+    vc, vp = Var(c, requires_grad=True), Var(p, requires_grad=True)
+    loss = tape.candidate_l1(vc, vp, t, *weights)
+    assert loss.value.item() == value
+    # the recorded rule itself, signs of zero included
+    rule_c, rule_p = tape._entries[-1][2](np.ones(()))
+    for got, ref in ((rule_c, gc), (rule_p, gp)):
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    tape.backward(loss)
+    assert np.array_equal(vc.grad, 0.0 + gc) and np.array_equal(vp.grad, 0.0 + gp)
+
+
 def test_fd_reductions_and_reshapes():
     rng = RNG(16)
     x = rng.uniform(-2, 2, (2, 6))

@@ -125,6 +125,30 @@ def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, v
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["grid-search", "--seed", "-1"],
+])
+def test_bad_seed_flag_exits_2_before_any_output(tmp_path, capsys, argv):
+    out = os.path.join(str(tmp_path), "runs")
+    cfg = write_config(tmp_path, out_dir=out)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "seeds" in err and "config error" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", ["scam", "co_objective"])
+def test_zero_mask_dump_samples_trains_and_dumps_nothing(tmp_path, capsys, mode):
+    text = BASE_CONFIG.replace("mask_dump_samples = 2", "mask_dump_samples = 0").replace(
+        "mode = scam", f"mode = {mode}").replace("max_epochs = 2", "max_epochs = 1")
+    cfg = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    assert main(["train", "--config", cfg]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    assert json.load(open(os.path.join(run_dir, "manifest.json")))["seeds"]["0"]["epochs"] == 1
+    assert sorted(os.listdir(os.path.join(run_dir, "seed0"))) == ["checkpoints", "epochs.csv"]
+
+
 def test_missing_checkpoint_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=str(tmp_path))
     rc = main(["eval", "--config", cfg, "--checkpoint",
@@ -403,6 +427,24 @@ def test_diagnose_mask_dump_dir(diagnosis):
     names = sorted(os.listdir(os.path.join(diagnosis, "masks")))
     assert names == ["sample0_cand0.csv", "sample0_cand1.csv",
                      "sample1_cand0.csv", "sample1_cand1.csv"]
+
+
+def test_diagnose_zero_samples_dumps_no_masks(scam_pipeline, tmp_path):
+    cfg_path, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    out = os.path.join(str(tmp_path), "diag")
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out, "--samples", "0"]) == 0
+    assert sorted(os.listdir(out)) == ["breakdown.json", "kl_table.csv"]
+
+
+def test_diagnose_negative_samples_exits_2_before_any_output(scam_pipeline, tmp_path, capsys):
+    cfg_path, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    out = os.path.join(str(tmp_path), "diag")
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out, "--samples", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "mask_dump_samples" in err and "config error" in err
+    assert not os.path.exists(out)
 
 
 def test_diagnose_kl_table_univariate_has_no_rows(diagnosis):

@@ -257,6 +257,48 @@ def test_revin_affine_roundtrip_and_grads():
     assert fd_model_worst_rel_err(rv.params(), loss_value, rng=rng) < 1e-4
 
 
+def revin_reference(rv, tape, x, y):
+    """RevIn as written before its fused form: statistics from np.var, and
+    the inverse as mul and add of np.repeat'ed constants."""
+    mu = x.mean(axis=1, keepdims=True)
+    sd = np.sqrt(x.var(axis=1, keepdims=True) + rv.eps)
+    normed = tape.constant((x - mu) / sd)
+    if rv.affine:
+        normed = tape.add(tape.mul(normed, rv.weight), rv.bias)
+        y = tape.mul(tape.sub(y, rv.bias), tape.reciprocal(rv.weight))
+    h = y.value.shape[1]
+    y = tape.mul(y, tape.constant(np.repeat(sd, h, axis=1)))
+    return normed, tape.add(y, tape.constant(np.repeat(mu, h, axis=1)))
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("rows, lookback, horizon", [(1, 32, 16), (7, 96, 96), (64, 32, 16), (33, 5, 3)])
+def test_revin_equals_var_and_repeat_form(affine, rows, lookback, horizon):
+    rng = RNG(rows * lookback)
+    x = rng.standard_normal((rows, lookback)) * rng.uniform(0.1, 50.0, (rows, 1)) + rng.uniform(-20, 20, (rows, 1))
+    x[0] = 2.5  # a constant window: the variance is exactly 0
+    y0, up_out = rng.standard_normal((2, rows, horizon))
+    up_in = rng.standard_normal((rows, lookback))
+    results = []
+    for fused in (True, False):
+        rv = RevIn(affine=affine)
+        if affine:
+            rv.weight.value[...], rv.bias.value[...] = 1.3, -0.2
+        tape, y = Tape(), Var(y0, requires_grad=True)
+        if fused:
+            normed, stats = rv.normalize(tape, x)
+            out = rv.denormalize(tape, y, stats)
+        else:
+            normed, out = revin_reference(rv, tape, x, y)
+        loss = tape.sum(tape.mul(out, tape.constant(up_out)))
+        if affine:  # the weight and bias also act through the normalized input
+            loss = tape.add(loss, tape.sum(tape.mul(normed, tape.constant(up_in))))
+        tape.backward(loss)
+        results.append([normed.value, out.value, y.grad] + [v.grad for _, v in rv.params()])
+    for got, ref in zip(*results):
+        assert np.array_equal(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # predictor
 

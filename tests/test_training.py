@@ -140,6 +140,109 @@ def test_sgd_step_and_skip():
     assert opt.skipped_steps == 1
 
 
+def reference_adam(values, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop that the packed optimizer replaced:
+    final values, moments m and v, and the number of skipped steps."""
+    values = [v.copy() for v in values]
+    ms = [np.zeros_like(v) for v in values]
+    vs = [np.zeros_like(v) for v in values]
+    t = skipped = 0
+    for grads in grads_per_step:
+        if not all(np.isfinite(g).all() for g in grads):
+            skipped += 1
+            continue
+        t += 1
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, m, v in zip(values, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return values, ms, vs, skipped
+
+
+def reference_sgd(values, grads_per_step, lr):
+    values = [v.copy() for v in values]
+    skipped = 0
+    for grads in grads_per_step:
+        if not all(np.isfinite(g).all() for g in grads):
+            skipped += 1
+            continue
+        for p, g in zip(values, grads):
+            p -= lr * g
+    return values, skipped
+
+
+def packed_case(seed=0, steps=5, bad_step=2):
+    """Parameters of mixed shapes and per-step gradients, one step of which
+    holds a NaN in one parameter."""
+    rng = np.random.default_rng(seed)
+    shapes = [(7, 5), (7,), (1,), (3, 2, 4), (5,)]
+    values = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) * 10.0 ** rng.integers(-6, 2) for s in shapes] for _ in range(steps)]
+    grads[bad_step][3][1, 0, 2] = np.nan
+    return values, grads
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_packed_optimizer_equals_per_parameter_loop(kind):
+    values, grads = packed_case()
+    params = [Var(v, requires_grad=True) for v in values]
+    lr = 3e-3
+    opt = Adam(params, lr, beta1=0.8, beta2=0.99, eps=1e-7) if kind == "adam" else Sgd(params, lr)
+    # the flat order is flat_params's, and each Var is a view of the buffers
+    assert np.array_equal(opt.value, flat_params([("", p) for p in params]))
+    assert all(np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad) for p in params)
+    for step in grads:
+        opt.zero_grad()
+        for p, g in zip(params, step):
+            p.grad[...] += g
+        opt.step()
+    if kind == "adam":
+        ref, ms, vs, skipped = reference_adam(values, grads, lr, 0.8, 0.99, 1e-7)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ms]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in vs]))
+        assert opt.t == len(grads) - 1
+    else:
+        ref, skipped = reference_sgd(values, grads, lr)
+    assert opt.skipped_steps == skipped == 1
+    for p, r in zip(params, ref):
+        assert np.array_equal(p.value, r)
+
+
+def test_backward_accumulates_into_packed_views():
+    rng = np.random.default_rng(4)
+    w, b = rng.standard_normal((3, 4)), rng.standard_normal(3)
+    x, y = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
+
+    def grads_of(wv, bv):
+        tape = Tape()
+        out = tape.linear(tape.constant(x), wv, bv)
+        tape.backward(tape.mean(tape.abs(tape.sub(out, tape.constant(y)))))
+        return wv.grad.copy(), bv.grad.copy()
+
+    ref = grads_of(Var(w, requires_grad=True), Var(b, requires_grad=True))
+    wv, bv = Var(w, requires_grad=True), Var(b, requires_grad=True)
+    opt = Adam([wv, bv], lr=0.1)
+    opt.grad[...] = 1.0
+    opt.zero_grad()
+    got = grads_of(wv, bv)
+    assert all(np.array_equal(a, r) for a, r in zip(got, ref))
+    assert np.array_equal(opt.grad, np.concatenate([ref[0].ravel(), ref[1]]))
+    opt.step()
+    assert np.array_equal(opt.value, np.concatenate([wv.value.ravel(), bv.value]))
+
+
+def test_optimizer_refuses_a_repeated_or_gradless_var():
+    p = Var(np.ones(3), requires_grad=True)
+    for bad in ([p, p], [p, Var(np.ones(2))]):
+        with pytest.raises(ContractError):
+            Adam(bad, lr=0.1)
+        with pytest.raises(ContractError):
+            Sgd(bad, lr=0.1)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError, match="mode"):
         TrainConfig(mode="nope")
