@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Tape, Var
+from .autodiff import ParamStore, Tape, Var
 from .data import (
     RawSeries,
     Scaler,

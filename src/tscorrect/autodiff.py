@@ -31,7 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,27 @@ class Var:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
+
+
+class ParamStore:
+    """The flat layout of named parameters, defined once. `value` and `grad`
+    hold every parameter, in list order, as one flat array each, and
+    `slices` maps each name to its span of them. The store takes over the
+    Vars' storage: each Var's .value and .grad is rebound to a view of its
+    span, so one write to `value` sets every parameter and backward
+    accumulates straight into `grad`. Gradients start at zero."""
+
+    def __init__(self, named_params: Sequence[tuple[str, Var]]):
+        names, params = [n for n, _ in named_params], [v for _, v in named_params]
+        if (len(set(names)) != len(names) or len({id(v) for v in params}) != len(params)
+                or any(v.grad is None for v in params)):
+            raise ContractError("a parameter store needs distinct names and distinct leaves with a grad")
+        self.value = np.concatenate([v.value.ravel() for v in params] + [np.zeros(0)])
+        self.grad = np.zeros_like(self.value)
+        edges = np.cumsum([0] + [v.value.size for v in params]).tolist()
+        self.slices = {n: slice(lo, hi) for n, lo, hi in zip(names, edges, edges[1:])}
+        for v, span in zip(params, self.slices.values()):
+            v.value, v.grad = self.value[span].reshape(v.value.shape), self.grad[span].reshape(v.grad.shape)
 
 
 def align_candidates(c: Array, p: Array, t: Array) -> tuple[Array, Array, bool]:
@@ -109,11 +130,6 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
         return gxp[:, padding : padding + T], gw, gb
 
     return out.reshape(B, t_out, c_out), backward
-
-
-def zero_grads(params: Iterable[Var]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
 
 
 class Tape:
@@ -359,39 +375,33 @@ class Tape:
 
     # ---- fused losses --------------------------------------------------
 
-    def candidate_l1(self, c, p, t, w_pred, w_rec, w_sup) -> Var:
+    def candidate_l1(self, c, p, t, w_pred: float, w_rec: float) -> Var:
         """Mean over candidates of each candidate's mean of
-        w_pred|c - p| + w_rec|c - t| + w_sup|t - p|, for candidates c of
-        (B, S, ...) against p and t of (B, ...), or one c of p's shape. t and
-        the weights are constants broadcast against c; a weight that is the
-        scalar 0 drops its term."""
+        w_pred|c - p| + w_rec|c - t|, for candidates c of (B, S, ...) against
+        p and t of (B, ...), or one c of p's shape; t is a constant and a
+        weight of 0 drops its term."""
         c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
         cv = c.value
         pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
-        weights = (w_pred, w_rec, w_sup)
-        a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
-                         for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
-        kept = [np.abs(r) * w for w, r in zip(weights, res) if r is not None]
-        full = lambda x: x if np.shape(x) == cv.shape else np.broadcast_to(x, cv.shape)
-        total = full(sum(kept[1:], kept[0]) if kept else 0.0)
+        a = cv - pv if w_pred != 0 else None
+        b = cv - tv if w_rec != 0 else None
+        kept = [np.abs(r) * w for w, r in ((w_pred, a), (w_rec, b)) if r is not None]
+        total = sum(kept[1:], kept[0]) if kept else np.zeros(cv.shape)
 
         def grads(k: float, over_cands, need_c: bool, need_p: bool):
             # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
-            ga = np.sign(a) * w_pred if a is not None else 0.0
-            gc = gp = None
-            if need_c:
-                gc = full(ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k
-            if need_p:
-                gp = over_cands(full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0)) * -k
+            ga = np.sign(a) * w_pred if a is not None else np.zeros(cv.shape)
+            gc = (ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k if need_c else None
+            gp = over_cands(ga + 0.0) * -k if need_p else None
             return gc, gp
 
         return self._candidate_mean(c, p, stacked, total, grads)
 
     def masked_l1(self, c: Var, p: Var, t, mask: Array, lt: Array, ap: Array, at: Array) -> Var:
-        """candidate_l1 with the weights 2[M and M_<], 2[M and not M_<] and
-        [not M] of c, p and t's masks, given ap = |c - p| and at = |c - t|: per
-        point 2 min(ap, at) on M, where c - p and c - t share a nonzero sign,
-        and |t - p| off M."""
+        """Candidate mean, as in candidate_l1, of |c - p|, |c - t| and |t - p|
+        weighted by 2[M and M_<], 2[M and not M_<] and [not M] of c, p and t's
+        masks, given ap = |c - p| and at = |c - t|: per point 2 min(ap, at) on
+        M, where c - p and c - t share a nonzero sign, and |t - p| off M."""
         pv, tv, stacked = align_candidates(c.value, p.value, as_array(t))
         d, off = tv - pv, ~mask
         # arithmetic on the bool masks: np.where and masked copies run 5x slower
@@ -517,16 +527,11 @@ class Tape:
 
         return self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
 
-    def stop_gradient(self, x: Var) -> Var:
-        """x's value as a constant: no gradient flows back through it."""
-        return Var(x.value)
-
     # ---- reverse pass ----------------------------------------------------
 
     def backward(self, root: Var) -> None:
         """Accumulate d(root)/d(v) into v.grad for every requires_grad leaf v
-        that root depends on through this tape. Repeated calls accumulate;
-        zero_grads resets.
+        that root depends on through this tape. Repeated calls accumulate.
         """
         if not self.record:
             raise ContractError("backward on a tape that records nothing")

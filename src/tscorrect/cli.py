@@ -50,6 +50,7 @@ from .training import (
     train_grid_search,
     train_scam,
     train_supervised,
+    write_csv,
     write_epochs_csv,
 )
 from .autodiff import Tape
@@ -250,12 +251,10 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
         best = min(grecords, key=lambda r: r.test_mse)
         # the trainer hands back the best round's predictor and phi
         save_checkpoint(ckpt, mode, mcfg, seed, best.index, {"predictor": f, "recon": g})
-        traj = os.path.join(seed_dir, "trajectory.csv")
-        with open(traj, "w") as fh:
-            fh.write("index,loss_rec,loss_pred,loss_target,inner_steps,grad_norm,test_mse,test_mae\n")
-            for r in grecords:
-                fh.write(f"{r.index},{float(r.loss_rec)!r},{float(r.loss_pred)!r},{float(r.loss_target)!r},"
-                         f"{r.inner_steps},{float(r.grad_norm)!r},{float(r.test_mse)!r},{float(r.test_mae)!r}\n")
+        columns = ("index", "loss_rec", "loss_pred", "loss_target", "inner_steps", "grad_norm",
+                   "test_mse", "test_mae")
+        write_csv(os.path.join(seed_dir, "trajectory.csv"), columns,
+                  ([getattr(r, c) for c in columns] for r in grecords))
         summary.update({
             "candidates": len(grecords),
             "best_candidate": best.index,
@@ -433,12 +432,13 @@ def cmd_diagnose(args) -> int:
         report = {"split": args.split, "loss": "l1", "total": dataclasses.asdict(lambda_max(ctx))}
         for name in sorted(ctx.segments):
             report[name] = dataclasses.asdict(lambda_max(ctx, segment=name))
-        # masked variants weight the same L1 loss by the candidate-mean mask
+        # masked variants weight the same L1 loss by the candidate-mean mask;
+        # rebinding ctx frees each context, and its copy of f, before the next probe
         take_s = min(cfg["train"]["sharpness_batch"], len(ds), take)
         w_in = mask_mean[: take_s * ds.n_channels]
         for label, weights in (("masked_in", w_in), ("masked_out", 1.0 - w_in)):
-            ctx_m = predictor_loss_context(f, ds, take_s, point_weights=weights)
-            report[label] = dataclasses.asdict(lambda_max(ctx_m))
+            ctx = predictor_loss_context(f, ds, take_s, point_weights=weights)
+            report[label] = dataclasses.asdict(lambda_max(ctx))
         _atomic_json(os.path.join(out, "sharpness.json"), report)
 
     # channel alignment: symmetric KL between channel distributions
@@ -450,10 +450,8 @@ def cmd_diagnose(args) -> int:
         rows = [(i, j, *(kl_alignment(*channel_histograms([v[i::nch].ravel(), v[j::nch].ravel()]))
                          for v in views))
                 for i in range(nch) for j in range(i + 1, nch)]
-    with open(os.path.join(out, "kl_table.csv"), "w") as fh:
-        fh.write("channel_a,channel_b,kl_raw,kl_candidates,kl_intermediate\n")
-        for i, j, a, b, c in rows:
-            fh.write(f"{i},{j},{float(a)!r},{float(b)!r},{float(c)!r}\n")
+    write_csv(os.path.join(out, "kl_table.csv"),
+              ("channel_a", "channel_b", "kl_raw", "kl_candidates", "kl_intermediate"), rows)
     print(out)
     return 0
 

@@ -69,7 +69,7 @@ def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
     """mean(|c - t| + |c - p|). The raw-label term never touches p. A half
     whose weight is 0 is dropped: grid search fits the predictor to the
     |c - p| half and proposes candidates from the |c - t| half."""
-    return tape.candidate_l1(y_tilde, y_hat, _as_value(y), pred_weight, rec_weight, 0.0)
+    return tape.candidate_l1(y_tilde, y_hat, _as_value(y), pred_weight, rec_weight)
 
 
 def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) -> Var:

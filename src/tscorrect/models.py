@@ -372,46 +372,6 @@ def build_recon(cfg: ModelConfig, rng: np.random.Generator) -> ReconstructionNet
 
 
 # ---------------------------------------------------------------------------
-# flat parameter views
-
-
-def flat_params(params: list[tuple[str, Var]]) -> np.ndarray:
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([v.value.ravel() for _, v in params])
-
-
-def flat_grads(params: list[tuple[str, Var]]) -> np.ndarray:
-    if not params:
-        return np.zeros(0)
-    return np.concatenate([v.grad.ravel() for _, v in params])
-
-
-def set_flat_params(params: list[tuple[str, Var]], vec: np.ndarray) -> None:
-    total = sum(v.value.size for _, v in params)
-    if vec.shape != (total,):
-        raise DimensionError(f"flat vector of {vec.shape} for {total} parameters")
-    ofs = 0
-    for _, v in params:
-        n = v.value.size
-        v.value[...] = vec[ofs : ofs + n].reshape(v.value.shape)
-        ofs += n
-
-
-def param_slices(params: list[tuple[str, Var]]) -> dict[str, slice]:
-    out = {}
-    ofs = 0
-    for name, v in params:
-        out[name] = slice(ofs, ofs + v.value.size)
-        ofs += v.value.size
-    return out
-
-
-def count_params(params: list[tuple[str, Var]]) -> int:
-    return sum(v.value.size for _, v in params)
-
-
-# ---------------------------------------------------------------------------
 # checkpoints: uint64-LE header length, JSON header, then raw float64 blocks
 
 

@@ -9,23 +9,18 @@ standardized units. Runs are deterministic functions of (config, seed).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import astuple, dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import losses as L
-from .autodiff import Tape, Var, zero_grads
+from .autodiff import ParamStore, Tape
 from .data import SplitWindows, WindowDataset, flatten_channels
 from .errors import ConfigError, ContractError
-from .models import (
-    ReconstructionNet,
-    flat_grads,
-    flat_params,
-    model_state,
-    param_slices,
-    set_flat_params,
-)
+from .models import ReconstructionNet
 from .sharpness import HvpContext, lambda_max
 
 MODES = ("supervised", "grid_search", "co_objective", "scam")
@@ -73,33 +68,21 @@ class TrainConfig:
 
 
 class _Optimizer:
-    """Shared step protocol: a non-finite gradient anywhere skips the whole
-    step and bumps skipped_steps instead of corrupting the parameters or the
-    optimizer state. Subclasses define only the update.
+    """Shared step protocol over a ParamStore: a non-finite gradient anywhere
+    skips the whole step and bumps skipped_steps instead of corrupting the
+    parameters or the optimizer state. Subclasses define only the update,
+    one op over the store's flat arrays."""
 
-    The optimizer takes over its parameters' storage: it packs their values
-    and gradients, in list order, into the flat arrays `value` and `grad`
-    (the order of flat_params) and rebinds each Var's .value and .grad to a
-    view of them, so every update is one op over all parameters.
-    """
-
-    def __init__(self, params: list[Var], lr: float):
-        self.params = list(params)
-        if len({id(p) for p in self.params}) != len(self.params) or any(p.grad is None for p in self.params):
-            raise ContractError("optimizer parameters must be distinct leaves with requires_grad")
+    def __init__(self, store: ParamStore, lr: float):
+        self.store = store
         self.lr = float(lr)
         self.skipped_steps = 0
-        self.value = np.concatenate([p.value.ravel() for p in self.params] + [np.zeros(0)])
-        self.grad = np.concatenate([p.grad.ravel() for p in self.params] + [np.zeros(0)])
-        edges = np.cumsum([0] + [p.value.size for p in self.params])
-        for p, lo, hi in zip(self.params, edges, edges[1:]):
-            p.value, p.grad = self.value[lo:hi].reshape(p.value.shape), self.grad[lo:hi].reshape(p.grad.shape)
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        self.store.grad.fill(0.0)
 
     def step(self) -> None:
-        if not np.isfinite(self.grad).all():
+        if not np.isfinite(self.store.grad).all():
             self.skipped_steps += 1
             return
         self._update()
@@ -111,33 +94,33 @@ class _Optimizer:
 class Adam(_Optimizer):
     """Standard bias-corrected Adam."""
 
-    def __init__(self, params: list[Var], lr: float, beta1: float = 0.9,
+    def __init__(self, store: ParamStore, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params, lr)
+        super().__init__(store, lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.m = np.zeros_like(store.value)
+        self.v = np.zeros_like(store.value)
 
     def _update(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        g, m, v = self.grad, self.m, self.v
+        g, m, v = self.store.grad, self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
-        self.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.store.value -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 class Sgd(_Optimizer):
     """Plain gradient descent (used by the grid-search outer loop)."""
 
     def _update(self) -> None:
-        self.value -= self.lr * self.grad
+        self.store.value -= self.lr * self.store.grad
 
 
 @dataclass
@@ -166,20 +149,18 @@ BREAKDOWN_FIELDS = [f.name for f in fields(L.LossBreakdown)]
 TIMING_FIELDS = {"wall_time_s"}
 
 
-def write_epochs_csv(records: list[EpochRecord], path: str) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one writer of a run's tables: ints through str, floats through
+    repr(float), which reads back exactly, and None as an empty cell."""
+    cell = lambda v: "" if v is None else str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(EPOCH_CSV_FIELDS) + "\n")
-        for r in records:
-            cells = []
-            for name in EPOCH_CSV_FIELDS:
-                v = getattr(r, name)
-                if v is None:
-                    cells.append("")
-                elif name == "epoch":
-                    cells.append(str(v))
-                else:
-                    cells.append(repr(float(v)))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
+def write_epochs_csv(records: list[EpochRecord], path: str) -> None:
+    write_csv(path, EPOCH_CSV_FIELDS, map(astuple, records))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +197,6 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
     return sq / count, ab / count
 
 
-def _snapshot(models: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(arr, arr.copy()) for model in models for _, arr in model_state(model)]
-
-
-def _restore(state: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    for target, saved in state:
-        target[...] = saved
-
-
 def _batch_indices(n: int, batch: int, rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[lo : lo + batch] for lo in range(0, n, batch)]
@@ -241,16 +213,16 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     the batch's LossBreakdown, or None.
     """
     models = [f] + ([g] if g is not None else [])
-    params = [v for _, v in f.parameters()]
-    if g is not None:
-        params += [v for _, v in g.loss_parameters()]
-    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    store = ParamStore(f.parameters() + (g.loss_parameters() if g is not None else []))
+    opt = Adam(store, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    # all trained state: the parameters and the singular-vector buffers
+    state = [store.value] + [arr for model in models for _, arr in model.buffers()]
     rng = np.random.default_rng([cfg.seed, 1])
     n = len(bundle.train)
     records: list[EpochRecord] = []
     best_val = np.inf
     best_epoch = -1
-    best_state = _snapshot(models)
+    best_state = [arr.copy() for arr in state]
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
         sq = ab = 0.0
@@ -278,8 +250,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
         bmean = bsum / bweight if bweight else bsum
         lam = None
         if cfg.log_sharpness:
-            ctx = predictor_loss_context(f, bundle.val, cfg.sharpness_batch)
-            lam = lambda_max(ctx, seed=cfg.seed).value
+            lam = lambda_max(predictor_loss_context(f, bundle.val, cfg.sharpness_batch), seed=cfg.seed).value
         records.append(EpochRecord(
             epoch=epoch,
             train_mse=sq / count, train_mae=ab / count,
@@ -292,10 +263,11 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_state = _snapshot(models)
+            best_state = [arr.copy() for arr in state]
         elif epoch - best_epoch >= cfg.patience:
             break
-    _restore(best_state)
+    for arr, saved in zip(state, best_state):
+        arr[...] = saved
     return records
 
 
@@ -372,11 +344,10 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     labels = flatten_channels(bundle.train.y)
     records: list[GridRecord] = []
     best = best_f = None
-    phi_params = [v for _, v in g.loss_parameters()]
-    outer = Sgd(phi_params, cfg.grid_outer_lr)
+    outer = Sgd(ParamStore(g.loss_parameters()), cfg.grid_outer_lr)
     for i in range(cfg.grid_candidates):
         f = predictor_factory(i)
-        theta = [v for _, v in f.parameters()]
+        theta = ParamStore(f.parameters())
         if cfg.grid_inner_optimizer == "adam":
             inner = Adam(theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         else:
@@ -396,7 +367,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
                                            rec_weight=0.0)
                 inner.zero_grad()
                 tape.backward(loss)
-                gnorm = float(np.linalg.norm(inner.grad)) / np.sqrt(inner.grad.size)
+                gnorm = float(np.linalg.norm(theta.grad)) / np.sqrt(theta.grad.size)
                 inner.step()
                 f.spectral_step()
                 loss_pred_val = loss.value.item()
@@ -434,41 +405,34 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
 # curvature contexts
 
 
-def _loss_and_grad_fn(f, x: np.ndarray, y: np.ndarray, point_weights: np.ndarray | None):
-    params = f.parameters()
-    theta0 = flat_params(params)
-
-    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        set_flat_params(params, theta)
-        tape = Tape()
-        yhat = f.forward(tape, x)
-        diff = tape.abs(tape.sub(yhat, tape.constant(y)))
-        if point_weights is not None:
-            diff = tape.mul(diff, tape.constant(point_weights))
-        loss = tape.mean(diff)
-        zero_grads([v for _, v in params])
-        tape.backward(loss)
-        grad = flat_grads(params)
-        set_flat_params(params, theta0)
-        return loss.value.item(), grad
-
-    return theta0, loss_and_grad
-
-
 def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
                            point_weights: np.ndarray | None = None) -> HvpContext:
     """Curvature context for the predictor's L1 loss on a fixed batch of
-    windows, optionally weighted per output point (e.g. by a mask)."""
+    windows, optionally weighted per output point (e.g. by a mask). It
+    probes a private copy of f in its own store, so f, an optimizer whose
+    store backs f, and other contexts on f never see its parameter writes."""
     take = min(batch, len(ds))
     x = flatten_channels(ds.x[:take])
     y = flatten_channels(ds.y[:take])
     if point_weights is not None and point_weights.shape != y.shape:
         raise ContractError(f"point weights {point_weights.shape} vs targets {y.shape}")
-    params = f.parameters()
-    theta0, fn = _loss_and_grad_fn(f, x, y, point_weights)
-    names = param_slices(params)
+    f = copy.deepcopy(f)
+    store = ParamStore(f.parameters())
+
+    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        store.value[...] = theta
+        tape = Tape()
+        diff = tape.abs(tape.sub(f.forward(tape, x), tape.constant(y)))
+        if point_weights is not None:
+            diff = tape.mul(diff, tape.constant(point_weights))
+        loss = tape.mean(diff)
+        store.grad.fill(0.0)
+        tape.backward(loss)
+        return loss.value.item(), store.grad.copy()
+
+    spans = store.slices
     segments = {
-        seg: slice(min(names[p].start for p in plist), max(names[p].stop for p in plist))
+        seg: slice(min(spans[p].start for p in plist), max(spans[p].stop for p in plist))
         for seg, plist in f.segments().items() if plist
     }
-    return HvpContext(theta0, fn, segments)
+    return HvpContext(store.value.copy(), loss_and_grad, segments)

@@ -9,7 +9,7 @@ tolerances used throughout.
 
 import numpy as np
 
-from tscorrect.autodiff import Tape, Var
+from tscorrect.autodiff import Tape, Var, align_candidates, as_array
 
 
 def fd_worst_rel_err(build, arrays, rng, samples=20, eps=1e-6):
@@ -76,3 +76,33 @@ def away_from_kinks(a, margin=0.05):
     """Push values away from 0 so abs/relu finite differences stay clean."""
     a = np.asarray(a, dtype=np.float64)
     return np.where(np.abs(a) < margin, a + np.sign(a + 0.5) * margin, a)
+
+
+def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
+    """Tape.candidate_l1 in its general form, recorded on tape: the mean over
+    candidates of each one's mean of w_pred|c - p| + w_rec|c - t| +
+    w_sup|t - p|, where each weight is a scalar or an array broadcast against
+    c, and a weight that is the scalar 0 drops its term. The bit-exact
+    reference for candidate_l1's scalar weights and for masked_l1's weight
+    arrays."""
+    c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
+    cv = c.value
+    pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
+    weights = (w_pred, w_rec, w_sup)
+    a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
+                     for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
+    kept = [np.abs(r) * w for w, r in zip(weights, res) if r is not None]
+    full = lambda x: x if np.shape(x) == cv.shape else np.broadcast_to(x, cv.shape)
+    total = full(sum(kept[1:], kept[0]) if kept else 0.0)
+
+    def grads(k, over_cands, need_c, need_p):
+        # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
+        ga = np.sign(a) * w_pred if a is not None else 0.0
+        gc = gp = None
+        if need_c:
+            gc = full(ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k
+        if need_p:
+            gp = over_cands(full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0)) * -k
+        return gc, gp
+
+    return tape._candidate_mean(c, p, stacked, total, grads)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import away_from_kinks, fd_model_worst_rel_err, fd_worst_rel_err
-from tscorrect.autodiff import Tape
+from tscorrect.autodiff import ParamStore, Tape
 from tscorrect.cli import main
 from tscorrect.data import (
     SplitSpec,
@@ -217,8 +217,7 @@ def test_criterion_03_spectral_rescaling():
     f = MlpPredictor(cfg, np.random.default_rng(7))
     x = flatten_channels(bundle.train.x)
     y = flatten_channels(bundle.train.y)
-    params = [v for _, v in f.parameters()]
-    opt = Adam(params, lr=3e-3)
+    opt = Adam(ParamStore(f.parameters()), lr=3e-3)
     layers = [f.layers["layer1"], f.layers["layer2"]]
     worst_dev = 0.0
     batch = 128

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import POINTWISE_CHUNK, Tape, Var, zero_grads
+from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var
 from tscorrect.errors import ContractError, DimensionError
-from helpers import away_from_kinks, fd_worst_rel_err
+from helpers import away_from_kinks, fd_worst_rel_err, weighted_candidate_l1
 
 RNG = np.random.default_rng
 
@@ -253,21 +253,29 @@ def test_fd_candidate_l1():
     w_pred, w_rec, w_sup = (rng.uniform(0.5, 2.0, (3, 4, 5)) for _ in range(3))
 
     def build(tape, v):
-        return tape.candidate_l1(v[0], v[1], t, w_pred, w_rec, w_sup)
+        return tape.candidate_l1(v[0], v[1], t, 0.75, 1.5)
 
-    assert fd_worst_rel_err(build, [c, p], rng) < 1e-6
+    def build_weighted(tape, v):
+        return weighted_candidate_l1(tape, v[0], v[1], t, w_pred, w_rec, w_sup)
+
+    # an odd count of candidates keeps p's sum of signs off 0
+    assert fd_worst_rel_err(build, [c[:, :3], p], rng) < 1e-6
+    assert fd_worst_rel_err(build_weighted, [c, p], rng) < 1e-6
     # the mean over candidates of each candidate's mean
+    terms = 0.75 * np.abs(c - p[:, None]) + 1.5 * np.abs(c - t[:, None])
+    value = Tape().candidate_l1(Var(c), Var(p), t, 0.75, 1.5).value.item()
+    assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
     terms = (w_pred * np.abs(c - p[:, None]) + w_rec * np.abs(c - t[:, None])
              + w_sup * np.abs(t - p)[:, None])
-    value = Tape().candidate_l1(Var(c), Var(p), t, w_pred, w_rec, w_sup).value.item()
+    value = weighted_candidate_l1(Tape(), Var(c), Var(p), t, w_pred, w_rec, w_sup).value.item()
     assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
-    # one candidate of p's shape; a weight that is the scalar 0 drops its term
-    one = Tape().candidate_l1(Var(c[:, 0]), Var(p), t, 1.0, 0.0, 0.0).value.item()
+    # one candidate of p's shape; a weight of 0 drops its term
+    one = Tape().candidate_l1(Var(c[:, 0]), Var(p), t, 1.0, 0.0).value.item()
     assert one == np.abs(c[:, 0] - p).mean()
     with pytest.raises(DimensionError):
-        Tape().candidate_l1(Var(c), Var(p[:, :4]), t[:, :4], 1.0, 1.0, 1.0)
+        Tape().candidate_l1(Var(c), Var(p[:, :4]), t[:, :4], 1.0, 1.0)
     with pytest.raises(DimensionError):
-        Tape().candidate_l1(Var(c), Var(p), t[:2], 1.0, 1.0, 1.0)
+        Tape().candidate_l1(Var(c), Var(p), t[:2], 1.0, 1.0)
 
 
 def test_affine_rows_value_grad_and_shapes():
@@ -286,9 +294,9 @@ def test_affine_rows_value_grad_and_shapes():
 
 
 def candidate_l1_reference(cv, pv, tv, w_pred, w_rec, w_sup):
-    """candidate_l1 as written before its lean form, from its sum() and
-    broadcast_to total: the value and the rule's c and p gradients for an
-    upstream gradient of 1."""
+    """The weighted candidate_l1 as written before its lean form, from its
+    sum() and broadcast_to total: the value and the rule's c and p gradients
+    for an upstream gradient of 1."""
     stacked = cv.ndim == pv.ndim + 1
     pa, ta = (pv[:, None], tv[:, None]) if stacked else (pv, tv)
     weights = (w_pred, w_rec, w_sup)
@@ -328,17 +336,22 @@ def test_candidate_l1_equals_sum_and_broadcast_form(seed, weights, stacked):
     rng = RNG(seed + 10)
     weights = tuple(rng.integers(0, 3, c.shape) * 1.0 if w == "m" else w for w in weights)
     value, gc, gp = candidate_l1_reference(c, p, t, *weights)
-    tape = Tape()
-    vc, vp = Var(c, requires_grad=True), Var(p, requires_grad=True)
-    loss = tape.candidate_l1(vc, vp, t, *weights)
-    assert loss.value.item() == value
-    # the recorded rule itself, signs of zero included
-    rule_c, rule_p = tape._entries[-1][2](np.ones(()))
-    for got, ref in ((rule_c, gc), (rule_p, gp)):
-        assert got.shape == ref.shape and np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
-    tape.backward(loss)
-    assert np.array_equal(vc.grad, 0.0 + gc) and np.array_equal(vp.grad, 0.0 + gp)
+    # Tape.candidate_l1 takes the scalar weights without a |t - p| term
+    forms = [lambda tape, vc, vp: weighted_candidate_l1(tape, vc, vp, t, *weights)]
+    if all(np.ndim(w) == 0 for w in weights) and weights[2] == 0:
+        forms.append(lambda tape, vc, vp: tape.candidate_l1(vc, vp, t, *weights[:2]))
+    for form in forms:
+        tape = Tape()
+        vc, vp = Var(c, requires_grad=True), Var(p, requires_grad=True)
+        loss = form(tape, vc, vp)
+        assert loss.value.item() == value
+        # the recorded rule itself, signs of zero included
+        rule_c, rule_p = tape._entries[-1][2](np.ones(()))
+        for got, ref in ((rule_c, gc), (rule_p, gp)):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        tape.backward(loss)
+        assert np.array_equal(vc.grad, 0.0 + gc) and np.array_equal(vp.grad, 0.0 + gp)
 
 
 def test_fd_reductions_and_reshapes():
@@ -398,34 +411,48 @@ def test_dag_fanout_sums_contributions():
 
 def test_repeated_backward_accumulates():
     x = Var(np.array([1.0, 2.0]), requires_grad=True)
+    store = ParamStore([("x", x)])
     t = Tape()
     out = t.sum(t.mul(x, x))
     t.backward(out)
     once = x.grad.copy()
     t.backward(out)
-    assert np.array_equal(x.grad, 2 * once)
-    zero_grads([x])
+    assert np.array_equal(x.grad, 2 * once) and np.array_equal(store.grad, 2 * once)
+    store.grad.fill(0.0)
     assert np.array_equal(x.grad, np.zeros(2))
 
 
-def test_stop_gradient_freezes_one_factor():
+def test_param_store_layout_and_views():
+    rng = RNG(24)
+    shapes = {"w": (3, 4), "b": (3,), "gamma": (1,), "k": (2, 1, 3)}
+    values = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    named = [(n, Var(v, requires_grad=True)) for n, v in values.items()]
+    named[0][1].grad[...] = 5.0
+    store = ParamStore(named)
+    # list order, one slice per name, gradients from zero
+    assert np.array_equal(store.value, np.concatenate([v.ravel() for v in values.values()]))
+    assert list(store.slices) == list(shapes)
+    assert [s.stop - s.start for s in store.slices.values()] == [int(np.prod(s)) for s in shapes.values()]
+    assert store.slices["w"].start == 0 and store.slices["k"].stop == store.value.size
+    assert np.array_equal(store.grad, np.zeros(store.value.size))
+    # each Var is a view: one flat write sets every parameter, backward fills grad
+    vec = store.value * 1.5 + 0.1
+    store.value[...] = vec
+    for name, v in named:
+        assert v.value.shape == shapes[name] and np.array_equal(v.value.ravel(), vec[store.slices[name]])
     t = Tape()
-    x = Var(np.array([2.0]), requires_grad=True)
-    t.backward(t.mean(t.mul(x, t.stop_gradient(x))))
-    assert x.grad.item() == 2.0  # not 4
+    w, b = named[0][1], named[1][1]
+    t.backward(t.sum(t.linear(t.constant(np.ones((2, 4))), w, b)))
+    assert np.array_equal(store.grad[store.slices["b"]], np.full(3, 2.0))
+    assert np.array_equal(store.grad[store.slices["w"]], np.full(12, 2.0))
+    assert ParamStore([]).value.shape == (0,)
 
 
-def test_stop_gradient_mask_routing():
-    t = Tape()
-    x = Var(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    m = t.stop_gradient(Var(np.array([1.0, 0.0, 1.0])))
-    t.backward(t.sum(t.mul(m, x)))
-    assert np.array_equal(x.grad, [1.0, 0.0, 1.0])
-
-
-def test_stop_gradient_value_identity():
-    x = Var(np.array([[1.0, -2.0], [0.0, 3.5]]))
-    assert np.array_equal(Tape().stop_gradient(x).value, x.value)
+def test_param_store_refuses_a_repeated_name_or_var_or_gradless_var():
+    p, q = Var(np.ones(3), requires_grad=True), Var(np.ones(2), requires_grad=True)
+    for bad in ([("p", p), ("q", p)], [("p", p), ("p", q)], [("p", p), ("c", Var(np.ones(2)))]):
+        with pytest.raises(ContractError):
+            ParamStore(bad)
 
 
 def test_only_requires_grad_leaves_hold_a_grad():
@@ -435,7 +462,7 @@ def test_only_requires_grad_leaves_hold_a_grad():
     y = t.mul(x, c)
     t.backward(t.sum(y))
     assert c.grad is None and y.grad is None
-    assert y.requires_grad and not t.stop_gradient(y).requires_grad
+    assert y.requires_grad
     assert np.array_equal(x.grad, [1.0, 1.0])
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dataclasses import astuple
 
+from helpers import weighted_candidate_l1
 from tscorrect.autodiff import Tape, Var
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import (
@@ -367,12 +368,12 @@ def tie_stack(seed, b=8, s=4, h=16):
 
 
 def weighted_masked_loss(c, yh, y, masks):
-    """scam_masked_loss as candidate_l1 with the weight arrays 2[M and M_<],
-    2[M and not M_<] and [not M]: value and gradients."""
+    """scam_masked_loss as the weighted candidate_l1 with the weight arrays
+    2[M and M_<], 2[M and not M_<] and [not M]: value and gradients."""
     m, lt = masks.mask, masks.mask_lt
     tape = Tape()
     vc, vh = Var(c, requires_grad=True), Var(yh, requires_grad=True)
-    loss = tape.candidate_l1(vc, vh, y, 2.0 * (m & lt), 2.0 * (m & ~lt), 1.0 * ~m)
+    loss = weighted_candidate_l1(tape, vc, vh, y, 2.0 * (m & lt), 2.0 * (m & ~lt), 1.0 * ~m)
     tape.backward(loss)
     return loss.value.item(), vc.grad, vh.grad
 

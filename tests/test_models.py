@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import Tape, Var, zero_grads
+from tscorrect.autodiff import ParamStore, Tape, Var
 from tscorrect.errors import ConfigError, DimensionError, LoadError
 from tscorrect.models import (
     _CKPT_VERSION,
@@ -14,13 +14,9 @@ from tscorrect.models import (
     RevIn,
     build_predictor,
     build_recon,
-    count_params,
-    flat_params,
     load_checkpoint,
-    param_slices,
     restore_models,
     save_checkpoint,
-    set_flat_params,
     spectral_norm,
 )
 from helpers import fd_model_worst_rel_err
@@ -346,13 +342,13 @@ def test_mlp_parameter_count_pin():
     cfg = ModelConfig(lookback=96, horizon=96, hidden=512, snr="both")
     f = build_predictor(cfg, RNG([0, 10]))
     # (96*512 + 512) + (512*96 + 96) + two gammas
-    assert count_params(f.parameters()) == 98914
+    assert ParamStore(f.parameters()).value.size == 98914
 
 
 def test_mlp_parameter_count_pin_no_snr():
     cfg = ModelConfig(lookback=96, horizon=96, hidden=512, snr="none")
     f = build_predictor(cfg, RNG([0, 10]))
-    assert count_params(f.parameters()) == 98912
+    assert ParamStore(f.parameters()).value.size == 98912
 
 
 def test_mlp_gradient_vs_finite_differences():
@@ -417,9 +413,9 @@ def test_encoder_equals_per_level_ops(b, h, dm):
     upstream = RNG(18).standard_normal((b, h, 2 * dm))
     upstream[:, ::5] = 0.0
     upstream[:, 1::7] = -0.0
-    results = []
+    results, store = [], ParamStore(g.parameters())
     for encode in (g.encode, lambda t, y: per_level_encode(t, g, y)):
-        zero_grads(v for _, v in g.parameters())
+        store.grad.fill(0.0)
         t = Tape()
         feats = encode(t, y)
         t.backward(t.sum(t.mul(feats, t.constant(upstream))))
@@ -438,9 +434,9 @@ def test_encoder_equals_per_level_ops(b, h, dm):
 def test_recon_parameter_count_pin():
     cfg = ModelConfig(lookback=96, horizon=96, hidden=512, dim_multiplier=4, series_count=8, recon_hidden=128)
     g = build_recon(cfg, RNG([0, 11]))
-    assert count_params(g.parameters()) == 4281
+    assert ParamStore(g.parameters()).value.size == 4281
     # diagnostic readout excluded from the trainable set
-    assert count_params(g.loss_parameters()) == 4281 - (8 + 1)
+    assert ParamStore(g.loss_parameters()).value.size == 4281 - (8 + 1)
 
 
 def test_recon_all_zero_input_zero_biases():
@@ -577,7 +573,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path, backbone, snr):
     x = RNG(20).standard_normal((2, 16))
     assert np.array_equal(f.forward(Tape(), x).value, f2.forward(Tape(), x).value)
     assert np.array_equal(g.forward(Tape(), x).value, g2.forward(Tape(), x).value)
-    assert np.array_equal(flat_params(f.parameters()), flat_params(f2.parameters()))
+    assert np.array_equal(ParamStore(f.parameters()).value, ParamStore(f2.parameters()).value)
 
 
 @pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)
@@ -639,12 +635,18 @@ def test_restore_rejects_buffer_of_wrong_shape(tmp_path):
 def test_flat_param_roundtrip():
     cfg = tiny_cfg()
     f = build_predictor(cfg, RNG([5, 10]))
+    x = RNG(21).standard_normal((3, 16))
+    before = f.forward(Tape(), x).value
     params = f.parameters()
-    vec = flat_params(params)
+    vec = np.concatenate([v.value.ravel() for _, v in params])
+    store = ParamStore(params)
+    assert np.array_equal(store.value, vec)
+    assert np.array_equal(f.forward(Tape(), x).value, before)  # packing moves no value
     vec2 = vec * 1.5 + 0.1
-    set_flat_params(params, vec2)
-    assert np.array_equal(flat_params(params), vec2)
-    slices = param_slices(params)
+    store.value[...] = vec2
+    assert np.array_equal(np.concatenate([v.value.ravel() for _, v in params]), vec2)
+    slices = store.slices
+    assert list(slices) == [n for n, _ in params]
     assert sum(s.stop - s.start for s in slices.values()) == vec.size
 
 
@@ -654,4 +656,4 @@ def test_mlp_count_matches_enumeration(seed, hidden):
     cfg = tiny_cfg(hidden=hidden, snr="none")
     f = build_predictor(cfg, RNG([seed, 10]))
     expected = 16 * hidden + hidden + hidden * 16 + 16
-    assert count_params(f.parameters()) == expected
+    assert ParamStore(f.parameters()).value.size == expected

@@ -218,6 +218,23 @@ def tiny_mlp_ctx():
     return predictor_loss_context(f, splits.train, batch=64)
 
 
+def test_two_contexts_on_one_predictor_stay_independent():
+    # criterion 9 builds two contexts on one f before probing either
+    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
+    cfg = ModelConfig(backbone="mlp", lookback=16, horizon=16, hidden=8, snr="both")
+    f = MlpPredictor(cfg, np.random.default_rng(0))
+    before = [v.value.copy() for _, v in f.parameters()]
+    alone = lambda_max(predictor_loss_context(f, splits.train, batch=32), seed=3)
+    weights = np.random.default_rng(4).uniform(0.0, 1.0, (32 * splits.train.n_channels, 16))
+    ctx_a = predictor_loss_context(f, splits.train, batch=32)
+    ctx_b = predictor_loss_context(f, splits.train, batch=32, point_weights=weights)
+    assert lambda_max(ctx_a, seed=3) == alone  # value bit-equal, same iterations
+    assert lambda_max(ctx_b, seed=3).value != alone.value
+    assert alone.value > 0.0
+    assert all(np.array_equal(v.value, b) for (_, v), b in zip(f.parameters(), before))
+
+
 def test_model_lambda_max_matches_dense_fd_hessian(tiny_mlp_ctx):
     ctx = tiny_mlp_ctx
     n = ctx.n

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tscorrect.autodiff import Tape, Var
+from tscorrect.autodiff import ParamStore, Tape, Var
 from tscorrect.data import (
     SplitSpec,
     SyntheticConfig,
@@ -21,7 +21,7 @@ from tscorrect.data import (
     make_synthetic,
 )
 from tscorrect.errors import ConfigError, ContractError
-from tscorrect.models import MlpPredictor, ModelConfig, ReconstructionNet, flat_params
+from tscorrect.models import MlpPredictor, ModelConfig, ReconstructionNet
 from tscorrect.training import (
     EPOCH_CSV_FIELDS,
     Adam,
@@ -78,9 +78,13 @@ def identity_recon(cfg: ModelConfig) -> ReconstructionNet:
 # optimizers
 
 
+def store(*params):
+    return ParamStore([(f"p{i}", p) for i, p in enumerate(params)])
+
+
 def test_adam_first_step_is_signed_lr():
     p = Var(np.array([0.0, 0.0]), requires_grad=True)
-    opt = Adam([p], lr=1e-3)
+    opt = Adam(store(p), lr=1e-3)
     p.grad[...] = [2.0, -0.5]
     opt.step()
     # first step: m/c1 = g, v/c2 = g^2, so the move is lr*sign(g) up to eps
@@ -89,7 +93,7 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_zero_gradient_is_a_no_op():
     p = Var(np.array([1.5]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
+    opt = Adam(store(p), lr=0.1)
     opt.step()
     assert p.value[0] == 1.5
 
@@ -98,7 +102,7 @@ def test_adam_two_step_hand_recurrence():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     g1, g2 = 3.0, -1.0
     p = Var(np.array([0.2]), requires_grad=True)
-    opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(store(p), lr=lr, beta1=b1, beta2=b2, eps=eps)
 
     m = v = 0.0
     x = 0.2
@@ -114,7 +118,7 @@ def test_adam_two_step_hand_recurrence():
 def test_adam_skips_nonfinite_gradient():
     p = Var(np.array([1.0]), requires_grad=True)
     q = Var(np.array([2.0]), requires_grad=True)
-    opt = Adam([p, q], lr=0.1)
+    opt = Adam(store(p, q), lr=0.1)
     p.grad[...] = 1.0
     q.grad[...] = np.nan
     opt.step()
@@ -130,7 +134,7 @@ def test_adam_skips_nonfinite_gradient():
 
 def test_sgd_step_and_skip():
     p = Var(np.array([1.0]), requires_grad=True)
-    opt = Sgd([p], lr=0.25)
+    opt = Sgd(store(p), lr=0.25)
     p.grad[...] = 2.0
     opt.step()
     assert p.value[0] == 0.5
@@ -190,10 +194,11 @@ def test_packed_optimizer_equals_per_parameter_loop(kind):
     values, grads = packed_case()
     params = [Var(v, requires_grad=True) for v in values]
     lr = 3e-3
-    opt = Adam(params, lr, beta1=0.8, beta2=0.99, eps=1e-7) if kind == "adam" else Sgd(params, lr)
-    # the flat order is flat_params's, and each Var is a view of the buffers
-    assert np.array_equal(opt.value, flat_params([("", p) for p in params]))
-    assert all(np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad) for p in params)
+    flat = store(*params)
+    opt = Adam(flat, lr, beta1=0.8, beta2=0.99, eps=1e-7) if kind == "adam" else Sgd(flat, lr)
+    # the flat order is the list's, and each Var is a view of the store
+    assert np.array_equal(flat.value, np.concatenate([v.ravel() for v in values]))
+    assert all(np.shares_memory(p.value, flat.value) and np.shares_memory(p.grad, flat.grad) for p in params)
     for step in grads:
         opt.zero_grad()
         for p, g in zip(params, step):
@@ -224,23 +229,15 @@ def test_backward_accumulates_into_packed_views():
 
     ref = grads_of(Var(w, requires_grad=True), Var(b, requires_grad=True))
     wv, bv = Var(w, requires_grad=True), Var(b, requires_grad=True)
-    opt = Adam([wv, bv], lr=0.1)
-    opt.grad[...] = 1.0
+    flat = store(wv, bv)
+    opt = Adam(flat, lr=0.1)
+    flat.grad[...] = 1.0
     opt.zero_grad()
     got = grads_of(wv, bv)
     assert all(np.array_equal(a, r) for a, r in zip(got, ref))
-    assert np.array_equal(opt.grad, np.concatenate([ref[0].ravel(), ref[1]]))
+    assert np.array_equal(flat.grad, np.concatenate([ref[0].ravel(), ref[1]]))
     opt.step()
-    assert np.array_equal(opt.value, np.concatenate([wv.value.ravel(), bv.value]))
-
-
-def test_optimizer_refuses_a_repeated_or_gradless_var():
-    p = Var(np.ones(3), requires_grad=True)
-    for bad in ([p, p], [p, Var(np.ones(2))]):
-        with pytest.raises(ContractError):
-            Adam(bad, lr=0.1)
-        with pytest.raises(ContractError):
-            Sgd(bad, lr=0.1)
+    assert np.array_equal(flat.value, np.concatenate([wv.value.ravel(), bv.value]))
 
 
 def test_train_config_validation():
@@ -365,7 +362,7 @@ def test_fixed_seed_runs_are_bit_identical():
         cfg = TrainConfig(mode="supervised", lr=2e-3, batch_size=32,
                           max_epochs=4, patience=4, seed=9)
         f, records = train_supervised(splits, f, cfg)
-        return flat_params(f.parameters()), [r.val_mse for r in records]
+        return ParamStore(f.parameters()).value, [r.val_mse for r in records]
 
     (pa, va), (pb, vb) = run(), run()
     assert np.array_equal(pa, pb)
@@ -410,6 +407,29 @@ def test_scam_records_are_complete(scam_run):
                 assert v is None  # sharpness logging was off
             else:
                 assert np.isfinite(v)
+
+
+def test_log_sharpness_leaves_training_unchanged():
+    # each epoch's curvature context probes a copy of f, never the parameters
+    # that the optimizer's store backs
+    splits = toy_bundle(seed=1, sigma1=0.6, length=700)
+    mc = toy_model_config(snr="both")
+    runs = []
+    for log in (False, True):
+        f = MlpPredictor(mc, np.random.default_rng(0))
+        g = ReconstructionNet(mc, np.random.default_rng(1))
+        cfg = TrainConfig(mode="scam", lr=3e-3, batch_size=64, max_epochs=3, patience=3, seed=0,
+                          log_sharpness=log, sharpness_batch=16)
+        f, g, records = train_scam(splits, g, f, cfg)
+        state = [v.value for _, v in f.parameters() + g.parameters()] + [a for _, a in f.buffers()]
+        runs.append(([a.copy() for a in state], records))
+    (state_off, off), (state_on, on) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(state_on, state_off))
+    skip = {"lambda_max", "wall_time_s"}
+    kept = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k not in skip}
+    assert len(on) == 3 and [kept(r) for r in on] == [kept(r) for r in off]
+    assert all(r.lambda_max is None for r in off)
+    assert all(np.isfinite(r.lambda_max) and r.lambda_max > 0.0 for r in on)
 
 
 def test_co_objective_mode_runs_and_tracks_losses():
