@@ -240,6 +240,15 @@ def test_backward_accumulates_into_packed_views():
     assert np.array_equal(flat.value, np.concatenate([wv.value.ravel(), bv.value]))
 
 
+def test_optimizer_refuses_a_repeated_or_gradless_var():
+    p = Var(np.ones(3), requires_grad=True)
+    for bad in ([p, p], [p, Var(np.ones(2))]):
+        with pytest.raises(ContractError):
+            Adam(store(*bad), lr=0.1)
+        with pytest.raises(ContractError):
+            Sgd(store(*bad), lr=0.1)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError, match="mode"):
         TrainConfig(mode="nope")
