@@ -96,6 +96,8 @@ def main():
     ap.add_argument("--epochs", type=int, default=10)
     ap.add_argument("--out", default="toy_regime_study.csv")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds is a count of seeds and must be >= 1, got {args.seeds}")
 
     t0 = time.time()
     rows = []

@@ -32,6 +32,7 @@ from .data import (
     flatten_channels,
     load_csv,
     make_synthetic,
+    write_csv,
 )
 from .errors import ConfigError, LoadError
 from .models import (
@@ -50,7 +51,6 @@ from .training import (
     train_grid_search,
     train_scam,
     train_supervised,
-    write_csv,
     write_epochs_csv,
 )
 from .autodiff import Tape
@@ -189,10 +189,6 @@ def model_config(cfg: dict) -> ModelConfig:
     )
 
 
-def train_config(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(mode=cfg["experiment"]["mode"], seed=seed, **cfg["train"])
-
-
 def _atomic_json(path: str, payload: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -232,10 +228,10 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
     series = load_series(cfg)
     bundle = make_bundle(cfg, series)
     mcfg = model_config(cfg)
-    tcfg = train_config(cfg, seed)
-    mode = tcfg.mode
+    mode = cfg["experiment"]["mode"]
+    tcfg = TrainConfig(mode=mode, seed=seed, **cfg["train"])
     f = build_predictor(mcfg, np.random.default_rng([seed, 10]))
-    summary: dict = {"seed": seed, "mode": mode}
+    summary: dict = {"seed": seed, "mode": mode, "checkpoint": "checkpoints/best.ckpt"}
     ckpt = os.path.join(seed_dir, "checkpoints", "best.ckpt")
     if mode == "supervised":
         _, records = train_supervised(bundle, f, tcfg)
@@ -261,7 +257,6 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
             "best_test_mse": best.test_mse,
             "best_test_mae": best.test_mae,
             "trajectory_csv": "trajectory.csv",
-            "checkpoint": "checkpoints/best.ckpt",
         })
         return summary
     else:  # pragma: no cover - TrainConfig already validates
@@ -281,7 +276,6 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
         "test_mse": best_epoch.test_mse,
         "test_mae": best_epoch.test_mae,
         "epochs_csv": "epochs.csv",
-        "checkpoint": "checkpoints/best.ckpt",
     })
     return summary
 
@@ -289,11 +283,15 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
 def run_experiment(cfg: dict, out_override: str | None = None) -> str:
     """Run all configured seeds and write the run manifest. Returns run dir."""
     out_root = out_override or cfg["experiment"]["out_dir"]
-    mode = cfg["experiment"]["mode"]
-    run_id = f"{mode.replace('_', '-')}-{config_digest(cfg)[:10]}"
-    run_dir = os.path.join(out_root, run_id)
+    mode, seeds, d = cfg["experiment"]["mode"], cfg["experiment"]["seeds"], cfg["data"]
+    # a bad section exits 2 here, before any directory exists
+    model_config(cfg)
+    TrainConfig(mode=mode, seed=seeds[0], **cfg["train"])
+    SplitSpec(d["train_ratio"], d["val_ratio"], d["test_ratio"])
+    if d["source"] == "synthetic":
+        SyntheticConfig(**cfg["synthetic"])
+    run_dir = os.path.join(out_root, f"{mode.replace('_', '-')}-{config_digest(cfg)[:10]}")
     os.makedirs(run_dir, exist_ok=True)
-    seeds = cfg["experiment"]["seeds"]
     threads = max(1, int(cfg["experiment"]["threads"]))
     results: dict[str, dict] = {}
     if threads == 1 or len(seeds) == 1:
@@ -340,17 +338,11 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 
 def cmd_train(args) -> int:
+    """`train`, and `grid-search`, which runs grid_search whatever mode the config names."""
     cfg = _apply_overrides(load_config(args.config), args)
-    run_dir = run_experiment(cfg, args.out)
-    print(run_dir)
-    return 0
-
-
-def cmd_grid_search(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    cfg["experiment"]["mode"] = "grid_search"
-    run_dir = run_experiment(cfg, args.out)
-    print(run_dir)
+    if args.command == "grid-search":
+        cfg["experiment"]["mode"] = "grid_search"
+    print(run_experiment(cfg, args.out))
     return 0
 
 
@@ -359,11 +351,8 @@ def cmd_synth(args) -> int:
     series = make_synthetic(SyntheticConfig(**cfg["synthetic"]))
     out = args.out or "synthetic.csv"
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write("date," + ",".join(series.channel_names) + "\n")
-        for t in range(series.length):
-            cells = ",".join(repr(float(v)) for v in series.values[t])
-            fh.write(f"{t},{cells}\n")
+    rows = ([t, *row] for t, row in enumerate(series.values.tolist()))
+    write_csv(out, ["date", *series.channel_names], rows)
     print(out)
     return 0
 
@@ -479,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("grid-search", help="candidate grid search over label sets")
     common(sp)
-    sp.set_defaults(fn=cmd_grid_search)
+    sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("synth", help="write the configured synthetic series as CSV")
     sp.add_argument("--config", required=True)

@@ -1,5 +1,5 @@
-"""Dataset handling: CSV loading, chronological splits, per-channel scaling,
-sliding windows, and the synthetic regime-switching generator.
+"""Dataset handling: CSV reading and writing, chronological splits,
+per-channel scaling, sliding windows, and the synthetic generator.
 
 Protocol: splits are chronological by row-count ratios with boundaries at
 floor(cumulative ratio * T); validation and test windows may look back
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ class RawSeries:
 
     values: np.ndarray  # (T, N) float64
     channel_names: list[str]
-    timestamps: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -42,10 +42,6 @@ class RawSeries:
     @property
     def length(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
 
 
 def load_csv(path: str, has_date_column: bool = True) -> RawSeries:
@@ -71,7 +67,6 @@ def load_csv(path: str, has_date_column: bool = True) -> RawSeries:
         if not names:
             raise LoadError(f"{path}: no numeric channels in header {header!r}")
         rows: list[list[float]] = []
-        stamps: list[str] | None = [] if has_date_column else None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -79,8 +74,6 @@ def load_csv(path: str, has_date_column: bool = True) -> RawSeries:
                 raise LoadError(
                     f"{path}: row {lineno} has {len(row)} cells, header has {len(header)}"
                 )
-            if stamps is not None:
-                stamps.append(row[0])
             vals = []
             for name, cell in zip(names, row[first:]):
                 try:
@@ -97,7 +90,17 @@ def load_csv(path: str, has_date_column: bool = True) -> RawSeries:
             rows.append(vals)
     if not rows:
         raise LoadError(f"{path}: no data rows")
-    return RawSeries(np.array(rows, dtype=np.float64), names, stamps)
+    return RawSeries(np.array(rows, dtype=np.float64), names)
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one writer of the toolkit's tables: ints through str, floats through
+    repr(float), which reads back exactly, and None as an empty cell."""
+    cell = lambda v: "" if v is None else str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 @dataclass

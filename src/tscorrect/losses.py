@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, Var, align_candidates
+from .data import write_csv
 from .errors import ContractError, DimensionError
 
 
@@ -116,8 +117,9 @@ class LossBreakdown:
         return self.rec_corrected + self.pred_corrected + self.sup_in_mask + self.sup_out_mask
 
 
-def _breakdown(masks: MaskSet, ap, at, sup) -> LossBreakdown:
-    """LossBreakdown of |c - p|, |c - t| and |t - p| under the masks."""
+def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
+    """The four components and three totals of these arrays under their masks."""
+    ap, at, sup = _residuals(masks, y_tilde, y_hat, y)
     n = ap.size
     mask, lt = masks.mask, masks.mask_lt
     inside = mask.sum(axis=1, keepdims=True) if sup.shape != mask.shape else mask  # candidates in M
@@ -132,21 +134,17 @@ def _breakdown(masks: MaskSet, ap, at, sup) -> LossBreakdown:
     )
 
 
-def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
-    return _breakdown(masks, *_residuals(masks, y_tilde, y_hat, y))
-
-
 def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, LossBreakdown]:
     """Candidate means for (N, S, H) candidates against (N, H) predictions
     and labels: per point, the mask M, the reconstruction-corrected
     indicator M * (1 - M_<) and that indicator's 2|c - t| mass; plus the
     LossBreakdown over the stack."""
     masks = compute_masks(cands, y_hat, y)
-    _, ap, at, sup = masks.source
+    at = masks.source[2]
     rec = masks.mask & ~masks.mask_lt
-    n = ap.shape[1]
+    n = at.shape[1]
     return (masks.mask.sum(axis=1) / n, rec.sum(axis=1) / n, (at * rec).sum(axis=1) * 2.0 / n,
-            _breakdown(masks, ap, at, sup))
+            loss_breakdown(cands, y_hat, y, masks))
 
 
 MASK_DUMP_FIELDS = ["t", "y", "y_hat", "y_tilde", "m", "M", "M_lt"]
@@ -154,15 +152,9 @@ MASK_DUMP_FIELDS = ["t", "y", "y_hat", "y_tilde", "m", "M", "M_lt"]
 
 def write_mask_dump(path: str, t_index, y, y_hat, y_tilde, masks: MaskSet) -> None:
     """One sample's points as CSV rows (t, y, y_hat, y_tilde, m, M, M_lt)."""
-    yv, pv, cv = _as_value(y).ravel(), _as_value(y_hat).ravel(), _as_value(y_tilde).ravel()
-    ti = np.asarray(t_index).ravel()
-    rows = len(yv)
-    if not (len(pv) == len(cv) == len(ti) == rows):
+    values = (np.asarray(t_index).astype(np.int64), *map(_as_value, (y, y_hat, y_tilde)),
+              masks.m, masks.mask.view(np.uint8), masks.mask_lt.view(np.uint8))
+    cols = [a.ravel().tolist() for a in values]
+    if len({len(c) for c in cols}) != 1:
         raise DimensionError("mask dump arrays must have equal length")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(MASK_DUMP_FIELDS) + "\n")
-        for i in range(rows):
-            fh.write(
-                f"{int(ti[i])},{float(yv[i])!r},{float(pv[i])!r},{float(cv[i])!r},"
-                f"{float(masks.m.ravel()[i])!r},{int(masks.mask.ravel()[i])},{int(masks.mask_lt.ravel()[i])}\n"
-            )
+    write_csv(path, MASK_DUMP_FIELDS, zip(*cols))

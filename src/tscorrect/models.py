@@ -79,13 +79,6 @@ class ModelConfig:
 # spectral norm
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n < 1e-300:
-        return v
-    return v / n
-
-
 def top_singular_pair(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Exact top singular pair of w, written into u and v in place; returns sigma_max.
 
@@ -105,35 +98,6 @@ def top_singular_pair(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     sigma = float(np.linalg.norm(ax))
     y[...] = ax / sigma
     return max(sigma, SIGMA_FLOOR)
-
-
-class PowerIterState:
-    """Left/right top singular vectors u, v of one matrix, recomputed exactly
-    by top_singular_pair at construction and at every sync.
-
-    u and v are updated in place, so arrays handed out by a layer's
-    buffers() stay live: writing into them restores the tracked state.
-    """
-
-    def __init__(self, w: np.ndarray, rng: np.random.Generator):
-        m, n = w.shape
-        self.u = _unit(rng.standard_normal(m))
-        self.v = _unit(rng.standard_normal(n))
-        # drawn and unused: the start block of the block power iteration that
-        # sigma was once tracked with. Every later draw from rng, and so each
-        # seed's initial parameters, stays as in runs made with it
-        b = min(4, m, n)
-        if b > 1:
-            rng.standard_normal((n, b - 1))
-        self.sync(w)
-
-    def sync(self, w: np.ndarray) -> float:
-        """Recompute u and v for w; returns sigma_max(w)."""
-        return top_singular_pair(w, self.u, self.v)
-
-    def sigma(self, w: np.ndarray) -> float:
-        """Current estimate for w without touching the state."""
-        return max(float(self.u @ (w @ self.v)), SIGMA_FLOOR)
 
 
 def spectral_norm(w: np.ndarray) -> float:
@@ -158,7 +122,14 @@ class LinearLayer:
         self.snr_enabled = bool(snr_enabled)
         if self.snr_enabled:
             self.gamma = Var(np.ones(1), requires_grad=True)
-            self.pi_state = PowerIterState(self.w.value, rng)
+            # u, v and an (n, min(4, m, n) - 1) block are drawn only to keep the
+            # generator's stream, and so each seed's initial parameters, as it
+            # was: the sync overwrites u and v (a uniform W is never zero), and
+            # the block, once the start of a block power iteration, is unused
+            self.u, self.v = rng.standard_normal(out_dim), rng.standard_normal(in_dim)
+            if min(4, out_dim, in_dim) > 1:
+                rng.standard_normal((in_dim, min(4, out_dim, in_dim) - 1))
+            self.spectral_step()
 
     def params(self) -> list[tuple[str, Var]]:
         out = [("w", self.w), ("b", self.b)]
@@ -167,26 +138,24 @@ class LinearLayer:
         return out
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
-        if self.snr_enabled:
-            return [("pi_u", self.pi_state.u), ("pi_v", self.pi_state.v)]
-        return []
+        """u and v, live: writing into them restores the tracked state."""
+        return [("pi_u", self.u), ("pi_v", self.v)] if self.snr_enabled else []
 
     def spectral_step(self) -> None:
         if self.snr_enabled:
-            self.pi_state.sync(self.w.value)
+            top_singular_pair(self.w.value, self.u, self.v)
 
     def effective_weight(self, tape: Tape) -> Var:
         if not self.snr_enabled:
             return self.w
-        sigma = self.pi_state.sigma(self.w.value)
-        if sigma <= SIGMA_FLOOR:
+        if self.u @ (self.w.value @ self.v) <= SIGMA_FLOOR:
             # degenerate matrix: no usable direction, freeze the normalizer
             return tape.mul(self.gamma, tape.scale(self.w, 1.0 / SIGMA_FLOOR))
         # sigma = u^T W v with u, v held fixed, so the rescaling itself is
         # differentiated (rank-one correction in dL/dW) as in standard
         # spectral normalization
-        u = tape.constant(self.pi_state.u[None, :])
-        v = tape.constant(self.pi_state.v[:, None])
+        u = tape.constant(self.u[None, :])
+        v = tape.constant(self.v[:, None])
         sig = tape.reshape(tape.matmul(u, tape.matmul(self.w, v)), (1,))
         return tape.mul(self.gamma, tape.mul(self.w, tape.reciprocal(sig)))
 

@@ -38,7 +38,6 @@ class HvpContext:
     theta0: np.ndarray
     loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     segments: dict[str, slice] = field(default_factory=dict)
-    eps_base: float = EPS_BASE
 
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
@@ -57,7 +56,7 @@ def hvp(ctx: HvpContext, v: np.ndarray) -> np.ndarray:
     if nv == 0.0:
         return np.zeros_like(v)
     vhat = v / nv
-    eps = ctx.eps_base * max(1.0, float(np.linalg.norm(ctx.theta0)))
+    eps = EPS_BASE * max(1.0, float(np.linalg.norm(ctx.theta0)))
     _, gp = ctx.loss_and_grad(ctx.theta0 + eps * vhat)
     _, gm = ctx.loss_and_grad(ctx.theta0 - eps * vhat)
     return (gp - gm) * (nv / (2.0 * eps))

@@ -12,13 +12,12 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import astuple, dataclass, field, fields
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import losses as L
 from .autodiff import ParamStore, Tape
-from .data import SplitWindows, WindowDataset, flatten_channels
+from .data import SplitWindows, WindowDataset, flatten_channels, write_csv
 from .errors import ConfigError, ContractError
 from .models import ReconstructionNet
 from .sharpness import HvpContext, lambda_max
@@ -147,16 +146,6 @@ EPOCH_CSV_FIELDS = [f.name for f in fields(EpochRecord)]
 BREAKDOWN_FIELDS = [f.name for f in fields(L.LossBreakdown)]
 
 TIMING_FIELDS = {"wall_time_s"}
-
-
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one writer of a run's tables: ints through str, floats through
-    repr(float), which reads back exactly, and None as an empty cell."""
-    cell = lambda v: "" if v is None else str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(cell, row)) + "\n")
 
 
 def write_epochs_csv(records: list[EpochRecord], path: str) -> None:

@@ -8,6 +8,10 @@ import glob
 import json
 import math
 import os
+import shlex
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ import pytest
 from tscorrect.cli import load_config, main, run_experiment
 from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
 from tscorrect.losses import MASK_DUMP_FIELDS
-from tscorrect.models import load_checkpoint, restore_models, spectral_norm
+from tscorrect.models import SIGMA_FLOOR, load_checkpoint, restore_models, spectral_norm
 from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
 
 BASE_CONFIG = """
@@ -125,6 +129,21 @@ def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, v
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("horizon = 16", "horizon = 20", "horizon"),  # [model]: four stride-2 levels need 16 | H
+    ("[data]\n", "[data]\ntrain_ratio = 0.7\n", "sum to 1"),
+    ("[train]\n", "[train]\nlr = 0\n", "learning rates"),
+    ("length = 600", "length = 0", "synthetic length"),
+], ids=["model", "data", "train", "synthetic"])
+def test_bad_section_exits_2_before_any_output(tmp_path, capsys, old, new, key):
+    out = os.path.join(str(tmp_path), "runs")
+    cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), out_dir=out)
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "config error" in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"],
     ["grid-search", "--seed", "-1"],
@@ -165,7 +184,8 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg["experiment"]["seeds"] == [0]
 
 
-SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.ini")))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini")))
 
 
 def test_seed_list_accepts_commas_and_whitespace(tmp_path):
@@ -186,6 +206,41 @@ def test_shipped_config_loads_and_trains(path, tmp_path):
     run_dir = run_experiment(cfg, str(tmp_path))
     man = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert list(man["seeds"]) == [str(cfg["experiment"]["seeds"][0])]
+
+
+def readme_quickstart() -> list[list[str]]:
+    """The commands of README's CLI quickstart block, continuations joined."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## CLI quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
+    return [argv for argv in lines if argv]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    shutil.copytree(os.path.join(ROOT, "configs"), tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_quickstart()
+    assert [c[:2] for c in commands] == [["tscorrect", "train"], ["ls", "runs/toy/scam-*/seed0/"],
+                                         ["tscorrect", "eval"], ["tscorrect", "diagnose"],
+                                         ["tscorrect", "grid-search"], ["tscorrect", "synth"]]
+    for argv in commands:
+        paths = [glob.glob(a) if "*" in a else [a] for a in argv]
+        assert all(len(p) == 1 for p in paths), argv  # each glob names one existing path
+        argv = [p[0] for p in paths]
+        if argv[0] == "ls":
+            assert {"checkpoints", "epochs.csv", "masks"} <= set(os.listdir(argv[1]))
+        else:
+            assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    assert os.path.exists("toy.csv")
+
+
+def test_toy_regime_study_refuses_zero_seeds(tmp_path):
+    script = os.path.join(ROOT, "scripts", "toy_regime_study.py")
+    proc = subprocess.run([sys.executable, script, "--seeds", "0", "--out", "tmp/x.csv"],
+                          cwd=str(tmp_path), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "--seeds" in proc.stderr and "Traceback" not in proc.stderr
+    assert os.listdir(str(tmp_path)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +337,7 @@ def test_checkpoint_of_other_window_shape_exits_2(scam_pipeline, tmp_path, capsy
 
 def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     # linear snr=both run whose best epoch is not the last, so the restore
-    # has to roll the power-iteration state back along with the weights
+    # has to roll the singular-vector buffers back along with the weights
     text = (BASE_CONFIG.replace("length = 600", "length = 900")
             .replace("[model]", "[model]\nbackbone = linear").replace("snr = none", "snr = both")
             .replace("max_epochs = 2", "lr = 3e-2\nmax_epochs = 6"))
@@ -300,7 +355,7 @@ def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     layer = models["predictor"].layers["layer"]
     w = layer.w.value
     sn = spectral_norm(w)
-    assert abs(layer.pi_state.sigma(w) - sn) <= 1e-6 * sn
+    assert abs(max(float(layer.u @ (w @ layer.v)), SIGMA_FLOOR) - sn) <= 1e-6 * sn
 
 
 def test_mode_override_and_seed_flag(tmp_path, capsys):

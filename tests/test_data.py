@@ -14,6 +14,7 @@ from tscorrect.data import (
     make_windows,
     regime_index,
 )
+from tscorrect import data
 from tscorrect.errors import ConfigError, LoadError
 
 
@@ -24,7 +25,14 @@ def write_csv(tmp_path, text, name="series.csv"):
 
 
 # ---------------------------------------------------------------------------
-# loading
+# loading and writing
+
+
+def test_write_csv_cell_format(tmp_path):
+    path = str(tmp_path / "table.csv")
+    third = 1.0 / 3.0
+    data.write_csv(path, ["date", "a", "b"], [[0, third, None], (np.int64(1), np.float64(-0.0), 2)])
+    assert open(path).read() == f"date,a,b\n0,{third!r},\n1,-0.0,2\n"
 
 
 def test_load_basic_csv(tmp_path):

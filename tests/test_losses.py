@@ -431,3 +431,9 @@ def test_mask_dump_roundtrip(tmp_path):
     cells = lines[1].split(",")
     assert float(cells[1]) == y[0]
     assert cells[5] in ("0", "1")
+    # every row as the format states it: int t, floats by repr, masks as 0/1
+    for i, line in enumerate(lines[1:]):
+        row = (i, *map(float, (y[i], yh[i], yt[i], ms.m[i])), int(ms.mask[i]), int(ms.mask_lt[i]))
+        assert line == "{},{!r},{!r},{!r},{!r},{},{}".format(*row)
+    with pytest.raises(DimensionError, match="equal length"):
+        write_mask_dump(path, np.arange(15), y, yh, yt, ms)

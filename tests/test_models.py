@@ -9,7 +9,6 @@ from tscorrect.models import (
     LinearLayer,
     ModelConfig,
     SIGMA_FLOOR,
-    PowerIterState,
     ReconstructionNet,
     RevIn,
     build_predictor,
@@ -18,6 +17,7 @@ from tscorrect.models import (
     restore_models,
     save_checkpoint,
     spectral_norm,
+    top_singular_pair,
 )
 from helpers import fd_model_worst_rel_err
 
@@ -66,34 +66,47 @@ def test_spectral_norm_rectangular_up_to_32():
         assert abs(spectral_norm(w) - oracle) / oracle < 1e-6
 
 
+def _snr_layer(w, rng):
+    """A rescaled layer whose weight is w, synced to it."""
+    layer = LinearLayer(w.shape[1], w.shape[0], rng, snr_enabled=True)
+    layer.w.value[...] = w
+    layer.spectral_step()
+    return layer
+
+
+def _sigma(layer, w):
+    """The layer's current sigma_max estimate for w: u^T w v, floored."""
+    return max(float(layer.u @ (w @ layer.v)), SIGMA_FLOOR)
+
+
 def test_power_iter_state_matches_svd_at_init():
     for seed in range(10):
         rng = RNG([seed, 77])
-        w = rng.uniform(-0.2, 0.2, size=(24, 16))
-        st_ = PowerIterState(w, rng)
+        layer = LinearLayer(16, 24, rng, snr_enabled=True)
+        w = layer.w.value
         oracle = np.linalg.svd(w, compute_uv=False)[0]
-        assert abs(st_.sigma(w) - oracle) / oracle < 1e-7
+        assert abs(_sigma(layer, w) - oracle) / oracle < 1e-7
 
 
 def test_power_iter_state_tracks_drifting_weights():
     rng = RNG(5)
-    w = rng.uniform(-0.1, 0.1, size=(40, 24))
-    st_ = PowerIterState(w, rng)
+    layer = _snr_layer(rng.uniform(-0.1, 0.1, size=(40, 24)), rng)
+    w = layer.w.value
     worst = 0.0
     for _ in range(100):
         w += rng.standard_normal(w.shape) * 1e-4
-        st_.sync(w)
+        layer.spectral_step()
         oracle = np.linalg.svd(w, compute_uv=False)[0]
-        worst = max(worst, abs(st_.sigma(w) - oracle) / oracle)
+        worst = max(worst, abs(_sigma(layer, w) - oracle) / oracle)
     assert worst < 1e-7
 
 
-def _assert_exact_pair(w, st_, sigma):
+def _assert_exact_pair(w, layer, sigma):
     oracle = np.linalg.svd(w, compute_uv=False)[0]
     assert abs(sigma - oracle) <= 1e-12 * oracle
-    assert abs(st_.sigma(w) - oracle) <= 1e-12 * oracle
-    assert np.linalg.norm(w.T @ st_.u - sigma * st_.v) <= 1e-10 * sigma
-    assert np.linalg.norm(w @ st_.v - sigma * st_.u) <= 1e-10 * sigma
+    assert abs(_sigma(layer, w) - oracle) <= 1e-12 * oracle
+    assert np.linalg.norm(w.T @ layer.u - sigma * layer.v) <= 1e-10 * sigma
+    assert np.linalg.norm(w @ layer.v - sigma * layer.u) <= 1e-10 * sigma
 
 
 def test_sync_exact_on_clustered_top_singular_values():
@@ -104,45 +117,48 @@ def test_sync_exact_on_clustered_top_singular_values():
     left = np.linalg.qr(rng.standard_normal((256, 96)))[0]
     right = np.linalg.qr(rng.standard_normal((96, 96)))[0]
     svals = np.concatenate([[1.696, 1.688, 1.675, 1.662, 1.40], np.linspace(1.3, 0.05, 91)])
-    w = (left * svals) @ right.T
-    st_ = PowerIterState(w, rng)
+    layer = _snr_layer((left * svals) @ right.T, rng)
+    w = layer.w.value
     for _ in range(20):
         w += 1e-3 * rng.standard_normal(w.shape)
-        _assert_exact_pair(w, st_, st_.sync(w))
+        _assert_exact_pair(w, layer, top_singular_pair(w, layer.u, layer.v))
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (96, 96), (256, 96), (96, 256)])
 def test_sync_exact_on_every_shape(shape):
     rng = RNG([32, *shape])
-    w = rng.uniform(-0.1, 0.1, size=shape)
-    st_ = PowerIterState(w, rng)
-    _assert_exact_pair(w, st_, st_.sync(w))
-    assert np.linalg.norm(st_.u) == pytest.approx(1.0, abs=1e-14)
-    assert np.linalg.norm(st_.v) == pytest.approx(1.0, abs=1e-14)
+    layer = LinearLayer(shape[1], shape[0], rng, snr_enabled=True)
+    w = layer.w.value
+    _assert_exact_pair(w, layer, top_singular_pair(w, layer.u, layer.v))
+    assert np.linalg.norm(layer.u) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(layer.v) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sync_rank_one_exact():
     rng = RNG(33)
     a, b = rng.standard_normal(9), rng.standard_normal(5)
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    w = 2.5 * np.outer(a, b)
-    st_ = PowerIterState(w, rng)
-    assert st_.sync(w) == pytest.approx(2.5, rel=1e-14)
-    assert abs(st_.u @ a) == pytest.approx(1.0, abs=1e-14)
-    assert abs(st_.v @ b) == pytest.approx(1.0, abs=1e-14)
+    layer = _snr_layer(2.5 * np.outer(a, b), rng)
+    assert top_singular_pair(layer.w.value, layer.u, layer.v) == pytest.approx(2.5, rel=1e-14)
+    assert abs(layer.u @ a) == pytest.approx(1.0, abs=1e-14)
+    assert abs(layer.v @ b) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_sync_zero_matrix_keeps_unit_vectors():
     rng = RNG(34)
-    st_ = PowerIterState(np.zeros((6, 4)), rng)
-    w = rng.standard_normal((6, 4))
-    st_.sync(w)
-    u, v = st_.u.copy(), st_.v.copy()
-    assert st_.sync(np.zeros((6, 4))) == SIGMA_FLOOR
-    assert np.array_equal(st_.u, u) and np.array_equal(st_.v, v)
-    for vec in (st_.u, st_.v):
+    layer = _snr_layer(np.zeros((6, 4)), rng)
+    layer.w.value[...] = rng.standard_normal((6, 4))
+    layer.spectral_step()
+    u, v = layer.u.copy(), layer.v.copy()
+    layer.w.value[...] = 0.0
+    assert top_singular_pair(layer.w.value, layer.u, layer.v) == SIGMA_FLOOR
+    layer.spectral_step()
+    assert np.array_equal(layer.u, u) and np.array_equal(layer.v, v)
+    for vec in (layer.u, layer.v):
         assert np.all(np.isfinite(vec))
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+    # a degenerate weight freezes the normalizer instead of dividing by ~0
+    assert np.array_equal(layer.effective_weight(Tape()).value, np.zeros((6, 4)))
 
 
 @pytest.mark.parametrize("in_dim,out_dim", [(12, 7), (96, 256), (256, 96), (96, 96), (5, 1), (1, 5)])
@@ -175,7 +191,7 @@ def test_effective_weight_diagonal_hand_case():
     rng = RNG(9)
     layer = LinearLayer(2, 2, rng, snr_enabled=True)
     layer.w.value[:] = np.diag([3.0, 4.0])
-    layer.pi_state.sync(layer.w.value)
+    layer.spectral_step()
     we = layer.effective_weight(Tape()).value
     assert np.allclose(we, np.diag([0.75, 1.0]), atol=1e-9)
 
@@ -588,7 +604,7 @@ def test_checkpoint_preserves_power_iteration_buffers(tmp_path, backbone, snr):
     tracked = [name for name, layer in f.layers.items() if layer.snr_enabled]
     assert len(tracked) == {"none": 0, "pre": 1, "post": 1, "both": len(f.layers)}[snr]
     for name in tracked:
-        a, b = f.layers[name].pi_state, f2.layers[name].pi_state
+        a, b = f.layers[name], f2.layers[name]
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
     assert [n for n, _ in f2.buffers()] == [n for n, _ in f.buffers()]
