@@ -11,10 +11,14 @@ each with its own `PYTHONPATH=<tree>/src`, so run ids and manifests agree:
   * input 0 of each perfbench workload (perfbench/gen.py), with the workload's
     command; diagnose_etth1 trains its checkpoint first and each tree
     diagnoses its own;
-  * configs/toy_regimes.ini (train, then `diagnose --sharpness` on seed 0's
-    checkpoint, and `synth`) and configs/grid_search.ini (grid-search);
-  * toy_regimes.ini on two seeds with snr both and log_sharpness, so that
-    checkpoints carry singular-vector buffers and epochs.csv lambda_max.
+  * configs/toy_regimes.ini (train, then `diagnose --sharpness` and `eval`,
+    standardized and with --raw-units, on seed 0's checkpoint, and `synth`)
+    and configs/grid_search.ini (grid-search); each `eval` prints one JSON
+    line, saved under eval/, with the checkpoint path relative to the side's
+    output directory so that both sides print the same path;
+  * toy_regimes.ini on two seeds with snr both and log_sharpness, run with
+    --threads 2 so the seeds go through the worker pool; its checkpoints
+    carry singular-vector buffers and its epochs.csv lambda_max.
 
 Every output file is compared after perfbench's normalization, which drops
 only the training.TIMING_FIELDS columns and the manifest's created_unix. Each
@@ -90,8 +94,8 @@ def run_side(tree: str, configs: dict[str, str], out: str) -> None:
     """Every command of the fixed set, outputs under `out`/<input name>/."""
     os.makedirs(out)
 
-    def train(name, command="train"):
-        return cli(tree, [command, "--config", configs[name], "--out", os.path.join(out, name)], out)
+    def train(name, command="train", *flags):
+        return cli(tree, [command, "--config", configs[name], "--out", os.path.join(out, name), *flags], out)
 
     for workload, spec in sorted(gen.WORKLOADS.items()):
         if spec["command"] != "diagnose":
@@ -102,10 +106,15 @@ def run_side(tree: str, configs: dict[str, str], out: str) -> None:
         cli(tree, [*argv, "--out", os.path.join(out, workload, "diagnosis")], out)
     toy = train("toy_regimes")
     train("grid_search", "grid-search")
-    train("toy_sharpness")
-    cli(tree, ["diagnose", "--config", configs["toy_regimes"], "--sharpness", "--checkpoint",
-               os.path.join(toy, "seed0", "checkpoints", "best.ckpt"),
+    train("toy_sharpness", "train", "--threads", "2")
+    ckpt = os.path.relpath(os.path.join(toy, "seed0", "checkpoints", "best.ckpt"), out)
+    cli(tree, ["diagnose", "--config", configs["toy_regimes"], "--sharpness", "--checkpoint", ckpt,
                "--out", os.path.join(out, "toy_regimes", "diagnosis")], out)
+    os.makedirs(os.path.join(out, "eval"))
+    for units, flags in (("standardized", []), ("raw", ["--raw-units"])):
+        line = cli(tree, ["eval", "--config", configs["toy_regimes"], "--checkpoint", ckpt, *flags], out)
+        with open(os.path.join(out, "eval", f"toy_regimes_{units}.json"), "w") as fh:
+            fh.write(line + "\n")
     cli(tree, ["synth", "--config", configs["toy_regimes"],
                "--out", os.path.join(out, "synth", "toy.csv")], out)
 

@@ -10,9 +10,11 @@ manifest, per-seed epoch CSVs, checkpoints, and mask dumps. Exit codes:
 from __future__ import annotations
 
 import argparse
-import configparser
 import concurrent.futures
+import configparser
+import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +38,7 @@ from .data import (
 )
 from .errors import ConfigError, LoadError
 from .models import (
+    SNR_CHOICES,
     ModelConfig,
     build_predictor,
     build_recon,
@@ -45,6 +48,7 @@ from .models import (
 )
 from .sharpness import channel_histograms, kl_alignment, lambda_max
 from .training import (
+    MODES,
     TrainConfig,
     evaluate,
     predictor_loss_context,
@@ -56,65 +60,56 @@ from .training import (
 from .autodiff import Tape
 
 
-def _schema_section(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple]:
-    """Keys, type tags and defaults of a section that mirrors a config dataclass."""
-    tags = {int: "int", float: "float", str: "str", bool: "bool"}
-    return {f.name: (tags[type(f.default)], f.default)
-            for f in dataclasses.fields(cls) if f.name not in skip}
+def _schema_section(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Keys and defaults of a section that mirrors a config dataclass."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    # section -> key -> (type tag, default)
+_SCHEMA: dict[str, dict] = {
+    # section -> key -> default; a value parses as its default's type
     "experiment": {
-        "mode": ("str", "scam"),
-        "seeds": ("int_list", [0]),
-        "out_dir": ("str", "runs"),
-        "threads": ("int", 1),
-        "mask_dump_samples": ("int", 8),
+        "mode": "scam",
+        "seeds": [0],
+        "out_dir": "runs",
+        "threads": 1,
+        "mask_dump_samples": 8,
     },
     "data": {
-        "source": ("str", "synthetic"),
-        "has_date_column": ("bool", True),
-        "train_ratio": ("float", 0.6),
-        "val_ratio": ("float", 0.2),
-        "test_ratio": ("float", 0.2),
-        "lookback": ("int", 96),
-        "horizon": ("int", 96),
-        "stride": ("int", 1),
+        "source": "synthetic",
+        "has_date_column": True,
+        "train_ratio": 0.6,
+        "val_ratio": 0.2,
+        "test_ratio": 0.2,
+        "lookback": 96,
+        "horizon": 96,
+        "stride": 1,
     },
     "synthetic": _schema_section(SyntheticConfig),
     "model": _schema_section(ModelConfig, skip=("lookback", "horizon")),
     "train": _schema_section(TrainConfig, skip=("mode", "seed")),
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def _parse_value(section: str, key: str, raw: str):
-    tag, _ = _SCHEMA[section][key]
+    default = _SCHEMA[section][key]
     raw = raw.strip()
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "int_list":
+        if isinstance(default, bool):
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return _BOOLS[raw.lower()]
+        if isinstance(default, list):
             return [int(tok) for tok in raw.replace(",", " ").split()]
-        return raw
+        return type(default)(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
 def default_config() -> dict:
-    return {sec: {k: v for k, (_, v) in keys.items()} for sec, keys in _SCHEMA.items()}
+    return copy.deepcopy(_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -135,7 +130,7 @@ def load_config(path: str) -> dict:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
             cfg[section][key] = _parse_value(section, key, raw)
-    _check_experiment(cfg, path)
+    _check(cfg, path)
     # data paths are relative to the config file
     src = cfg["data"]["source"]
     if src != "synthetic" and not os.path.isabs(src):
@@ -143,12 +138,18 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _check_experiment(cfg: dict, where: str) -> dict:
-    """Refuse seeds and mask dump counts that would fail only after output exists."""
-    seeds, dumps = cfg["experiment"]["seeds"], cfg["experiment"]["mask_dump_samples"]
-    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds) or dumps < 0:  # one seed<N>/ each
-        raise ConfigError(f"{where}: [experiment] needs distinct seeds >= 0 and mask_dump_samples >= 0, "
-                          f"got seeds {seeds}, mask_dump_samples {dumps}")
+def _check(cfg: dict, where: str) -> dict:
+    """Refuse, as the config is read, every section that would fail only after output exists."""
+    e, d = cfg["experiment"], cfg["data"]
+    seeds, dumps, threads = e["seeds"], e["mask_dump_samples"], e["threads"]
+    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds) or dumps < 0 or threads < 1:
+        raise ConfigError(f"{where}: [experiment] needs distinct seeds >= 0, mask_dump_samples >= 0 and "
+                          f"threads >= 1, got seeds {seeds}, mask_dump_samples {dumps}, threads {threads}")
+    model_config(cfg)
+    TrainConfig(mode=e["mode"], **cfg["train"])
+    SplitSpec(d["train_ratio"], d["val_ratio"], d["test_ratio"])
+    if d["source"] == "synthetic":
+        SyntheticConfig(**cfg["synthetic"])
     return cfg
 
 
@@ -210,10 +211,9 @@ def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> Non
     y = flatten_channels(ds.y[:nwin])[:take]
     yhat = f.forward(Tape(record=False), x).value
     cands = g.forward(Tape(record=False), y).value
-    lookback = ds.lookback
     for i in range(take):
         origin = int(ds.origins[i // ds.n_channels])
-        t_index = origin + lookback + np.arange(ds.horizon)
+        t_index = origin + ds.lookback + np.arange(ds.horizon)
         for s in range(cands.shape[1]):
             masks = LO.compute_masks(cands[i, s], yhat[i], y[i])
             LO.write_mask_dump(
@@ -222,26 +222,18 @@ def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> Non
             )
 
 
-def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
-    """Train one seed; returns the manifest summary for this seed."""
+def run_seed(cfg: dict, seed: int, seed_dir: str, series: RawSeries) -> dict:
+    """Train one seed on the run's series; returns the manifest summary for this seed."""
     os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
-    series = load_series(cfg)
     bundle = make_bundle(cfg, series)
     mcfg = model_config(cfg)
     mode = cfg["experiment"]["mode"]
     tcfg = TrainConfig(mode=mode, seed=seed, **cfg["train"])
     f = build_predictor(mcfg, np.random.default_rng([seed, 10]))
+    g = None if mode == "supervised" else build_recon(mcfg, np.random.default_rng([seed, 11]))
     summary: dict = {"seed": seed, "mode": mode, "checkpoint": "checkpoints/best.ckpt"}
     ckpt = os.path.join(seed_dir, "checkpoints", "best.ckpt")
-    if mode == "supervised":
-        _, records = train_supervised(bundle, f, tcfg)
-        models = {"predictor": f}
-    elif mode in ("co_objective", "scam"):
-        g = build_recon(mcfg, np.random.default_rng([seed, 11]))
-        _, _, records = train_scam(bundle, g, f, tcfg)
-        models = {"predictor": f, "recon": g}
-    elif mode == "grid_search":
-        g = build_recon(mcfg, np.random.default_rng([seed, 11]))
+    if mode == "grid_search":
         factory = lambda i: build_predictor(mcfg, np.random.default_rng([seed, 100 + i]))
         f, g, grecords = train_grid_search(bundle, g, factory, tcfg)
         best = min(grecords, key=lambda r: r.test_mse)
@@ -259,12 +251,16 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
             "trajectory_csv": "trajectory.csv",
         })
         return summary
-    else:  # pragma: no cover - TrainConfig already validates
-        raise ConfigError(f"unhandled mode {mode}")
+    if g is None:
+        _, records = train_supervised(bundle, f, tcfg)
+        models = {"predictor": f}
+    else:
+        _, _, records = train_scam(bundle, g, f, tcfg)
+        models = {"predictor": f, "recon": g}
     # the trainer restored the best epoch's state, so the header names it
     best_epoch = min(records, key=lambda r: r.val_mse)
     save_checkpoint(ckpt, mode, mcfg, seed, best_epoch.epoch, models)
-    if mode != "supervised":
+    if g is not None:
         _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
                     cfg["experiment"]["mask_dump_samples"])
     write_epochs_csv(records, os.path.join(seed_dir, "epochs.csv"))
@@ -283,37 +279,31 @@ def run_seed(cfg: dict, seed: int, seed_dir: str) -> dict:
 def run_experiment(cfg: dict, out_override: str | None = None) -> str:
     """Run all configured seeds and write the run manifest. Returns run dir."""
     out_root = out_override or cfg["experiment"]["out_dir"]
-    mode, seeds, d = cfg["experiment"]["mode"], cfg["experiment"]["seeds"], cfg["data"]
-    # a bad section exits 2 here, before any directory exists
-    model_config(cfg)
-    TrainConfig(mode=mode, seed=seeds[0], **cfg["train"])
-    SplitSpec(d["train_ratio"], d["val_ratio"], d["test_ratio"])
-    if d["source"] == "synthetic":
-        SyntheticConfig(**cfg["synthetic"])
-    run_dir = os.path.join(out_root, f"{mode.replace('_', '-')}-{config_digest(cfg)[:10]}")
+    mode, seeds = cfg["experiment"]["mode"], cfg["experiment"]["seeds"]
+    # a series that cannot be read or windowed fails here, before any directory exists;
+    # the seeds get the series, not the bundle, whose pickle would copy every window
+    series = load_series(cfg)
+    make_bundle(cfg, series)
+    digest = config_digest(cfg)
+    run_dir = os.path.join(out_root, f"{mode.replace('_', '-')}-{digest[:10]}")
     os.makedirs(run_dir, exist_ok=True)
-    threads = max(1, int(cfg["experiment"]["threads"]))
-    results: dict[str, dict] = {}
-    if threads == 1 or len(seeds) == 1:
-        for seed in seeds:
-            results[str(seed)] = run_seed(cfg, seed, os.path.join(run_dir, f"seed{seed}"))
+    job = functools.partial(run_seed, cfg, series=series)
+    seed_dirs = [os.path.join(run_dir, f"seed{seed}") for seed in seeds]
+    threads = min(cfg["experiment"]["threads"], len(seeds))
+    if threads == 1:
+        summaries = [job(seed, seed_dir) for seed, seed_dir in zip(seeds, seed_dirs)]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-            futs = {
-                pool.submit(run_seed, cfg, seed, os.path.join(run_dir, f"seed{seed}")): seed
-                for seed in seeds
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                results[str(futs[fut])] = fut.result()
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            summaries = list(pool.map(job, seeds, seed_dirs))
     manifest = {
         "tool": "tscorrect",
         "version": __version__,
         "created_unix": time.time(),
         "mode": mode,
         "config": cfg,
-        "config_sha256": config_digest(cfg),
+        "config_sha256": digest,
         "data_sha256": data_digest(cfg),
-        "seeds": {k: results[k] for k in sorted(results, key=int)},
+        "seeds": {str(seed): summary for seed, summary in zip(seeds, summaries)},
     }
     _atomic_json(os.path.join(run_dir, "manifest.json"), manifest)
     return run_dir
@@ -334,7 +324,7 @@ def _apply_overrides(cfg: dict, args) -> dict:
         cfg["experiment"]["threads"] = args.threads
     if getattr(args, "samples", None) is not None:
         cfg["experiment"]["mask_dump_samples"] = args.samples
-    return _check_experiment(cfg, "command line")
+    return _check(cfg, "command line")
 
 
 def cmd_train(args) -> int:
@@ -357,24 +347,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _restore_for(cfg: dict, path: str) -> dict:
-    """The models of a checkpoint, refused unless it was built for the
-    config's lookback and horizon."""
+def _restore_for(cfg: dict, path: str, split: str, need: tuple[str, ...]):
+    """The models of a checkpoint, refused unless it holds those named in
+    `need` and was built for the config's lookback and horizon; with the
+    config's bundle and that bundle's `split` dataset."""
     mcfg, models = restore_models(*load_checkpoint(path))
     d = cfg["data"]
     if (mcfg.lookback, mcfg.horizon) != (d["lookback"], d["horizon"]):
         raise ConfigError(f"checkpoint {path} has lookback/horizon {mcfg.lookback}/{mcfg.horizon}, "
                           f"the config {d['lookback']}/{d['horizon']}")
-    return models
+    if not set(need) <= set(models):
+        raise ConfigError(f"checkpoint {path} holds {sorted(models)}, not all of {list(need)}")
+    bundle = make_bundle(cfg, load_series(cfg))
+    return models, bundle, getattr(bundle, split)
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    models = _restore_for(cfg, args.checkpoint)
-    if "predictor" not in models:
-        raise ConfigError(f"checkpoint {args.checkpoint} holds no predictor")
-    bundle = make_bundle(cfg, load_series(cfg))
-    ds = getattr(bundle, args.split)
+    models, bundle, ds = _restore_for(cfg, args.checkpoint, args.split, ("predictor",))
     scaler = bundle.scaler if args.raw_units else None
     mse, mae = evaluate(models["predictor"], ds, cfg["train"]["eval_batch"], scaler=scaler)
     print(json.dumps({
@@ -389,20 +379,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.breakdown_windows < 1:
+        raise ConfigError(f"--breakdown-windows must be >= 1, got {args.breakdown_windows}")
     cfg = _apply_overrides(load_config(args.config), args)
-    models = _restore_for(cfg, args.checkpoint)
-    if "predictor" not in models or "recon" not in models:
-        raise ConfigError("diagnose needs a checkpoint holding both predictor and recon")
+    models, bundle, ds = _restore_for(cfg, args.checkpoint, args.split, ("predictor", "recon"))
     f, g = models["predictor"], models["recon"]
-    bundle = make_bundle(cfg, load_series(cfg))
-    ds = getattr(bundle, args.split)
     out = args.out or "diagnosis"
     os.makedirs(out, exist_ok=True)
 
     _dump_masks(os.path.join(out, "masks"), g, f, bundle, cfg["experiment"]["mask_dump_samples"])
 
     # loss breakdown over a capped number of windows of the chosen split
-    take = min(len(ds), max(1, args.breakdown_windows))
+    take = min(len(ds), args.breakdown_windows)
     x = flatten_channels(ds.x[:take])
     y = flatten_channels(ds.y[:take])
     cands = g.forward(Tape(record=False), y).value
@@ -453,22 +441,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    for name, text in (("train", "train per the configured mode"),
+                       ("grid-search", "candidate grid search over label sets")):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--seed", type=int, default=None, help="run a single seed")
         sp.add_argument("--out", default=None, help="output root directory")
-        sp.add_argument("--mode-override", dest="mode_override", default=None,
-                        choices=["supervised", "grid_search", "co_objective", "scam"])
-        sp.add_argument("--snr", default=None, choices=["none", "pre", "post", "both"])
+        sp.add_argument("--mode-override", dest="mode_override", default=None, choices=MODES)
+        sp.add_argument("--snr", default=None, choices=SNR_CHOICES)
         sp.add_argument("--threads", type=int, default=None, help="seed worker pool size")
-
-    sp = sub.add_parser("train", help="train per the configured mode")
-    common(sp)
-    sp.set_defaults(fn=cmd_train)
-
-    sp = sub.add_parser("grid-search", help="candidate grid search over label sets")
-    common(sp)
-    sp.set_defaults(fn=cmd_train)
+        sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("synth", help="write the configured synthetic series as CSV")
     sp.add_argument("--config", required=True)

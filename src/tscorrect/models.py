@@ -32,7 +32,7 @@ CONV_STRIDE = 2
 CONV_PADDING = 1
 N_CONV_LAYERS = 4
 
-_SNR_CHOICES = ("none", "pre", "post", "both")
+SNR_CHOICES = ("none", "pre", "post", "both")
 _BACKBONES = ("mlp", "linear")
 
 
@@ -51,8 +51,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.backbone not in _BACKBONES:
             raise ConfigError(f"backbone must be one of {_BACKBONES}, got {self.backbone!r}")
-        if self.snr not in _SNR_CHOICES:
-            raise ConfigError(f"snr must be one of {_SNR_CHOICES}, got {self.snr!r}")
+        if self.snr not in SNR_CHOICES:
+            raise ConfigError(f"snr must be one of {SNR_CHOICES}, got {self.snr!r}")
         if self.lookback < 1 or self.horizon < 1:
             raise ConfigError(f"lookback/horizon must be >= 1, got {self.lookback}/{self.horizon}")
         if self.horizon % 2 ** N_CONV_LAYERS != 0:

@@ -10,6 +10,7 @@ standardized units. Runs are deterministic functions of (config, seed).
 from __future__ import annotations
 
 import copy
+import itertools
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -312,7 +313,7 @@ class GridRecord:
     grad_norm: float
     test_mse: float
     test_mae: float
-    phi_snapshot: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    phi_snapshot: np.ndarray = field(repr=False)  # the flat phi of outer's ParamStore
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,
@@ -346,23 +347,21 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             g.forward(Tape(record=False), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
             for lo in range(0, n, cfg.eval_batch)
         ])
-        steps, gnorm, loss_pred_val = 0, np.inf, np.inf
-        while steps < cfg.grid_inner_steps and gnorm > cfg.grid_grad_threshold:
-            for idx in _batch_indices(n, cfg.batch_size, rng):
-                x = flatten_channels(bundle.train.x[idx])
-                rows = (idx[:, None] * nch + np.arange(nch)).ravel()
-                tape = Tape()
-                loss = L.co_objective_loss(tape, frozen[rows], f.forward(tape, x), labels[rows],
-                                           rec_weight=0.0)
-                inner.zero_grad()
-                tape.backward(loss)
-                gnorm = float(np.linalg.norm(theta.grad)) / np.sqrt(theta.grad.size)
-                inner.step()
-                f.spectral_step()
-                loss_pred_val = loss.value.item()
-                steps += 1
-                if steps >= cfg.grid_inner_steps or gnorm <= cfg.grid_grad_threshold:
-                    break
+        # one stream of batches over as many epochs as the budget takes
+        batches = (idx for _ in itertools.count() for idx in _batch_indices(n, cfg.batch_size, rng))
+        for steps, idx in enumerate(batches, 1):
+            x = flatten_channels(bundle.train.x[idx])
+            rows = (idx[:, None] * nch + np.arange(nch)).ravel()
+            tape = Tape()
+            loss = L.co_objective_loss(tape, frozen[rows], f.forward(tape, x), labels[rows],
+                                       rec_weight=0.0)
+            inner.zero_grad()
+            tape.backward(loss)
+            gnorm = float(np.linalg.norm(theta.grad)) / np.sqrt(theta.grad.size)
+            inner.step()
+            f.spectral_step()
+            if steps >= cfg.grid_inner_steps or gnorm <= cfg.grid_grad_threshold:
+                break
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
         # full-batch reconstruction gradient at phi_i, then one descent step
         outer.zero_grad()
@@ -378,15 +377,14 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             loss_rec += chunk.value.item() * weight
             loss_target += float(np.mean(np.abs(with_f - y))) * weight
         records.append(GridRecord(
-            index=i, loss_rec=loss_rec, loss_pred=loss_pred_val, loss_target=loss_target,
+            index=i, loss_rec=loss_rec, loss_pred=loss.value.item(), loss_target=loss_target,
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
-            phi_snapshot={name: v.value.copy() for name, v in g.loss_parameters()},
+            phi_snapshot=outer.store.value.copy(),
         ))
         if best is None or test_mse < best.test_mse:
             best, best_f = records[-1], f
         outer.step()
-    for name, v in g.loss_parameters():
-        v.value[...] = best.phi_snapshot[name]
+    outer.store.value[...] = best.phi_snapshot
     return best_f, g, records
 
 

@@ -118,11 +118,15 @@ def test_bad_value_type_exits_2(tmp_path, capsys):
     ("seeds", "0,0"),
     ("seeds", "1 -2"),
     ("mask_dump_samples", "-1"),
+    ("threads", "0"),
 ])
 def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, value):
     out = os.path.join(str(tmp_path), "runs")
-    old = {"seeds": "seeds = 0", "mask_dump_samples": "mask_dump_samples = 2"}[key]
-    cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, f"{key} = {value}"), out_dir=out)
+    # BASE_CONFIG leaves threads at its default, so its line goes in beside the mode
+    old = {"seeds": "seeds = 0", "mask_dump_samples": "mask_dump_samples = 2",
+           "threads": "mode = scam"}[key]
+    new = f"{old}\n{key} = {value}" if key == "threads" else f"{key} = {value}"
+    cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), out_dir=out)
     assert main(["train", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert key in err and "config error" in err
@@ -144,9 +148,22 @@ def test_bad_section_exits_2_before_any_output(tmp_path, capsys, old, new, key):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("old, new, code", [
+    ("length = 600", "length = 40", 2),  # train segment of 24 rows is too short for 16 + 16
+    ("[data]\n", "[data]\nstride = 0\n", 2),
+    ("[data]\n", "[data]\nsource = nothere.csv\n", 1),
+], ids=["short-series", "zero-stride", "missing-csv"])
+def test_bad_series_fails_before_any_output(tmp_path, capsys, old, new, code):
+    out = os.path.join(str(tmp_path), "runs")
+    cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), out_dir=out)
+    assert main(["train", "--config", cfg]) == code
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"],
     ["grid-search", "--seed", "-1"],
+    ["train", "--threads", "0"],
 ])
 def test_bad_seed_flag_exits_2_before_any_output(tmp_path, capsys, argv):
     out = os.path.join(str(tmp_path), "runs")
@@ -173,6 +190,13 @@ def test_missing_checkpoint_exits_1(tmp_path, capsys):
     rc = main(["eval", "--config", cfg, "--checkpoint",
                os.path.join(str(tmp_path), "none.ckpt")])
     assert rc == 1
+
+
+def test_eval_refuses_a_bad_section_before_the_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path, text=BASE_CONFIG.replace("[train]\n", "[train]\nlr = 0\n"),
+                       out_dir=str(tmp_path))
+    assert main(["eval", "--config", cfg, "--checkpoint", os.path.join(str(tmp_path), "none.ckpt")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_config_defaults_and_overrides(tmp_path):
@@ -499,6 +523,17 @@ def test_diagnose_negative_samples_exits_2_before_any_output(scam_pipeline, tmp_
     assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out, "--samples", "-1"]) == 2
     err = capsys.readouterr().err
     assert "mask_dump_samples" in err and "config error" in err
+    assert not os.path.exists(out)
+
+
+def test_diagnose_zero_breakdown_windows_exits_2_before_any_output(scam_pipeline, tmp_path, capsys):
+    cfg_path, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    out = os.path.join(str(tmp_path), "diag")
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out,
+                 "--breakdown-windows", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "breakdown-windows" in err and "config error" in err
     assert not os.path.exists(out)
 
 
