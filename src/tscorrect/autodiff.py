@@ -15,8 +15,9 @@ Conventions:
   * everything is float64, row-major;
   * no broadcasting beyond scalar-with-array, save for the bias rows of
     ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place to the
-    matmul output, not through a ones-matmul; the (B, 1) constant columns
-    of ``affine_rows``; and the candidate axis of
+    matmul output, not through a ones-matmul; the conv bias, added in place
+    as b tiled r times over r output rows at once; the (B, 1) constant
+    columns of ``affine_rows``; and the candidate axis of
     ``candidate_l1`` and ``masked_l1``, where candidates c of (B, S, ...)
     meet p and t of (B, ...), read with a length-1 axis 1, and the gradient
     of p sums over that axis. Every other backward rule stays a plain
@@ -110,13 +111,24 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
     B, T, c_in = x.shape
     c_out, _, k = w.shape
     t_out = (T + 2 * padding - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (padding, padding), (0, 0))) if padding else x
-    # im2col: (B, T_out, C_in, k) -> GEMM against the flattened kernel
-    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
-    flat = np.ascontiguousarray(cols).reshape(B * t_out, c_in * k)
+    # im2col (B, T_out, C_in, k), one strided copy of x per tap j: output
+    # o reads row o * stride + j - padding, and rows outside x are zeros
+    cols = np.empty((B, t_out, c_in, k))
+    taps = []  # (first output, its input row, output count) of each tap
+    for j in range(k):
+        lo = min(t_out, max(0, -((j - padding) // stride)))
+        hi = max(lo, min(t_out, -((j - padding - T) // stride)))
+        row = lo * stride + j - padding
+        taps.append((lo, row, hi - lo))
+        cols[:, :lo, :, j] = cols[:, hi:, :, j] = 0.0
+        cols[:, lo:hi, :, j] = x[:, row : row + stride * (hi - lo) : stride]
+    flat = cols.reshape(B * t_out, c_in * k)
     wf = w.reshape(c_out, c_in * k)
     out = flat @ wf.T
-    out += b
+    # the bias as one row of r copies: `out += b` would loop only C_out wide
+    r = math.gcd(B * t_out, 256)
+    wide = out.reshape(-1, r * c_out)
+    wide += np.tile(b, r)
 
     def backward(g: Array, need_x: bool):
         gf = g.reshape(B * t_out, c_out)
@@ -124,10 +136,10 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
         if not need_x:
             return None, gw, gb
         gcols = (gf @ wf).reshape(B, t_out, c_in, k)
-        gxp = np.zeros(xp.shape)
-        for j in range(k):  # stride makes the target rows disjoint for each tap
-            gxp[:, j : j + stride * t_out : stride] += gcols[:, :, :, j]
-        return gxp[:, padding : padding + T], gw, gb
+        gx = np.zeros((B, T, c_in))
+        for j, (lo, row, n) in enumerate(taps):  # stride keeps each tap's rows disjoint
+            gx[:, row : row + stride * n : stride] += gcols[:, lo : lo + n, :, j]
+        return gx, gw, gb
 
     return out.reshape(B, t_out, c_out), backward
 
@@ -205,30 +217,34 @@ class Tape:
         # near-equal blocks: a one-row block would go to gemv and round differently
         n, k = len(zv), -(-len(zv) // POINTWISE_CHUNK)
         blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+        # a block's hidden layer goes to h_buf's leading rows, its relu mask and
+        # hidden gradient to those of backward's buffers: made once per call
+        w1t, h_buf = np.ascontiguousarray(w1v.T), np.empty((-(-n // k), len(w1v)))
 
         def hidden(rows: slice) -> Array:
-            h = zv[rows] @ w1v.T
+            h = np.matmul(zv[rows], w1t, out=h_buf[: rows.stop - rows.start])
             h += b1v
             return np.maximum(h, 0.0, out=h)
 
         out = np.empty((n, len(w2v)))
         for rows in blocks:
-            out[rows] = hidden(rows) @ w2v.T
+            np.matmul(hidden(rows), w2v.T, out=out[rows])
         out += b2.value
 
         def backward(g: Array):
             gz = np.empty_like(zv) if z.requires_grad else None
+            gh_buf, relu_buf = np.empty_like(h_buf), np.empty(h_buf.shape, dtype=bool)
             gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v.value) for v in (w1, b1, w2, b2)]
             for rows in blocks:
                 h, gr = hidden(rows), g[rows]
                 gw2 += gr.T @ h
                 gb2 += np.ones(len(gr)) @ gr
-                gh = gr @ w2v
-                gh *= h > 0.0
+                gh = np.matmul(gr, w2v, out=gh_buf[: len(h)])
+                gh *= np.greater(h, 0.0, out=relu_buf[: len(h)])
                 gw1 += gh.T @ zv[rows]
                 gb1 += np.ones(len(gh)) @ gh
                 if gz is not None:
-                    gz[rows] = gh @ w1v
+                    np.matmul(gh, w1v, out=gz[rows])
             return gz, *(gv if v.requires_grad else None for v, gv in zip((w1, b1, w2, b2), sums))
 
         return self._record(out, (z, w1, b1, w2, b2), backward)

@@ -351,7 +351,7 @@ def _restore_for(cfg: dict, path: str, split: str, need: tuple[str, ...]):
     """The models of a checkpoint, refused unless it holds those named in
     `need` and was built for the config's lookback and horizon; with the
     config's bundle and that bundle's `split` dataset."""
-    mcfg, models = restore_models(*load_checkpoint(path))
+    mcfg, models = restore_models(*load_checkpoint(path), path)
     d = cfg["data"]
     if (mcfg.lookback, mcfg.horizon) != (d["lookback"], d["horizon"]):
         raise ConfigError(f"checkpoint {path} has lookback/horizon {mcfg.lookback}/{mcfg.horizon}, "

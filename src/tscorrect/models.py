@@ -394,27 +394,35 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             header = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise LoadError(f"{path}: bad checkpoint header: {e}") from None
-        if header.get("format") != "tscorrect-checkpoint":
+        if not isinstance(header, dict) or header.get("format") != "tscorrect-checkpoint":
             raise LoadError(f"{path}: not a checkpoint file")
         if header.get("version") != _CKPT_VERSION:
             raise LoadError(f"{path}: checkpoint version {header.get('version')!r}, expected {_CKPT_VERSION}")
+        try:
+            specs = [(str(spec["name"]), tuple(int(s) for s in spec["shape"])) for spec in header["blocks"]]
+            if any(s < 0 for _, shape in specs for s in shape):
+                raise ValueError("negative block size")
+        except (KeyError, TypeError, ValueError) as e:
+            raise LoadError(f"{path}: bad checkpoint block list: {type(e).__name__}: {e}") from None
         blocks = {}
-        for spec in header["blocks"]:
-            shape = tuple(int(s) for s in spec["shape"])
+        for name, shape in specs:
             buf = fh.read(8 * math.prod(shape))
             if len(buf) != 8 * math.prod(shape):
-                raise LoadError(f"{path}: truncated block {spec['name']}")
-            blocks[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
+                raise LoadError(f"{path}: truncated block {name}")
+            blocks[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
         if fh.read(1):
             raise LoadError(f"{path}: trailing bytes after the last block")
     return header, blocks
 
 
-def restore_models(header: dict, blocks: dict[str, np.ndarray]) -> tuple[ModelConfig, dict]:
-    """Rebuild models named in a checkpoint and load their parameters and buffers."""
-    cfg = ModelConfig(**header["config"])
+def restore_models(header: dict, blocks: dict[str, np.ndarray],
+                   path: str = "checkpoint") -> tuple[ModelConfig, dict]:
+    """Rebuild the models named in the checkpoint at `path`, with their parameters and buffers."""
+    try:  # ConfigError is a ValueError, as is a negative seed
+        cfg, rng = ModelConfig(**header["config"]), np.random.default_rng(header.get("seed", 0))
+    except (KeyError, TypeError, ValueError) as e:
+        raise LoadError(f"{path}: bad checkpoint config or seed: {type(e).__name__}: {e}") from None
     names = {name.split(".", 1)[0] for name in blocks}
-    rng = np.random.default_rng(header.get("seed", 0))
     models = {}
     for mname in sorted(names):
         if mname == "predictor":
@@ -422,14 +430,14 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray]) -> tuple[ModelCo
         elif mname == "recon":
             models[mname] = build_recon(cfg, rng)
         else:
-            raise LoadError(f"unknown model name {mname!r} in checkpoint")
+            raise LoadError(f"{path}: unknown model name {mname!r}")
         for name, arr in model_state(models[mname]):
             key = f"{mname}.{name}"
             if key not in blocks:
-                raise LoadError(f"checkpoint missing block {key}")
+                raise LoadError(f"{path}: missing block {key}")
             if blocks[key].shape != arr.shape:
                 raise LoadError(
-                    f"checkpoint block {key} has shape {blocks[key].shape}, "
+                    f"{path}: block {key} has shape {blocks[key].shape}, "
                     f"model expects {arr.shape}"
                 )
             arr[...] = blocks[key]

@@ -342,11 +342,19 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             inner = Adam(theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         else:
             inner = Sgd(theta, cfg.lr)
-        # phi is frozen until the outer step: candidates for every train row
-        frozen = np.concatenate([
-            g.forward(Tape(record=False), labels[lo * nch : (lo + cfg.eval_batch) * nch]).value
-            for lo in range(0, n, cfg.eval_batch)
-        ])
+        # phi is frozen until the outer step, whose |c - t| loss never reads f: one
+        # taped pass per chunk gives every train row's candidates, loss_rec and the gradient
+        outer.zero_grad()
+        cands, loss_rec = [], 0.0
+        for lo in range(0, n, cfg.eval_batch):
+            y = labels[lo * nch : (lo + cfg.eval_batch) * nch]
+            tape = Tape()
+            cands.append(g.forward(tape, y))
+            # y stands in for the predictions, which a weight of 0 never reads
+            chunk = L.co_objective_loss(tape, cands[-1], y, y, pred_weight=0.0)
+            tape.backward(tape.scale(chunk, y.size / labels.size))
+            loss_rec += chunk.value.item() * (y.size / labels.size)
+        frozen = np.concatenate([c.value for c in cands])
         # one stream of batches over as many epochs as the budget takes
         batches = (idx for _ in itertools.count() for idx in _batch_indices(n, cfg.batch_size, rng))
         for steps, idx in enumerate(batches, 1):
@@ -363,19 +371,12 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             if steps >= cfg.grid_inner_steps or gnorm <= cfg.grid_grad_threshold:
                 break
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
-        # full-batch reconstruction gradient at phi_i, then one descent step
-        outer.zero_grad()
-        loss_rec = loss_target = 0.0
+        loss_target = 0.0
         for lo in range(0, n, cfg.eval_batch):
-            hi = min(lo + cfg.eval_batch, n)
-            y = labels[lo * nch : hi * nch]
-            with_f = f.forward(Tape(record=False), flatten_channels(bundle.train.x[lo:hi])).value
-            tape = Tape()
-            chunk = L.co_objective_loss(tape, g.forward(tape, y), with_f, y, pred_weight=0.0)
-            weight = y.size / (n * bundle.train.horizon * nch)
-            tape.backward(tape.scale(chunk, weight))
-            loss_rec += chunk.value.item() * weight
-            loss_target += float(np.mean(np.abs(with_f - y))) * weight
+            y = labels[lo * nch : (lo + cfg.eval_batch) * nch]
+            x = flatten_channels(bundle.train.x[lo : lo + cfg.eval_batch])
+            with_f = f.forward(Tape(record=False), x).value
+            loss_target += float(np.mean(np.abs(with_f - y))) * (y.size / labels.size)
         records.append(GridRecord(
             index=i, loss_rec=loss_rec, loss_pred=loss.value.item(), loss_target=loss_target,
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,

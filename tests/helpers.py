@@ -106,3 +106,63 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
         return gc, gp
 
     return tape._candidate_mean(c, p, stacked, total, grads)
+
+
+def reference_conv_channels_last(x, w, b, stride, padding):
+    """autodiff.conv_channels_last in its plain form: the padded input, a
+    contiguous copy of its sliding windows as the im2col, the bias added
+    row by row and the input gradient scattered into the padded length. The
+    bit-exact reference for the in-place im2col."""
+    B, T, c_in = x.shape
+    c_out, _, k = w.shape
+    t_out = (T + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (0, 0))) if padding else x
+    cols = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    flat = np.ascontiguousarray(cols).reshape(B * t_out, c_in * k)
+    wf = w.reshape(c_out, c_in * k)
+    out = flat @ wf.T
+    out += b
+
+    def backward(g, need_x):
+        gf = g.reshape(B * t_out, c_out)
+        gw, gb = (gf.T @ flat).reshape(w.shape), gf.sum(axis=0)
+        if not need_x:
+            return None, gw, gb
+        gcols = (gf @ wf).reshape(B, t_out, c_in, k)
+        gxp = np.zeros(xp.shape)
+        for j in range(k):
+            gxp[:, j : j + stride * t_out : stride] += gcols[:, :, :, j]
+        return gxp[:, padding : padding + T], gw, gb
+
+    return out.reshape(B, t_out, c_out), backward
+
+
+def reference_pointwise_mlp(z, w1, b1, w2, b2, g, chunk):
+    """Tape.pointwise_mlp in its plain blocked form, each block's hidden
+    layer and gradients fresh arrays: the output relu(z @ w1.T + b1) @ w2.T
+    + b2 and, for its upstream gradient g, the gradients of z, w1, b1, w2
+    and b2. The bit-exact reference for the in-place blocks."""
+    n, k = len(z), -(-len(z) // chunk)
+    blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+    def hidden(rows):
+        h = z[rows] @ w1.T
+        h += b1
+        return np.maximum(h, 0.0, out=h)
+
+    out = np.empty((n, len(w2)))
+    for rows in blocks:
+        out[rows] = hidden(rows) @ w2.T
+    out += b2
+    gz = np.empty_like(z)
+    gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v) for v in (w1, b1, w2, b2)]
+    for rows in blocks:
+        h, gr = hidden(rows), g[rows]
+        gw2 += gr.T @ h
+        gb2 += np.ones(len(gr)) @ gr
+        gh = gr @ w2
+        gh *= h > 0.0
+        gw1 += gh.T @ z[rows]
+        gb1 += np.ones(len(gh)) @ gh
+        gz[rows] = gh @ w1
+    return out, (gz, *sums)

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var
+from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last
 from tscorrect.errors import ContractError, DimensionError
-from helpers import away_from_kinks, fd_worst_rel_err, weighted_candidate_l1
+from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last,
+                     reference_pointwise_mlp, weighted_candidate_l1)
 
 RNG = np.random.default_rng
 
@@ -100,6 +103,23 @@ def test_conv1d_unit_kernel_is_identity():
     b = Var(np.zeros(1))
     out = t.conv1d(x, w, b, stride=1, padding=0)
     assert np.array_equal(out.value, x.value)
+
+
+@pytest.mark.parametrize("k, stride, padding", itertools.product((1, 2, 3, 5), (1, 2, 3), (0, 1, 2)))
+def test_conv_channels_last_matches_the_padded_reference_bit_for_bit(k, stride, padding):
+    # from the shortest input, where T + 2 padding = k gives one output
+    # position, up to several positions per tap; strides 2 and 3 exceed k = 1, 2
+    rng = RNG([k, stride, padding])
+    first = max(1, k - 2 * padding)
+    for t_len in range(first, first + k + 2 * stride):
+        x, w, b = rng.standard_normal((3, t_len, 2)), rng.standard_normal((4, 2, k)), rng.standard_normal(4)
+        out, back = conv_channels_last(x, w, b, stride, padding)
+        ref, ref_back = reference_conv_channels_last(x, w, b, stride, padding)
+        assert np.array_equal(out, ref), t_len
+        g = rng.standard_normal(out.shape)
+        for need_x in (True, False):
+            for got, want in zip(back(g, need_x), ref_back(g, need_x)):
+                assert (got is None and want is None) or np.array_equal(got, want), (t_len, need_x)
 
 
 def test_conv1d_zero_weights_gives_bias_broadcast():
@@ -245,6 +265,11 @@ def test_pointwise_mlp_matches_layer_chain():
         assert np.array_equal(fused, chain), n
         for a, b in zip(fused_grads, chain_grads):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), n
+        # the blocks written in place sum exactly as fresh blocks do
+        ref, ref_grads = reference_pointwise_mlp(z, w1, b1, w2, b2, weight, POINTWISE_CHUNK)
+        assert np.array_equal(fused, ref), n
+        for a, b in zip(fused_grads, ref_grads):
+            assert np.array_equal(a, b), n
 
 
 def test_fd_candidate_l1():

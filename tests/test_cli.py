@@ -19,7 +19,8 @@ import pytest
 from tscorrect.cli import load_config, main, run_experiment
 from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
 from tscorrect.losses import MASK_DUMP_FIELDS
-from tscorrect.models import SIGMA_FLOOR, load_checkpoint, restore_models, spectral_norm
+from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
+                              save_checkpoint, spectral_norm)
 from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
 
 BASE_CONFIG = """
@@ -197,6 +198,33 @@ def test_eval_refuses_a_bad_section_before_the_checkpoint(tmp_path, capsys):
                        out_dir=str(tmp_path))
     assert main(["eval", "--config", cfg, "--checkpoint", os.path.join(str(tmp_path), "none.ckpt")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("blocks"),
+    lambda h: h.pop("config"),
+    lambda h: h["config"].update(dropout=0.1),
+    lambda h: h["blocks"][0].update(shape=["x"]),
+    lambda h: h["blocks"][0].update(shape=[-1]),
+    lambda h: h["config"].update(horizon=20),
+    lambda h: h.update(seed="x"),
+], ids=["no-blocks", "no-config", "unknown-config-key", "shape-x", "shape-negative", "horizon-20", "seed-x"])
+def test_eval_of_a_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, edit):
+    cfg = write_config(tmp_path, out_dir=str(tmp_path))
+    ckpt = os.path.join(str(tmp_path), "bad.ckpt")
+    mc = ModelConfig(lookback=16, horizon=16, hidden=8, snr="none", series_count=2, recon_hidden=8)
+    save_checkpoint(ckpt, "supervised", mc, seed=0, epoch=0,
+                    models={"predictor": build_predictor(mc, np.random.default_rng(0))})
+    raw = open(ckpt, "rb").read()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8 : 8 + hlen])
+    edit(header)
+    payload = json.dumps(header).encode("utf-8")
+    with open(ckpt, "wb") as fh:
+        fh.write(len(payload).to_bytes(8, "little") + payload + raw[8 + hlen :])
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ckpt in err
 
 
 def test_config_defaults_and_overrides(tmp_path):

@@ -527,6 +527,20 @@ def test_grid_search_returns_the_best_round():
     assert np.array_equal(phi, best.phi_snapshot)
 
 
+def test_grid_search_runs_one_recon_pass_per_chunk_and_round(monkeypatch):
+    splits = toy_bundle(seed=2)
+    mc = toy_model_config()
+    g = ReconstructionNet(mc, np.random.default_rng(3))
+    calls, forward = [], ReconstructionNet.forward
+    monkeypatch.setattr(ReconstructionNet, "forward",
+                        lambda self, tape, y: calls.append(len(y)) or forward(self, tape, y))
+    cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1, patience=1, seed=0,
+                      grid_candidates=3, grid_inner_steps=5, grid_outer_lr=0.05, eval_batch=200)
+    train_grid_search(splits, g, lambda i: MlpPredictor(mc, np.random.default_rng(100 + i)), cfg)
+    chunks = -(-len(splits.train) // cfg.eval_batch)
+    assert chunks > 1 and len(calls) == cfg.grid_candidates * chunks
+
+
 def test_grid_search_rec_loss_mostly_non_increasing(grid_run):
     rl = [r.loss_rec for r in grid_run]
     drops = sum(1 for a, b in zip(rl, rl[1:]) if b <= a + 1e-12)
