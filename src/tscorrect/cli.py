@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--split", default="val", choices=["train", "val", "test"])
     sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--samples", type=int, default=8, help="samples to dump masks for")
+    sp.add_argument("--samples", type=int, default=None, help="samples to dump masks for (default: config)")
     sp.add_argument("--breakdown-windows", type=int, default=256)
     sp.add_argument("--sharpness", action="store_true", help="include curvature report")
     sp.set_defaults(fn=cmd_diagnose)

@@ -18,7 +18,7 @@ length-1 axis 1; an objective over a stack averages the candidates' means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,19 @@ def _as_value(x) -> np.ndarray:
 
 @dataclass
 class MaskSet:
-    """Boolean masks and the residual product m, one triple per output point.
-    `source` holds the arrays c, p, t they came from and |c - p|, |c - t|,
-    |t - p|, which a loss or breakdown of those same arrays reads."""
+    """Boolean masks, the residual product m and the absolute residuals per output point."""
 
     m: np.ndarray
     mask: np.ndarray  # M: residual products strictly positive
     mask_lt: np.ndarray  # M_<: |c - p| strictly smaller than |c - t|
-    source: tuple = field(default=(), repr=False, compare=False)
+    ap: np.ndarray  # |c - p|
+    at: np.ndarray  # |c - t|
+    sup: np.ndarray  # |t - p|, with a length-1 candidate axis for a stack
 
 
 def compute_masks(y_tilde, y_hat, y) -> MaskSet:
     """The masks with their residuals, from one pass."""
-    arrays = c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
+    c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
     for name, v in (("y_tilde", c), ("y_hat", p), ("y", t)):
         if not np.isfinite(v).all():
             raise ContractError(f"non-finite values in {name}")
@@ -55,14 +55,7 @@ def compute_masks(y_tilde, y_hat, y) -> MaskSet:
     m = a * b
     np.abs(a, out=a)
     np.abs(b, out=b)
-    return MaskSet(m, m > 0.0, a < b, (arrays, a, b, np.abs(t - p)))
-
-
-def _residuals(masks: MaskSet, y_tilde, y_hat, y) -> tuple:
-    """|c - p|, |c - t|, |t - p|: the masks' own if of these very arrays."""
-    arrays = tuple(map(_as_value, (y_tilde, y_hat, y)))
-    same = masks.source and all(u is v for u, v in zip(masks.source[0], arrays))
-    return (masks if same else compute_masks(*arrays)).source[1:]
+    return MaskSet(m, m > 0.0, a < b, a, b, np.abs(t - p))
 
 
 def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
@@ -81,8 +74,7 @@ def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) ->
     """
     if masks.mask.shape != y_tilde.value.shape:
         raise DimensionError(f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}")
-    ap, at, _ = _residuals(masks, y_tilde, y_hat, y)
-    return tape.masked_l1(y_tilde, y_hat, _as_value(y), masks.mask, masks.mask_lt, ap, at)
+    return tape.masked_l1(y_tilde, y_hat, _as_value(y), masks.mask, masks.mask_lt, masks.ap, masks.at)
 
 
 def loss_identity_check(y_tilde, y_hat, y) -> float:
@@ -117,11 +109,10 @@ class LossBreakdown:
         return self.rec_corrected + self.pred_corrected + self.sup_in_mask + self.sup_out_mask
 
 
-def loss_breakdown(y_tilde, y_hat, y, masks: MaskSet) -> LossBreakdown:
-    """The four components and three totals of these arrays under their masks."""
-    ap, at, sup = _residuals(masks, y_tilde, y_hat, y)
+def loss_breakdown(masks: MaskSet) -> LossBreakdown:
+    """The four components and three totals of the arrays the masks came from."""
+    ap, at, sup, mask, lt = masks.ap, masks.at, masks.sup, masks.mask, masks.mask_lt
     n = ap.size
-    mask, lt = masks.mask, masks.mask_lt
     inside = mask.sum(axis=1, keepdims=True) if sup.shape != mask.shape else mask  # candidates in M
     return LossBreakdown(
         rec_corrected=2.0 * float(np.sum(at * (mask & ~lt))) / n,
@@ -140,11 +131,10 @@ def summarize_candidates(cands, y_hat, y) -> tuple[np.ndarray, np.ndarray, np.nd
     indicator M * (1 - M_<) and that indicator's 2|c - t| mass; plus the
     LossBreakdown over the stack."""
     masks = compute_masks(cands, y_hat, y)
-    at = masks.source[2]
     rec = masks.mask & ~masks.mask_lt
-    n = at.shape[1]
-    return (masks.mask.sum(axis=1) / n, rec.sum(axis=1) / n, (at * rec).sum(axis=1) * 2.0 / n,
-            loss_breakdown(cands, y_hat, y, masks))
+    n = rec.shape[1]
+    return (masks.mask.sum(axis=1) / n, rec.sum(axis=1) / n, (masks.at * rec).sum(axis=1) * 2.0 / n,
+            loss_breakdown(masks))
 
 
 MASK_DUMP_FIELDS = ["t", "y", "y_hat", "y_tilde", "m", "M", "M_lt"]

@@ -51,16 +51,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lr <= 0 or self.grid_outer_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name in ("lr", "grid_outer_lr", "adam_eps", "grid_grad_threshold"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:
+                raise ConfigError(f"learning rates and step sizes must lie in (0, inf), got {name} = {v}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("adam betas must lie in [0, 1)")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs, patience must be >= 1")
         if self.grid_candidates < 1 or self.grid_inner_steps < 1:
             raise ConfigError("grid search sizes must be >= 1")
-        if self.grid_grad_threshold <= 0:
-            raise ConfigError("grid_grad_threshold must be positive")
         if self.grid_inner_optimizer not in ("adam", "sgd"):
             raise ConfigError(f"grid_inner_optimizer must be adam or sgd, got {self.grid_inner_optimizer!r}")
         if self.eval_batch < 1 or self.sharpness_batch < 1:
@@ -288,7 +288,7 @@ def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
         yhat = f.forward(tape, x)
         cands = g.forward(tape, y)
         masks = L.compute_masks(cands, yhat, y)
-        parts = L.loss_breakdown(cands, yhat, y, masks)
+        parts = L.loss_breakdown(masks)
         if masked:
             loss = L.scam_masked_loss(tape, cands, yhat, y, masks)
         else:

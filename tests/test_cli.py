@@ -138,8 +138,13 @@ def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, v
     ("horizon = 16", "horizon = 20", "horizon"),  # [model]: four stride-2 levels need 16 | H
     ("[data]\n", "[data]\ntrain_ratio = 0.7\n", "sum to 1"),
     ("[train]\n", "[train]\nlr = 0\n", "learning rates"),
+    ("[train]\n", "[train]\nlr = nan\n", "lr = nan"),
+    ("[train]\n", "[train]\nadam_eps = 0\n", "adam_eps = 0"),
+    ("[train]\n", "[train]\ngrid_outer_lr = inf\n", "grid_outer_lr = inf"),
+    ("[train]\n", "[train]\ngrid_grad_threshold = nan\n", "grid_grad_threshold = nan"),
     ("length = 600", "length = 0", "synthetic length"),
-], ids=["model", "data", "train", "synthetic"])
+], ids=["model", "data", "train", "train-lr-nan", "train-adam-eps-0", "train-grid-outer-lr-inf",
+        "train-grid-grad-threshold-nan", "synthetic"])
 def test_bad_section_exits_2_before_any_output(tmp_path, capsys, old, new, key):
     out = os.path.join(str(tmp_path), "runs")
     cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), out_dir=out)
@@ -260,10 +265,10 @@ def test_shipped_config_loads_and_trains(path, tmp_path):
     assert list(man["seeds"]) == [str(cfg["experiment"]["seeds"][0])]
 
 
-def readme_quickstart() -> list[list[str]]:
-    """The commands of README's CLI quickstart block, continuations joined."""
+def readme_quickstart(heading: str = "## CLI quickstart") -> list[list[str]]:
+    """The commands of README's first sh block after `heading`, continuations joined."""
     with open(os.path.join(ROOT, "README.md")) as fh:
-        block = fh.read().split("## CLI quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        block = fh.read().split(heading, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
     return [argv for argv in lines if argv]
 
@@ -284,6 +289,37 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
         else:
             assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
     assert os.path.exists("toy.csv")
+
+
+def test_readme_ablation_runs_the_four_variants(tmp_path, capsys):
+    commands = readme_quickstart("### Ablation on ETTh1")
+    assert all(argv[:2] == ["tscorrect", "train"] for argv in commands)
+    assert {argv[argv.index("--config") + 1] for argv in commands} == {"configs/etth1_scam_snr.ini"}
+    variants = [tuple(argv[argv.index(f) + 1] for f in ("--mode-override", "--snr")) for argv in commands]
+    # criterion 7's variants, in its order
+    assert variants == [("supervised", "none"), ("supervised", "both"), ("scam", "none"), ("scam", "both")]
+    # the same flags against the test config, which needs no ETTh1 file
+    cfg_path = write_config(tmp_path, out_dir=os.path.join(str(tmp_path), "runs"))
+    run_dirs = []
+    for argv, (mode, snr) in zip(commands, variants):
+        at = argv.index("--config")
+        flags = argv[2:at] + argv[at + 2:]
+        assert main(["train", "--config", cfg_path, *flags, "--seed", "0"]) == 0
+        run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+        assert json.load(open(os.path.join(run_dir, "manifest.json")))["mode"] == mode
+        header, _ = load_checkpoint(os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt"))
+        assert header["config"]["snr"] == snr
+        run_dirs.append(run_dir)
+    assert len(set(run_dirs)) == 4
+
+
+@pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))),
+                         ids=os.path.basename)
+def test_script_help_exits_0(script, tmp_path):
+    # a stale import after an API change fails here, not in a user's run
+    proc = subprocess.run([sys.executable, script, "--help"], cwd=str(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_toy_regime_study_refuses_zero_seeds(tmp_path):
@@ -542,6 +578,21 @@ def test_diagnose_zero_samples_dumps_no_masks(scam_pipeline, tmp_path):
     out = os.path.join(str(tmp_path), "diag")
     assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out, "--samples", "0"]) == 0
     assert sorted(os.listdir(out)) == ["breakdown.json", "kl_table.csv"]
+
+
+@pytest.mark.parametrize("samples, names", [
+    (0, None),
+    (1, ["sample0_cand0.csv", "sample0_cand1.csv"]),
+])
+def test_diagnose_without_samples_flag_dumps_the_configs_count(scam_pipeline, tmp_path, samples, names):
+    _, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    text = BASE_CONFIG.replace("mask_dump_samples = 2", f"mask_dump_samples = {samples}")
+    cfg_path = write_config(tmp_path, text=text, out_dir=str(tmp_path))
+    out = os.path.join(str(tmp_path), "diag")
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out]) == 0
+    masks = os.path.join(out, "masks")
+    assert (sorted(os.listdir(masks)) if os.path.exists(masks) else None) == names
 
 
 def test_diagnose_negative_samples_exits_2_before_any_output(scam_pipeline, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 from helpers import weighted_candidate_l1
 from tscorrect.autodiff import Tape, Var
@@ -209,18 +209,17 @@ def test_masked_loss_gradient_routing_by_finite_differences():
     # prediction-corrected point (M=1, M_lt=1): both pull together
     assert vt.grad[2] != 0.0 and vh.grad[2] != 0.0
 
-    # masks are constants: finite differences of the loss agree per point
+    # masks are constants: finite differences of the loss agree per point.
+    # The bumped MaskSet keeps the unbumped masks but takes the bumped
+    # values' residuals, which are what the loss reads.
     eps = 1e-7
+    before = scam_masked_loss(Tape(), Var(yt), Var(yh), y, ms).value.item()
     for i, vec, other in [(0, yh, "hat"), (1, yt, "tilde")]:
         bumped = vec.copy()
         bumped[i] += eps
-        t2 = Tape()
-        if other == "hat":
-            after = scam_masked_loss(t2, Var(yt), Var(bumped), y, ms).value.item()
-            before = scam_masked_loss(Tape(), Var(yt), Var(yh), y, ms).value.item()
-        else:
-            after = scam_masked_loss(t2, Var(bumped), Var(yh), y, ms).value.item()
-            before = scam_masked_loss(Tape(), Var(yt), Var(yh), y, ms).value.item()
+        c, p = (yt, bumped) if other == "hat" else (bumped, yh)
+        held = replace(compute_masks(c, p, y), mask=ms.mask, mask_lt=ms.mask_lt)
+        after = scam_masked_loss(Tape(), Var(c), Var(p), y, held).value.item()
         assert abs(after - before) < 1e-6 * eps + 1e-15
 
 
@@ -232,7 +231,7 @@ def test_breakdown_tilde_equals_label():
     y = RNG(3).standard_normal(32)
     yh = RNG(4).standard_normal(32)
     ms = compute_masks(y.copy(), yh, y)
-    bd = loss_breakdown(y.copy(), yh, y, ms)
+    bd = loss_breakdown(ms)
     assert bd.rec_corrected == 0.0
     assert bd.pred_corrected == 0.0
     assert bd.sup_in_mask == 0.0
@@ -242,7 +241,7 @@ def test_breakdown_tilde_equals_label():
 def test_breakdown_single_point_hand_case():
     yt, yh, y = np.array([2.0]), np.array([0.0]), np.array([1.0])
     ms = compute_masks(yt, yh, y)
-    bd = loss_breakdown(yt, yh, y, ms)
+    bd = loss_breakdown(ms)
     assert bd.rec_corrected == pytest.approx(2.0)
     assert bd.pred_corrected == 0.0
     assert bd.sup_in_mask == pytest.approx(1.0)
@@ -257,7 +256,7 @@ def test_breakdown_single_point_hand_case():
 def test_breakdown_components_sum_to_co_objective(seed):
     yt, yh, y = random_triples(seed, 200)
     ms = compute_masks(yt, yh, y)
-    bd = loss_breakdown(yt, yh, y, ms)
+    bd = loss_breakdown(ms)
     t = Tape()
     co = co_objective_loss(t, Var(yt), Var(yh), y).value.item()
     assert abs(bd.components_total() - co) < 1e-10
@@ -387,8 +386,8 @@ def test_masked_loss_equals_weight_array_form(seed, make, stacked):
         c = c[:, 0].copy()
     masks = compute_masks(c, yh, y)
     ref = weighted_masked_loss(c, yh, y, masks)
-    bd = loss_breakdown(c, yh, y, masks)
-    # the arrays that made the masks reuse their residuals; copies form them afresh
+    bd = loss_breakdown(masks)
+    # the masks carry their residuals, so equal copies of the arrays give the same loss
     for vc, vh, vy in ((c, yh, y), (c.copy(), yh.copy(), y.copy())):
         tape = Tape()
         vc, vh = Var(vc, requires_grad=True), Var(vh, requires_grad=True)
@@ -397,7 +396,7 @@ def test_masked_loss_equals_weight_array_form(seed, make, stacked):
         assert loss.value.item() == ref[0]
         assert np.array_equal(vc.grad, ref[1])
         assert np.array_equal(vh.grad, ref[2])
-        assert loss_breakdown(vc.value, vh.value, vy, masks) == bd
+        assert loss_breakdown(compute_masks(vc.value, vh.value, vy)) == bd
 
 
 def test_summarize_candidates_equals_per_candidate_loop():
@@ -412,12 +411,12 @@ def test_summarize_candidates_equals_per_candidate_loop():
         ref[0] += ms.mask
         ref[1] += ind
         ref[2] += 2.0 * np.abs(c[:, s] - y) * ind
-        parts.append(astuple(loss_breakdown(c[:, s], yh, y, ms)))
+        parts.append(astuple(loss_breakdown(ms)))
     assert np.array_equal(mask, ref[0] / n)
     assert np.array_equal(rec, ref[1] / n)
     assert np.array_equal(rec_mass, ref[2] / n)
     np.testing.assert_allclose(astuple(bd), np.mean(parts, axis=0), rtol=1e-12)
-    assert bd == loss_breakdown(c, yh, y, compute_masks(c, yh, y))
+    assert bd == loss_breakdown(compute_masks(c, yh, y))
 
 
 def test_mask_dump_roundtrip(tmp_path):
