@@ -36,7 +36,6 @@ from .models import (
     spectral_norm,
 )
 from .sharpness import (
-    ChannelHistogram,
     HvpContext,
     SharpnessResult,
     channel_histograms,

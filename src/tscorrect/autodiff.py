@@ -252,18 +252,16 @@ class Tape:
     def conv1d(self, x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
         """1-D convolution (cross-correlation) along the last axis.
 
-        x: (C_in, T) or batched (B, C_in, T); w: (C_out, C_in, k); b: (C_out,).
+        x: (B, C_in, T); w: (C_out, C_in, k); b: (C_out,).
         Output length T_out = (T + 2*padding - k) // stride + 1.
         """
         if stride < 1 or padding < 0:
             raise DimensionError(f"conv1d needs stride >= 1, padding >= 0, got {stride}, {padding}")
         if w.value.ndim != 3:
             raise DimensionError(f"conv1d weight must be (C_out, C_in, k), got {w.value.shape}")
-        batched = x.value.ndim == 3
-        if not batched and x.value.ndim != 2:
-            raise DimensionError(f"conv1d input must be (C_in, T) or (B, C_in, T), got {x.value.shape}")
-        xv = x.value if batched else x.value[None]
-        B, c_in, T = xv.shape
+        if x.value.ndim != 3:
+            raise DimensionError(f"conv1d input must be (B, C_in, T), got {x.value.shape}")
+        B, c_in, T = x.value.shape
         c_out, c_in_w, k = w.value.shape
         if c_in != c_in_w:
             raise DimensionError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
@@ -271,16 +269,15 @@ class Tape:
             raise DimensionError(f"conv1d bias must be ({c_out},), got {b.value.shape}")
         if T + 2 * padding < k:
             raise DimensionError(f"conv1d window {k} exceeds padded length {T + 2 * padding}")
-        out, back = conv_channels_last(xv.transpose(0, 2, 1), w.value, b.value, stride, padding)
-        out = out.transpose(0, 2, 1)
+        out, back = conv_channels_last(x.value.transpose(0, 2, 1), w.value, b.value, stride, padding)
 
         def backward(g: Array):
-            gx, gw, gb = back((g if batched else g[None]).transpose(0, 2, 1), x.requires_grad)
+            gx, gw, gb = back(g.transpose(0, 2, 1), x.requires_grad)
             if gx is not None:
-                gx = gx.transpose(0, 2, 1) if batched else gx[0].T
+                gx = gx.transpose(0, 2, 1)
             return gx, gw if w.requires_grad else None, gb if b.requires_grad else None
 
-        return self._record(out if batched else out[0], (x, w, b), backward)
+        return self._record(out.transpose(0, 2, 1), (x, w, b), backward)
 
     def conv_pyramid(self, x: Var, layers: Sequence[tuple[Var, Var]], stride: int, padding: int) -> Var:
         """Channels-last conv1d levels on x (B, T, C_0), each level's output

@@ -48,6 +48,7 @@ from .models import (
 )
 from .sharpness import channel_histograms, kl_alignment, lambda_max
 from .training import (
+    GRID_CSV_FIELDS,
     MODES,
     TrainConfig,
     evaluate,
@@ -108,10 +109,6 @@ def _parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
-def default_config() -> dict:
-    return copy.deepcopy(_SCHEMA)
-
-
 def load_config(path: str) -> dict:
     """Parse and validate a config file; unknown sections or keys reject."""
     if not os.path.exists(path):
@@ -122,7 +119,7 @@ def load_config(path: str) -> dict:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from None
-    cfg = default_config()
+    cfg = copy.deepcopy(_SCHEMA)
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -239,10 +236,8 @@ def run_seed(cfg: dict, seed: int, seed_dir: str, series: RawSeries) -> dict:
         best = min(grecords, key=lambda r: r.test_mse)
         # the trainer hands back the best round's predictor and phi
         save_checkpoint(ckpt, mode, mcfg, seed, best.index, {"predictor": f, "recon": g})
-        columns = ("index", "loss_rec", "loss_pred", "loss_target", "inner_steps", "grad_norm",
-                   "test_mse", "test_mae")
-        write_csv(os.path.join(seed_dir, "trajectory.csv"), columns,
-                  ([getattr(r, c) for c in columns] for r in grecords))
+        write_csv(os.path.join(seed_dir, "trajectory.csv"), GRID_CSV_FIELDS,
+                  ([getattr(r, c) for c in GRID_CSV_FIELDS] for r in grecords))
         summary.update({
             "candidates": len(grecords),
             "best_candidate": best.index,

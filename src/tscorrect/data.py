@@ -39,10 +39,6 @@ class RawSeries:
         if not np.isfinite(self.values).all():
             raise LoadError("series contains non-finite values")
 
-    @property
-    def length(self) -> int:
-        return self.values.shape[0]
-
 
 def load_csv(path: str, has_date_column: bool = True) -> RawSeries:
     """Load a header-ed CSV of numeric channels, optional leading date column.
@@ -217,7 +213,7 @@ def build_splits(
     Val/test segments extend lookback rows to the left of their boundary so
     early windows can see context, matching the usual long-horizon protocol.
     """
-    b1, b2, b3 = spec.boundaries(series.length)
+    b1, b2, b3 = spec.boundaries(len(series.values))
     if b1 < lookback + horizon:
         raise ConfigError(f"train segment of {b1} rows too short for L={lookback}, H={horizon}")
     scaler = Scaler.fit(series.values[:b1])
@@ -259,6 +255,11 @@ class SyntheticConfig:
             raise ConfigError(f"synthetic length must be >= 1, got {self.length}")
         if self.window_period < 1:
             raise ConfigError(f"window_period must be >= 1, got {self.window_period}")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic seed must be >= 0, got {self.seed}")
+        for name in ("amp1", "amp2", "omega1", "omega2", "sigma1", "sigma2"):
+            if not math.isfinite(v := getattr(self, name)):
+                raise ConfigError(f"synthetic values must be finite, got {name} = {v}")
         if self.sigma1 < 0 or self.sigma2 < 0:
             raise ConfigError("noise levels must be non-negative")
 

@@ -159,26 +159,8 @@ def lambda_max(
 MASS_FLOOR = 1e-10
 
 
-@dataclass
-class ChannelHistogram:
-    """One channel's probability masses over shared uniform bin edges."""
-
-    edges: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.float64)
-        self.masses = np.asarray(self.masses, dtype=np.float64)
-        if self.edges.ndim != 1 or self.masses.ndim != 1 or len(self.edges) != len(self.masses) + 1:
-            raise DimensionError(
-                f"histogram needs n+1 edges for n masses, got {self.edges.shape}/{self.masses.shape}"
-            )
-        if abs(float(self.masses.sum()) - 1.0) > 1e-9:
-            raise ContractError(f"histogram masses sum to {self.masses.sum()}, expected 1")
-
-
-def channel_histograms(channels: list[np.ndarray], bins: int = 64) -> list[ChannelHistogram]:
-    """Histograms over uniform bins spanning the pooled min/max of all inputs."""
+def channel_histograms(channels: list[np.ndarray], bins: int = 64) -> np.ndarray:
+    """(len(channels), bins) masses over uniform bins spanning the pooled min/max."""
     if not channels:
         raise DimensionError("no channels to histogram")
     flat = [np.asarray(c, dtype=np.float64).ravel() for c in channels]
@@ -192,20 +174,16 @@ def channel_histograms(channels: list[np.ndarray], bins: int = 64) -> list[Chann
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
-    out = []
-    for c in flat:
-        counts, _ = np.histogram(c, bins=edges)
-        out.append(ChannelHistogram(edges, counts / c.size))
-    return out
+    return np.stack([np.histogram(c, bins=edges)[0] / c.size for c in flat])
 
 
-def kl_alignment(a: ChannelHistogram, b: ChannelHistogram) -> float:
-    """Symmetrized KL divergence 0.5*(KL(a||b) + KL(b||a)) with floored masses."""
-    if a.edges.shape != b.edges.shape or not np.allclose(a.edges, b.edges, rtol=0, atol=0):
-        raise ContractError("histograms must share identical bin edges")
-    p = np.maximum(a.masses, MASS_FLOOR)
+def kl_alignment(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetrized KL divergence 0.5*(KL(a||b) + KL(b||a)) of two mass rows, floored."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mass rows of {a.shape} and {b.shape}")
+    p = np.maximum(a, MASS_FLOOR)
     p = p / p.sum()
-    q = np.maximum(b.masses, MASS_FLOOR)
+    q = np.maximum(b, MASS_FLOOR)
     q = q / q.sum()
     kl_pq = float(np.sum(p * np.log(p / q)))
     kl_qp = float(np.sum(q * np.log(q / p)))

@@ -117,7 +117,8 @@ class Adam(_Optimizer):
 
 
 class Sgd(_Optimizer):
-    """Plain gradient descent (used by the grid-search outer loop)."""
+    """Plain gradient descent (the grid-search outer loop, and its inner loop
+    when grid_inner_optimizer is sgd)."""
 
     def _update(self) -> None:
         self.store.value -= self.lr * self.store.grad
@@ -314,6 +315,9 @@ class GridRecord:
     test_mse: float
     test_mae: float
     phi_snapshot: np.ndarray = field(repr=False)  # the flat phi of outer's ParamStore
+
+
+GRID_CSV_FIELDS = [f.name for f in fields(GridRecord) if f.name != "phi_snapshot"]
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,

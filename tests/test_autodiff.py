@@ -90,15 +90,20 @@ def test_scalar_chain_rule_hand_value():
 
 def test_conv1d_output_length():
     t = Tape()
-    x = Var(np.zeros((1, 96)))
+    x = Var(np.zeros((1, 1, 96)))
     w = Var(np.zeros((2, 1, 3)))
     b = Var(np.zeros(2))
-    assert t.conv1d(x, w, b, stride=2, padding=1).value.shape == (2, 48)
+    assert t.conv1d(x, w, b, stride=2, padding=1).value.shape == (1, 2, 48)
+
+
+def test_conv1d_refuses_unbatched_input():
+    with pytest.raises(DimensionError):
+        Tape().conv1d(Var(np.zeros((1, 96))), Var(np.zeros((2, 1, 3))), Var(np.zeros(2)))
 
 
 def test_conv1d_unit_kernel_is_identity():
     t = Tape()
-    x = Var(RNG(2).standard_normal((1, 10)))
+    x = Var(RNG(2).standard_normal((1, 1, 10)))
     w = Var(np.ones((1, 1, 1)))
     b = Var(np.zeros(1))
     out = t.conv1d(x, w, b, stride=1, padding=0)
@@ -124,7 +129,7 @@ def test_conv_channels_last_matches_the_padded_reference_bit_for_bit(k, stride, 
 
 def test_conv1d_zero_weights_gives_bias_broadcast():
     t = Tape()
-    x = Var(RNG(3).standard_normal((2, 11)))
+    x = Var(RNG(3).standard_normal((1, 2, 11)))
     w = Var(np.zeros((3, 2, 3)))
     b = Var(np.array([1.0, -2.0, 0.5]))
     out = t.conv1d(x, w, b, stride=2, padding=1)
@@ -145,7 +150,7 @@ def test_fd_matmul():
 
 def test_fd_conv1d():
     rng = RNG(11)
-    x = rng.uniform(-2, 2, (2, 10))
+    x = rng.uniform(-2, 2, (1, 2, 10))
     w = rng.uniform(-2, 2, (3, 2, 3))
     b = rng.uniform(-2, 2, 3)
 
@@ -585,8 +590,9 @@ def test_conv1d_length_formula(t_len, k, stride, padding):
     if t_out < 1:
         return
     tape = Tape()
-    out = tape.conv1d(Var(np.zeros((1, t_len))), Var(np.zeros((2, 1, k))), Var(np.zeros(2)), stride, padding)
-    assert out.value.shape == (2, t_out)
+    x = Var(np.zeros((1, 1, t_len)))
+    out = tape.conv1d(x, Var(np.zeros((2, 1, k))), Var(np.zeros(2)), stride, padding)
+    assert out.value.shape == (1, 2, t_out)
 
 
 @settings(max_examples=25, deadline=None)

@@ -143,8 +143,12 @@ def test_bad_experiment_value_exits_2_before_any_output(tmp_path, capsys, key, v
     ("[train]\n", "[train]\ngrid_outer_lr = inf\n", "grid_outer_lr = inf"),
     ("[train]\n", "[train]\ngrid_grad_threshold = nan\n", "grid_grad_threshold = nan"),
     ("length = 600", "length = 0", "synthetic length"),
+    ("length = 600", "length = 600\namp1 = nan", "amp1 = nan"),
+    ("sigma2 = 0.05", "sigma2 = inf", "sigma2 = inf"),
+    ("length = 600", "length = 600\nseed = -1", "synthetic seed"),
 ], ids=["model", "data", "train", "train-lr-nan", "train-adam-eps-0", "train-grid-outer-lr-inf",
-        "train-grid-grad-threshold-nan", "synthetic"])
+        "train-grid-grad-threshold-nan", "synthetic", "synthetic-amp1-nan", "synthetic-sigma2-inf",
+        "synthetic-seed-negative"])
 def test_bad_section_exits_2_before_any_output(tmp_path, capsys, old, new, key):
     out = os.path.join(str(tmp_path), "runs")
     cfg = write_config(tmp_path, text=BASE_CONFIG.replace(old, new), out_dir=out)
@@ -406,6 +410,21 @@ def test_eval_reproduces_manifest_metrics_exactly(scam_pipeline, capsys):
     assert payload["mse"] == man["seeds"]["0"]["test_mse"]
     assert payload["mae"] == man["seeds"]["0"]["test_mae"]
     assert payload["units"] == "standardized"
+
+
+def test_revin_affine_checkpoint_reproduces_manifest_metrics(tmp_path, capsys):
+    text = BASE_CONFIG.replace("[model]", "[model]\nrevin_affine = true")
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    assert main(["train", "--config", cfg_path]) == 0
+    run_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    summary = json.load(open(os.path.join(run_dir, "manifest.json")))["seeds"]["0"]
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt, "--split", "test"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["mse"] == summary["test_mse"]
+    assert payload["mae"] == summary["test_mae"]
+    _, arrays = load_checkpoint(ckpt)
+    assert {"predictor.revin.weight", "predictor.revin.bias"} <= set(arrays)
 
 
 def test_checkpoint_of_other_window_shape_exits_2(scam_pipeline, tmp_path, capsys):

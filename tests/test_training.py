@@ -541,6 +541,26 @@ def test_grid_search_runs_one_recon_pass_per_chunk_and_round(monkeypatch):
     assert chunks > 1 and len(calls) == cfg.grid_candidates * chunks
 
 
+def test_grid_search_sgd_inner_loop_differs_from_adam():
+    splits = toy_bundle(seed=2)
+    mc = toy_model_config()
+    runs = {}
+    for kind in ("adam", "sgd"):
+        cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1, patience=1, seed=0,
+                          grid_candidates=2, grid_inner_steps=10, grid_outer_lr=0.05,
+                          grid_inner_optimizer=kind)
+        g = ReconstructionNet(mc, np.random.default_rng(3))
+        factory = lambda i: MlpPredictor(mc, np.random.default_rng(100 + i))
+        runs[kind] = train_grid_search(splits, g, factory, cfg)[2]
+    for records in runs.values():
+        assert len(records) == 2
+        for r in records:
+            assert 1 <= r.inner_steps <= 10
+            assert all(np.isfinite([r.loss_rec, r.loss_pred, r.grad_norm, r.test_mse, r.test_mae]))
+    for adam, sgd in zip(runs["adam"], runs["sgd"]):
+        assert adam.loss_pred != sgd.loss_pred
+
+
 def test_grid_search_rec_loss_mostly_non_increasing(grid_run):
     rl = [r.loss_rec for r in grid_run]
     drops = sum(1 for a, b in zip(rl, rl[1:]) if b <= a + 1e-12)
