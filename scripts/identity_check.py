@@ -18,7 +18,9 @@ each with its own `PYTHONPATH=<tree>/src`, so run ids and manifests agree:
     output directory so that both sides print the same path;
   * toy_regimes.ini on two seeds with snr both and log_sharpness, run with
     --threads 2 so the seeds go through the worker pool; its checkpoints
-    carry singular-vector buffers and its epochs.csv lambda_max.
+    carry singular-vector buffers and its epochs.csv lambda_max;
+  * toy_regimes.ini in co_objective mode on seed 0 with snr both, the one
+    run whose training loss is the full co-objective.
 
 Every output file is compared after perfbench's normalization, which drops
 only the training.TIMING_FIELDS columns and the manifest's created_unix. Each
@@ -75,6 +77,11 @@ def make_inputs(inputs: str) -> dict[str, str]:
     configs["toy_sharpness"] = os.path.join(inputs, "toy_sharpness.ini")
     with open(configs["toy_sharpness"], "w") as fh:
         parser.write(fh)
+    parser["experiment"].update({"mode": "co_objective", "seeds": "0"})
+    parser["train"].update({"log_sharpness": "false"})
+    configs["toy_co_objective"] = os.path.join(inputs, "toy_co_objective.ini")
+    with open(configs["toy_co_objective"], "w") as fh:
+        parser.write(fh)
     return configs
 
 
@@ -107,6 +114,7 @@ def run_side(tree: str, configs: dict[str, str], out: str) -> None:
     toy = train("toy_regimes")
     train("grid_search", "grid-search")
     train("toy_sharpness", "train", "--threads", "2")
+    train("toy_co_objective")
     ckpt = os.path.relpath(os.path.join(toy, "seed0", "checkpoints", "best.ckpt"), out)
     cli(tree, ["diagnose", "--config", configs["toy_regimes"], "--sharpness", "--checkpoint", ckpt,
                "--out", os.path.join(out, "toy_regimes", "diagnosis")], out)

@@ -8,8 +8,10 @@ adjoints of intermediates in a local map and accumulates into ``.grad`` of
 the leaves. Only a leaf created with ``requires_grad=True`` has a ``.grad``
 array; constants and op outputs have ``.grad is None``, and backward rules
 return None for operands that need no gradient. Values are numpy arrays
-used purely as float64 storage and BLAS; all differentiation logic lives
-here.
+used purely as float64 storage and BLAS. The one rule written outside this
+module is the losses' (losses.py): each forms its per-point loss and its
+closed-form gradients and hands them to ``candidate_mean``, which records
+them.
 
 Conventions:
   * everything is float64, row-major;
@@ -18,10 +20,9 @@ Conventions:
     matmul output, not through a ones-matmul; the conv bias, added in place
     as b tiled r times over r output rows at once; the (B, 1) constant
     columns of ``affine_rows``; and the candidate axis of
-    ``candidate_l1`` and ``masked_l1``, where candidates c of (B, S, ...)
-    meet p and t of (B, ...), read with a length-1 axis 1, and the gradient
-    of p sums over that axis. Every other backward rule stays a plain
-    transpose/sum;
+    ``candidate_mean``, where candidates c of (B, S, ...) meet p of
+    (B, ...), and the gradient of p sums over that axis. Every other
+    backward rule stays a plain transpose/sum;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread;
@@ -87,16 +88,6 @@ class ParamStore:
         self.slices = {n: slice(lo, hi) for n, lo, hi in zip(names, edges, edges[1:])}
         for v, span in zip(params, self.slices.values()):
             v.value, v.grad = self.value[span].reshape(v.value.shape), self.grad[span].reshape(v.grad.shape)
-
-
-def align_candidates(c: Array, p: Array, t: Array) -> tuple[Array, Array, bool]:
-    """p and t read with a length-1 axis 1 when c is a (B, S, ...) stack of
-    candidates for p and t of (B, ...), as they are when c has p's shape;
-    and whether c is a stack."""
-    stacked = c.ndim == p.ndim + 1
-    if p.shape != t.shape or (c.shape[:1] + c.shape[2:] if stacked else c.shape) != p.shape:
-        raise DimensionError(f"candidates {c.shape} against predictions {p.shape} and labels {t.shape}")
-    return (p[:, None], t[:, None], True) if stacked else (p, t, False)
 
 
 def packed(x: Array) -> Array:
@@ -386,57 +377,14 @@ class Tape:
 
         return self._record(inv, (x,), backward)
 
-    # ---- fused losses --------------------------------------------------
+    # ---- candidate losses ------------------------------------------------
 
-    def candidate_l1(self, c, p, t, w_pred: float, w_rec: float) -> Var:
-        """Mean over candidates of each candidate's mean of
-        w_pred|c - p| + w_rec|c - t|, for candidates c of (B, S, ...) against
-        p and t of (B, ...), or one c of p's shape; t is a constant and a
-        weight of 0 drops its term."""
-        c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
-        cv = c.value
-        pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
-        a = cv - pv if w_pred != 0 else None
-        b = cv - tv if w_rec != 0 else None
-        kept = [np.abs(r) * w for w, r in ((w_pred, a), (w_rec, b)) if r is not None]
-        total = sum(kept[1:], kept[0]) if kept else np.zeros(cv.shape)
-
-        def grads(k: float, over_cands, need_c: bool, need_p: bool):
-            # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
-            ga = np.sign(a) * w_pred if a is not None else np.zeros(cv.shape)
-            gc = (ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k if need_c else None
-            gp = over_cands(ga + 0.0) * -k if need_p else None
-            return gc, gp
-
-        return self._candidate_mean(c, p, stacked, total, grads)
-
-    def masked_l1(self, c: Var, p: Var, t, mask: Array, lt: Array, ap: Array, at: Array) -> Var:
-        """Candidate mean, as in candidate_l1, of |c - p|, |c - t| and |t - p|
-        weighted by 2[M and M_<], 2[M and not M_<] and [not M] of c, p and t's
-        masks, given ap = |c - p| and at = |c - t|: per point 2 min(ap, at) on
-        M, where c - p and c - t share a nonzero sign, and |t - p| off M."""
-        pv, tv, stacked = align_candidates(c.value, p.value, as_array(t))
-        d, off = tv - pv, ~mask
-        # arithmetic on the bool masks: np.where and masked copies run 5x slower
-        total = np.minimum(ap, at)
-        total *= 2.0
-        total *= mask
-        total += np.abs(d) * off
-
-        def grads(k: float, over_cands, need_c: bool, need_p: bool):
-            up = mask & (c.value > pv)  # sign(c - p) on M: 1 on up, -1 on down
-            down = mask & ~up
-            gc = np.subtract(up, down, dtype=np.float64) * (2.0 * k) if need_c else None
-            gp = (2.0 * np.subtract(over_cands(up & lt), over_cands(down & lt), dtype=np.float64)
-                  + np.sign(d).reshape(p.value.shape) * over_cands(off)) * -k if need_p else None
-            return gc, gp
-
-        return self._candidate_mean(c, p, stacked, total, grads)
-
-    def _candidate_mean(self, c: Var, p: Var, stacked: bool, total: Array, grads) -> Var:
+    def candidate_mean(self, c: Var, p: Var, total: Array, grads) -> Var:
         """Record the mean over candidates of each one's mean of the per-point
-        loss `total`; grads(k, over_cands, need_c, need_p) gives c's and p's
-        gradients (None if not needed) for upstream k per point."""
+        loss `total`, for candidates c of (B, S, ...) against p of (B, ...), or
+        one c of p's shape; grads(k, over_cands, need_c, need_p) gives c's and
+        p's gradients (None if not needed) for upstream k per point."""
+        stacked = c.value.ndim == p.value.ndim + 1
         n_cand = c.value.shape[1] if stacked else 1
         # one contiguous row per candidate: each mean adds as its own array would
         rows = np.ascontiguousarray(total.swapaxes(0, 1) if stacked else total)

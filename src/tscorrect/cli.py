@@ -69,7 +69,7 @@ def _schema_section(cls, skip: tuple[str, ...] = ()) -> dict:
 _SCHEMA: dict[str, dict] = {
     # section -> key -> default; a value parses as its default's type
     "experiment": {
-        "mode": "scam",
+        "mode": TrainConfig.mode,
         "seeds": [0],
         "out_dir": "runs",
         "threads": 1,
@@ -78,11 +78,11 @@ _SCHEMA: dict[str, dict] = {
     "data": {
         "source": "synthetic",
         "has_date_column": True,
-        "train_ratio": 0.6,
-        "val_ratio": 0.2,
-        "test_ratio": 0.2,
-        "lookback": 96,
-        "horizon": 96,
+        "train_ratio": SplitSpec.train,
+        "val_ratio": SplitSpec.val,
+        "test_ratio": SplitSpec.test,
+        "lookback": ModelConfig.lookback,
+        "horizon": ModelConfig.horizon,
         "stride": 1,
     },
     "synthetic": _schema_section(SyntheticConfig),
@@ -113,7 +113,8 @@ def load_config(path: str) -> dict:
     """Parse and validate a config file; unknown sections or keys reject."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # a header cannot hold a newline, so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
         with open(path) as fh:
             parser.read_file(fh)

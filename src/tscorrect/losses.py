@@ -22,13 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Var, align_candidates
+from .autodiff import Tape, Var
 from .data import write_csv
 from .errors import ContractError, DimensionError
 
 
 def _as_value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def align_candidates(c: np.ndarray, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """p and t read with a length-1 axis 1 when c is a (B, S, ...) stack of
+    candidates for p and t of (B, ...), as they are when c has p's shape;
+    and whether c is a stack."""
+    stacked = c.ndim == p.ndim + 1
+    if p.shape != t.shape or (c.shape[:1] + c.shape[2:] if stacked else c.shape) != p.shape:
+        raise DimensionError(f"candidates {c.shape} against predictions {p.shape} and labels {t.shape}")
+    return (p[:, None], t[:, None], True) if stacked else (p, t, False)
 
 
 @dataclass
@@ -63,7 +73,22 @@ def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
     """mean(|c - t| + |c - p|). The raw-label term never touches p. A half
     whose weight is 0 is dropped: grid search fits the predictor to the
     |c - p| half and proposes candidates from the |c - t| half."""
-    return tape.candidate_l1(y_tilde, y_hat, _as_value(y), pred_weight, rec_weight)
+    c, p = (x if isinstance(x, Var) else Var(x) for x in (y_tilde, y_hat))
+    cv = c.value
+    pv, tv, _ = align_candidates(cv, p.value, _as_value(y))
+    a = cv - pv if pred_weight != 0 else None
+    b = cv - tv if rec_weight != 0 else None
+    kept = [np.abs(r) * w for w, r in ((pred_weight, a), (rec_weight, b)) if r is not None]
+    total = sum(kept[1:], kept[0]) if kept else np.zeros(cv.shape)
+
+    def grads(k: float, over_cands, need_c: bool, need_p: bool):
+        # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
+        ga = np.sign(a) * pred_weight if a is not None else np.zeros(cv.shape)
+        gc = (ga + np.sign(b) * rec_weight if b is not None else ga + 0.0) * k if need_c else None
+        gp = over_cands(ga + 0.0) * -k if need_p else None
+        return gc, gp
+
+    return tape.candidate_mean(c, p, total, grads)
 
 
 def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) -> Var:
@@ -71,10 +96,30 @@ def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) ->
     constants (no gradient).
 
     mean( |t - p| * (1 - M) + 2 * (|c - p| * M_< + |c - t| * (1 - M_<)) * M )
+
+    Per point that is 2 min(|c - p|, |c - t|) on M, where c - p and c - t
+    share a nonzero sign, and |t - p| off M, all read from the masks;
+    t - p is formed again only for its sign, in the backward pass.
     """
     if masks.mask.shape != y_tilde.value.shape:
         raise DimensionError(f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}")
-    return tape.masked_l1(y_tilde, y_hat, _as_value(y), masks.mask, masks.mask_lt, masks.ap, masks.at)
+    pv, tv, _ = align_candidates(y_tilde.value, y_hat.value, _as_value(y))
+    mask, lt, off = masks.mask, masks.mask_lt, ~masks.mask
+    # arithmetic on the bool masks: np.where and masked copies run 5x slower
+    total = np.minimum(masks.ap, masks.at)
+    total *= 2.0
+    total *= mask
+    total += masks.sup * off
+
+    def grads(k: float, over_cands, need_c: bool, need_p: bool):
+        up = mask & (y_tilde.value > pv)  # sign(c - p) on M: 1 on up, -1 on down
+        down = mask & ~up
+        gc = np.subtract(up, down, dtype=np.float64) * (2.0 * k) if need_c else None
+        gp = (2.0 * np.subtract(over_cands(up & lt), over_cands(down & lt), dtype=np.float64)
+              + np.sign(tv - pv).reshape(y_hat.value.shape) * over_cands(off)) * -k if need_p else None
+        return gc, gp
+
+    return tape.candidate_mean(y_tilde, y_hat, total, grads)
 
 
 def loss_identity_check(y_tilde, y_hat, y) -> float:

@@ -404,14 +404,14 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError("negative block size")
         except (KeyError, TypeError, ValueError) as e:
             raise LoadError(f"{path}: bad checkpoint block list: {type(e).__name__}: {e}") from None
-        blocks = {}
-        for name, shape in specs:
-            buf = fh.read(8 * math.prod(shape))
-            if len(buf) != 8 * math.prod(shape):
-                raise LoadError(f"{path}: truncated block {name}")
-            blocks[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).astype(np.float64)
-        if fh.read(1):
-            raise LoadError(f"{path}: trailing bytes after the last block")
+        # sized in Python ints before any read: a huge shape is a bad file, not a MemoryError
+        declared = 8 * sum(math.prod(shape) for _, shape in specs)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != held:
+            what = "truncated" if declared > held else "trailing bytes after the last block"
+            raise LoadError(f"{path}: {what}: blocks declare {declared} bytes, {held} follow the header")
+        blocks = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).astype(float)
+                  for name, shape in specs}
     return header, blocks
 
 

@@ -9,7 +9,8 @@ tolerances used throughout.
 
 import numpy as np
 
-from tscorrect.autodiff import Tape, Var, align_candidates, as_array
+from tscorrect.autodiff import Tape, Var, as_array
+from tscorrect.losses import align_candidates
 
 
 def fd_worst_rel_err(build, arrays, rng, samples=20, eps=1e-6):
@@ -79,15 +80,15 @@ def away_from_kinks(a, margin=0.05):
 
 
 def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
-    """Tape.candidate_l1 in its general form, recorded on tape: the mean over
+    """co_objective_loss in its general form, recorded on tape: the mean over
     candidates of each one's mean of w_pred|c - p| + w_rec|c - t| +
     w_sup|t - p|, where each weight is a scalar or an array broadcast against
     c, and a weight that is the scalar 0 drops its term. The bit-exact
-    reference for candidate_l1's scalar weights and for masked_l1's weight
-    arrays."""
+    reference for co_objective_loss's scalar weights and for
+    scam_masked_loss's weight arrays."""
     c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
     cv = c.value
-    pv, tv, stacked = align_candidates(cv, p.value, as_array(t))
+    pv, tv, _ = align_candidates(cv, p.value, as_array(t))
     weights = (w_pred, w_rec, w_sup)
     a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                      for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
@@ -105,7 +106,7 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
             gp = over_cands(full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0)) * -k
         return gc, gp
 
-    return tape._candidate_mean(c, p, stacked, total, grads)
+    return tape.candidate_mean(c, p, total, grads)
 
 
 def reference_conv_channels_last(x, w, b, stride, padding):

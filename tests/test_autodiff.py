@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last
 from tscorrect.errors import ContractError, DimensionError
+from tscorrect.losses import co_objective_loss
 from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last,
                      reference_pointwise_mlp, weighted_candidate_l1)
 
@@ -283,7 +284,7 @@ def test_fd_candidate_l1():
     w_pred, w_rec, w_sup = (rng.uniform(0.5, 2.0, (3, 4, 5)) for _ in range(3))
 
     def build(tape, v):
-        return tape.candidate_l1(v[0], v[1], t, 0.75, 1.5)
+        return co_objective_loss(tape, v[0], v[1], t, rec_weight=1.5, pred_weight=0.75)
 
     def build_weighted(tape, v):
         return weighted_candidate_l1(tape, v[0], v[1], t, w_pred, w_rec, w_sup)
@@ -293,19 +294,19 @@ def test_fd_candidate_l1():
     assert fd_worst_rel_err(build_weighted, [c, p], rng) < 1e-6
     # the mean over candidates of each candidate's mean
     terms = 0.75 * np.abs(c - p[:, None]) + 1.5 * np.abs(c - t[:, None])
-    value = Tape().candidate_l1(Var(c), Var(p), t, 0.75, 1.5).value.item()
+    value = co_objective_loss(Tape(), Var(c), Var(p), t, rec_weight=1.5, pred_weight=0.75).value.item()
     assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
     terms = (w_pred * np.abs(c - p[:, None]) + w_rec * np.abs(c - t[:, None])
              + w_sup * np.abs(t - p)[:, None])
     value = weighted_candidate_l1(Tape(), Var(c), Var(p), t, w_pred, w_rec, w_sup).value.item()
     assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
     # one candidate of p's shape; a weight of 0 drops its term
-    one = Tape().candidate_l1(Var(c[:, 0]), Var(p), t, 1.0, 0.0).value.item()
+    one = co_objective_loss(Tape(), Var(c[:, 0]), Var(p), t, rec_weight=0.0, pred_weight=1.0).value.item()
     assert one == np.abs(c[:, 0] - p).mean()
     with pytest.raises(DimensionError):
-        Tape().candidate_l1(Var(c), Var(p[:, :4]), t[:, :4], 1.0, 1.0)
+        co_objective_loss(Tape(), Var(c), Var(p[:, :4]), t[:, :4], rec_weight=1.0, pred_weight=1.0)
     with pytest.raises(DimensionError):
-        Tape().candidate_l1(Var(c), Var(p), t[:2], 1.0, 1.0)
+        co_objective_loss(Tape(), Var(c), Var(p), t[:2], rec_weight=1.0, pred_weight=1.0)
 
 
 def test_affine_rows_value_grad_and_shapes():
@@ -324,7 +325,7 @@ def test_affine_rows_value_grad_and_shapes():
 
 
 def candidate_l1_reference(cv, pv, tv, w_pred, w_rec, w_sup):
-    """The weighted candidate_l1 as written before its lean form, from its
+    """helpers.weighted_candidate_l1 as written before its lean form, from its
     sum() and broadcast_to total: the value and the rule's c and p gradients
     for an upstream gradient of 1."""
     stacked = cv.ndim == pv.ndim + 1
@@ -366,10 +367,11 @@ def test_candidate_l1_equals_sum_and_broadcast_form(seed, weights, stacked):
     rng = RNG(seed + 10)
     weights = tuple(rng.integers(0, 3, c.shape) * 1.0 if w == "m" else w for w in weights)
     value, gc, gp = candidate_l1_reference(c, p, t, *weights)
-    # Tape.candidate_l1 takes the scalar weights without a |t - p| term
+    # co_objective_loss takes the scalar weights without a |t - p| term
     forms = [lambda tape, vc, vp: weighted_candidate_l1(tape, vc, vp, t, *weights)]
     if all(np.ndim(w) == 0 for w in weights) and weights[2] == 0:
-        forms.append(lambda tape, vc, vp: tape.candidate_l1(vc, vp, t, *weights[:2]))
+        forms.append(lambda tape, vc, vp: co_objective_loss(tape, vc, vp, t, rec_weight=weights[1],
+                                                            pred_weight=weights[0]))
     for form in forms:
         tape = Tape()
         vc, vp = Var(c, requires_grad=True), Var(p, requires_grad=True)

@@ -16,8 +16,9 @@ import sys
 import numpy as np
 import pytest
 
-from tscorrect.cli import load_config, main, run_experiment
+from tscorrect.cli import load_config, load_series, main, make_bundle, run_experiment
 from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
+from tscorrect.errors import ConfigError
 from tscorrect.losses import MASK_DUMP_FIELDS
 from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
                               save_checkpoint, spectral_norm)
@@ -98,6 +99,11 @@ def test_unknown_section_exits_2(tmp_path, capsys):
         fh.write("[optimizer]\nlr = 0.1\n")
     assert main(["train", "--config", cfg]) == 2
     assert "optimizer" in capsys.readouterr().err
+    # [DEFAULT] is an unknown section too, not defaults for the others
+    with open(cfg, "w") as fh:
+        fh.write("[DEFAULT]\nlr = 0.1\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(cfg)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -217,7 +223,10 @@ def test_eval_refuses_a_bad_section_before_the_checkpoint(tmp_path, capsys):
     lambda h: h["blocks"][0].update(shape=[-1]),
     lambda h: h["config"].update(horizon=20),
     lambda h: h.update(seed="x"),
-], ids=["no-blocks", "no-config", "unknown-config-key", "shape-x", "shape-negative", "horizon-20", "seed-x"])
+    lambda h: h["blocks"][0].update(shape=[2 ** 40]),
+    lambda h: h["blocks"][0].update(shape=[2 ** 40, 2 ** 20]),
+], ids=["no-blocks", "no-config", "unknown-config-key", "shape-x", "shape-negative", "horizon-20", "seed-x",
+        "shape-huge", "shape-past-index"])
 def test_eval_of_a_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, edit):
     cfg = write_config(tmp_path, out_dir=str(tmp_path))
     ckpt = os.path.join(str(tmp_path), "bad.ckpt")
@@ -589,6 +598,22 @@ def test_diagnose_mask_dump_dir(diagnosis):
     names = sorted(os.listdir(os.path.join(diagnosis, "masks")))
     assert names == ["sample0_cand0.csv", "sample0_cand1.csv",
                      "sample1_cand0.csv", "sample1_cand1.csv"]
+
+
+def test_diagnose_split_picks_the_breakdown_and_curvature_windows_not_the_mask_dumps(scam_pipeline, tmp_path):
+    cfg_path, run_dir = scam_pipeline
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    out = os.path.join(str(tmp_path), "diag")
+    assert main(["diagnose", "--config", cfg_path, "--checkpoint", ckpt, "--out", out, "--split", "test",
+                 "--breakdown-windows", "50", "--samples", "1", "--sharpness"]) == 0
+    cfg = load_config(cfg_path)
+    bundle = make_bundle(cfg, load_series(cfg))
+    bd = json.load(open(os.path.join(out, "breakdown.json")))
+    assert bd["split"] == "test" and bd["windows"] == min(len(bundle.test), 50)
+    assert json.load(open(os.path.join(out, "sharpness.json")))["split"] == "test"
+    # the mask dumps still come from the validation split, which starts at b1
+    with open(os.path.join(out, "masks", "sample0_cand0.csv")) as fh:
+        assert fh.readline().startswith("t,") and int(fh.readline().split(",")[0]) == bundle.boundaries[0]
 
 
 def test_diagnose_zero_samples_dumps_no_masks(scam_pipeline, tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -635,6 +637,18 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         fh.write(np.zeros(1).tobytes())
     with pytest.raises(LoadError, match="trailing"):
         load_checkpoint(path)
+
+
+def test_checkpoint_cut_inside_its_last_block_names_the_file(tmp_path):
+    cfg = tiny_cfg()
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
+                    models={"predictor": build_predictor(cfg, RNG(0))})
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 4)
+    with pytest.raises(LoadError, match="truncated") as err:
+        load_checkpoint(path)
+    assert path in str(err.value)
 
 
 def test_restore_rejects_buffer_of_wrong_shape(tmp_path):
