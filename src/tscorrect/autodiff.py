@@ -141,6 +141,7 @@ class Tape:
     def __init__(self, record: bool = True):
         self.record = bool(record)
         self._entries: list[tuple[Var, tuple[Var, ...], Callable]] = []
+        self.kinks: list[Array] | None = None  # a list collects relu and abs input signs
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -353,6 +354,8 @@ class Tape:
 
     def abs(self, x: Var) -> Var:
         s = np.sign(x.value)  # sign(0) = 0
+        if self.kinks is not None:
+            self.kinks.append(s)
 
         def backward(g: Array):
             return (g * s,)
@@ -361,6 +364,8 @@ class Tape:
 
     def relu(self, x: Var) -> Var:
         m = x.value > 0.0
+        if self.kinks is not None:
+            self.kinks.append(m)
 
         def backward(g: Array):
             return (g * m,)

@@ -114,7 +114,9 @@ def load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     # a header cannot hold a newline, so [DEFAULT] is a section like any other
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
+    # no interpolation: a '%' in a value, say a path, is that character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n",
+                                       interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -220,10 +222,11 @@ def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> Non
             )
 
 
-def run_seed(cfg: dict, seed: int, seed_dir: str, series: RawSeries) -> dict:
-    """Train one seed on the run's series; returns the manifest summary for this seed."""
+def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows) -> dict:
+    """Train one seed on the run's windows, cut here if data is the series;
+    returns the manifest summary for this seed."""
     os.makedirs(os.path.join(seed_dir, "checkpoints"), exist_ok=True)
-    bundle = make_bundle(cfg, series)
+    bundle = make_bundle(cfg, data) if isinstance(data, RawSeries) else data
     mcfg = model_config(cfg)
     mode = cfg["experiment"]["mode"]
     tcfg = TrainConfig(mode=mode, seed=seed, **cfg["train"])
@@ -277,20 +280,20 @@ def run_experiment(cfg: dict, out_override: str | None = None) -> str:
     out_root = out_override or cfg["experiment"]["out_dir"]
     mode, seeds = cfg["experiment"]["mode"], cfg["experiment"]["seeds"]
     # a series that cannot be read or windowed fails here, before any directory exists;
-    # the seeds get the series, not the bundle, whose pickle would copy every window
+    # in-process seeds train on these windows, pool workers get the series, not the
+    # bundle, whose pickle would copy every window
     series = load_series(cfg)
-    make_bundle(cfg, series)
+    bundle = make_bundle(cfg, series)
     digest = config_digest(cfg)
     run_dir = os.path.join(out_root, f"{mode.replace('_', '-')}-{digest[:10]}")
     os.makedirs(run_dir, exist_ok=True)
-    job = functools.partial(run_seed, cfg, series=series)
     seed_dirs = [os.path.join(run_dir, f"seed{seed}") for seed in seeds]
     threads = min(cfg["experiment"]["threads"], len(seeds))
     if threads == 1:
-        summaries = [job(seed, seed_dir) for seed, seed_dir in zip(seeds, seed_dirs)]
+        summaries = [run_seed(cfg, seed, seed_dir, bundle) for seed, seed_dir in zip(seeds, seed_dirs)]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(job, seeds, seed_dirs))
+            summaries = list(pool.map(functools.partial(run_seed, cfg, data=series), seeds, seed_dirs))
     manifest = {
         "tool": "tscorrect",
         "version": __version__,

@@ -411,16 +411,17 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
     f = copy.deepcopy(f)
     store = ParamStore(f.parameters())
 
-    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray, list]:
         store.value[...] = theta
         tape = Tape()
+        tape.kinks = []  # the ReLU inputs' and the residuals' signs
         diff = tape.abs(tape.sub(f.forward(tape, x), tape.constant(y)))
         if point_weights is not None:
             diff = tape.mul(diff, tape.constant(point_weights))
         loss = tape.mean(diff)
         store.grad.fill(0.0)
         tape.backward(loss)
-        return loss.value.item(), store.grad.copy()
+        return loss.value.item(), store.grad.copy(), tape.kinks
 
     spans = store.slices
     segments = {

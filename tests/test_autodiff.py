@@ -37,6 +37,16 @@ def test_abs_relu_values():
     assert np.array_equal(t.relu(x).value, [0.0, 0.0, 2.0])
 
 
+def test_kink_pattern_is_collected_only_on_request():
+    t = Tape()
+    x = Var(np.array([-1.0, 0.0, 2.0]))
+    t.relu(t.abs(x))
+    assert t.kinks is None
+    t.kinks = []
+    t.relu(t.abs(x))
+    assert [k.tolist() for k in t.kinks] == [[-1.0, 0.0, 1.0], [True, False, True]]
+
+
 def test_relu_subgradient_zero_at_zero():
     t = Tape()
     x = Var(np.array([0.0, -0.5, 0.5]), requires_grad=True)

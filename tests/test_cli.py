@@ -16,8 +16,9 @@ import sys
 import numpy as np
 import pytest
 
+from tscorrect import cli
 from tscorrect.cli import load_config, load_series, main, make_bundle, run_experiment
-from tscorrect.data import SyntheticConfig, load_csv, make_synthetic
+from tscorrect.data import SyntheticConfig, build_splits, load_csv, make_synthetic
 from tscorrect.errors import ConfigError
 from tscorrect.losses import MASK_DUMP_FIELDS
 from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
@@ -254,6 +255,12 @@ def test_config_defaults_and_overrides(tmp_path):
     assert cfg["experiment"]["seeds"] == [0]
 
 
+def test_percent_in_a_config_value_is_a_plain_character(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nout_dir = runs%1\n")
+    assert load_config(str(path))["experiment"]["out_dir"] == "runs%1"
+
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.ini")))
 
@@ -276,6 +283,15 @@ def test_shipped_config_loads_and_trains(path, tmp_path):
     run_dir = run_experiment(cfg, str(tmp_path))
     man = json.load(open(os.path.join(run_dir, "manifest.json")))
     assert list(man["seeds"]) == [str(cfg["experiment"]["seeds"][0])]
+
+
+def test_in_process_seed_trains_on_the_checked_windows(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "build_splits", lambda *a, **k: calls.append(1) or build_splits(*a, **k))
+    cfg = load_config(os.path.join(ROOT, "configs", "toy_regimes.ini"))
+    cfg["experiment"]["seeds"], cfg["train"]["max_epochs"] = [0], 1
+    run_experiment(cfg, str(tmp_path))
+    assert len(calls) == 1
 
 
 def readme_quickstart(heading: str = "## CLI quickstart") -> list[list[str]]:

@@ -14,7 +14,9 @@ import pytest
 from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, make_synthetic
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.models import MlpPredictor, ModelConfig
+from tscorrect import sharpness
 from tscorrect.sharpness import (
+    EPS_BASE,
     MAX_POWER_ITERS,
     RAYLEIGH_TOL,
     HvpContext,
@@ -26,7 +28,7 @@ from tscorrect.sharpness import (
     kl_alignment,
     lambda_max,
 )
-from tscorrect.training import predictor_loss_context
+from tscorrect.training import TrainConfig, predictor_loss_context, train_supervised
 
 
 def quad_ctx(a, segments=None):
@@ -312,6 +314,74 @@ def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
             res = lambda_max(ctx, seed=seed, segment=segment)
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged), segment
             assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value), segment
+
+
+# ---------------------------------------------------------------------------
+# the kink guard: lambda_max of the almost-everywhere Hessian
+
+
+@pytest.fixture(scope="module")
+def trained_snr_both():
+    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=96, horizon=96)
+    cfg = ModelConfig(backbone="mlp", lookback=96, horizon=96, hidden=256, snr="both")
+    f = MlpPredictor(cfg, np.random.default_rng(0))
+    train_supervised(splits, f, TrainConfig(mode="supervised", lr=3e-3, batch_size=64,
+                                            max_epochs=3, seed=0))
+    return f, splits.val
+
+
+def test_lambda_max_does_not_depend_on_the_lanczos_seed(trained_snr_both):
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    values = [lambda_max(ctx, seed=s).value for s in range(6)]
+    assert max(values) - min(values) <= 1e-6 * max(values), values
+
+
+def test_segment_sharpness_interlaces_below_the_total(trained_snr_both):
+    # Cauchy interlacing: a principal submatrix's top eigenvalue is at most the matrix's
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    total = min(lambda_max(ctx, seed=s).value for s in range(6))
+    for seg in ctx.segments:
+        for s in range(6):
+            assert lambda_max(ctx, segment=seg, seed=s).value <= total * (1.0 + 1e-9), (seg, s)
+
+
+def test_lambda_max_holds_when_the_step_floor_drops(trained_snr_both, monkeypatch):
+    ref = lambda_max(predictor_loss_context(*trained_snr_both, 16), seed=0).value
+    monkeypatch.setattr(sharpness, "MAX_SHRINKS", sharpness.MAX_SHRINKS + 1)
+    low = lambda_max(predictor_loss_context(*trained_snr_both, 16), seed=0).value
+    assert abs(low - ref) < 1e-6 * abs(ref)
+
+
+def test_guarded_step_is_kept_and_costs_two_passes_once_settled(trained_snr_both):
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    inner, calls = ctx.loss_and_grad, []
+    v = inner(ctx.theta0)[1]  # along the gradient the residuals cross zero at the first step
+    ctx.loss_and_grad = lambda theta: calls.append(1) or inner(theta)
+    first = hvp(ctx, v)
+    shrinks, settle = ctx.shrinks, len(calls)
+    assert shrinks >= 1
+    assert settle == 2 * (shrinks + 1) + 1  # the probes of each step tried, theta0's pattern
+    calls.clear()
+    assert np.array_equal(hvp(ctx, v), first)
+    assert len(calls) == 2 and ctx.shrinks == shrinks
+
+
+def test_context_without_a_pattern_keeps_the_fixed_step():
+    # |theta| has kinks the probes cross, but (loss, grad) carries no pattern
+    def loss_and_grad(theta):
+        return float(np.abs(theta).sum() + (theta ** 3).sum()), np.sign(theta) + 3.0 * theta ** 2
+
+    theta0 = np.linspace(-2e-4, 3.0, 7)
+    ctx = HvpContext(theta0=theta0, loss_and_grad=loss_and_grad)
+    eps = EPS_BASE * max(1.0, float(np.linalg.norm(theta0)))
+    for v in np.random.default_rng(5).standard_normal((3, 7)):
+        nv = float(np.linalg.norm(v))
+        vhat = v / nv
+        want = (loss_and_grad(theta0 + eps * vhat)[1] - loss_and_grad(theta0 - eps * vhat)[1]) \
+            * (nv / (2.0 * eps))
+        assert np.array_equal(hvp(ctx, v), want)
+    assert ctx.shrinks == 0 and ctx.kinks is None
 
 
 # ---------------------------------------------------------------------------
