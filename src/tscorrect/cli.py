@@ -408,7 +408,7 @@ def cmd_diagnose(args) -> int:
         report = {"split": args.split, "loss": "l1", "total": dataclasses.asdict(lambda_max(ctx))}
         for name in sorted(ctx.segments):
             report[name] = dataclasses.asdict(lambda_max(ctx, segment=name))
-        # masked variants weight the same L1 loss by the candidate-mean mask;
+        # masked variants average the same L1 loss under the candidate-mean mask;
         # rebinding ctx frees each context, and its copy of f, before the next probe
         take_s = min(cfg["train"]["sharpness_batch"], len(ds), take)
         w_in = mask_mean[: take_s * ds.n_channels]

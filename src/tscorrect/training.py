@@ -400,7 +400,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
 def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
                            point_weights: np.ndarray | None = None) -> HvpContext:
     """Curvature context for the predictor's L1 loss on a fixed batch of
-    windows, optionally weighted per output point (e.g. by a mask). It
+    windows, optionally a weighted mean over output points (e.g. by a mask). It
     probes a private copy of f in its own store, so f, an optimizer whose
     store backs f, and other contexts on f never see its parameter writes."""
     take = min(batch, len(ds))
@@ -408,6 +408,10 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
     y = flatten_channels(ds.y[:take])
     if point_weights is not None and point_weights.shape != y.shape:
         raise ContractError(f"point weights {point_weights.shape} vs targets {y.shape}")
+    if point_weights is not None and point_weights.mean() > 0:
+        # the loss over the weighted points is their weighted mean, so that
+        # two weightings of unequal mass are compared on one scale
+        point_weights = point_weights / point_weights.mean()
     f = copy.deepcopy(f)
     store = ParamStore(f.parameters())
 

@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, make_synthetic
+from tscorrect.autodiff import Tape
+from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, flatten_channels, make_synthetic
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.models import MlpPredictor, ModelConfig
 from tscorrect import sharpness
@@ -234,6 +235,31 @@ def test_two_contexts_on_one_predictor_stay_independent():
     assert lambda_max(ctx_b, seed=3).value != alone.value
     assert alone.value > 0.0
     assert all(np.array_equal(v.value, b) for (_, v), b in zip(f.parameters(), before))
+
+
+def test_point_weights_average_the_loss_over_their_mass():
+    # criterion 9 compares a mask's points with the rest: the loss over a set of
+    # points is their mean, whatever share of the batch the set holds
+    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
+    cfg = ModelConfig(backbone="mlp", lookback=16, horizon=16, hidden=8, snr="both")
+    f = MlpPredictor(cfg, np.random.default_rng(0))
+    shape = (32 * splits.train.n_channels, 16)
+    subset = np.random.default_rng(6).uniform(size=shape) < 0.3
+
+    def context(weights):
+        return predictor_loss_context(f, splits.train, batch=32, point_weights=weights)
+
+    ctx = context(subset.astype(np.float64))
+    resid = np.abs(f.forward(Tape(record=False), flatten_channels(splits.train.x[:32])).value
+                   - flatten_channels(splits.train.y[:32]))
+    assert ctx.loss_and_grad(ctx.theta0)[0] == pytest.approx(resid[subset].mean(), rel=1e-12)
+    plain = lambda_max(predictor_loss_context(f, splits.train, batch=32), seed=1).value
+    assert lambda_max(context(np.full(shape, 0.25)), seed=1).value == plain
+    weights = np.random.default_rng(7).uniform(0.0, 1.0, shape)
+    one, scaled = (lambda_max(context(c * weights), seed=1).value for c in (1.0, 3.7))
+    assert abs(scaled - one) <= 1e-9 * abs(one)
+    assert lambda_max(context(np.zeros(shape)), seed=1).value == 0.0
 
 
 def test_model_lambda_max_matches_dense_fd_hessian(tiny_mlp_ctx):
