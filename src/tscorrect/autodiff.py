@@ -404,35 +404,14 @@ class Tape:
 
     # ---- reductions ----------------------------------------------------
 
-    def _reduce(self, x: Var, axes, mean: bool) -> Var:
-        """Sum, or mean if `mean`, over `axes` (None: all of them)."""
-        shape = x.value.shape
-        nd = len(shape)
-        if axes is None:
-            axes = range(nd)
-        elif isinstance(axes, int):
-            axes = (axes,)
-        axes = tuple(int(a) for a in axes)
-        for a in axes:
-            if not -nd <= a < nd:
-                raise DimensionError(f"reduce axis {a} out of range for shape {shape}")
-        ax = tuple(sorted(a % nd for a in axes))
-        if len(set(ax)) != len(ax):
-            raise DimensionError(f"duplicate reduce axes {axes}")
-        kept = tuple(1 if i in ax else s for i, s in enumerate(shape))
-        scale = 1.0 / math.prod(shape[a] for a in ax) if mean else 1.0
-        value = x.value.mean(axis=ax or None) if mean else x.value.sum(axis=ax or None)
+    def mean(self, x: Var) -> Var:
+        """Mean over every element, one scalar."""
+        shape, scale = x.value.shape, 1.0 / x.value.size
 
         def backward(g: Array):
-            return (np.broadcast_to(g.reshape(kept) * scale, shape).copy(),)
+            return (np.full(shape, g.item() * scale),)
 
-        return self._record(value, (x,), backward)
-
-    def sum(self, x: Var, axes=None) -> Var:
-        return self._reduce(x, axes, mean=False)
-
-    def mean(self, x: Var, axes=None) -> Var:
-        return self._reduce(x, axes, mean=True)
+        return self._record(x.value.mean(), (x,), backward)
 
     # ---- shape moves ---------------------------------------------------
 
@@ -463,35 +442,6 @@ class Tape:
             return (g.transpose(inv),)
 
         return self._record(x.value.transpose(axes), (x,), backward)
-
-    def concat(self, parts: Sequence[Var], axis: int = 0) -> Var:
-        parts = list(parts)
-        if not parts:
-            raise DimensionError("concat of zero parts")
-        nd = parts[0].value.ndim
-        if not -nd <= axis < nd:
-            raise DimensionError(f"concat axis {axis} out of range")
-        axis = axis % nd
-        for p in parts[1:]:
-            if p.value.ndim != nd:
-                raise DimensionError("concat rank mismatch")
-            for d in range(nd):
-                if d != axis and p.value.shape[d] != parts[0].value.shape[d]:
-                    raise DimensionError(
-                        f"concat shapes differ off-axis: {parts[0].value.shape} vs {p.value.shape}"
-                    )
-        sizes = [p.value.shape[axis] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(g: Array):
-            sl = [slice(None)] * nd
-            outs = []
-            for i, p in enumerate(parts):
-                sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-                outs.append(g[tuple(sl)].copy() if p.requires_grad else None)
-            return tuple(outs)
-
-        return self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), backward)
 
     # ---- reverse pass ----------------------------------------------------
 

@@ -140,9 +140,6 @@ class Scaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 @dataclass
 class WindowDataset:

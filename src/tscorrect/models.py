@@ -4,7 +4,7 @@ Predictors are channel-independent: every sample is one univariate window
 of length L mapped to a horizon of length H. Instance normalization wraps
 the backbone (statistics per window, detached). The reconstruction network
 g maps a target window to S candidate corrected labels through four
-stride-2 conv layers whose outputs are transposed and unfolded back onto
+stride-2 channels-last conv layers whose outputs are unfolded back onto
 the horizon grid, then a point-wise FFN and one head layer with S outputs.
 
 Spectral rescaling (snr): a layer's effective weight is gamma * W / sigma_max(W),
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class ModelConfig:
     recon_hidden: int = 128
 
     def __post_init__(self):
+        for f in fields(self):  # the default's exact type: True is no size, 8.0 no int, "false" no bool
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
         if self.backbone not in _BACKBONES:
             raise ConfigError(f"backbone must be one of {_BACKBONES}, got {self.backbone!r}")
         if self.snr not in SNR_CHOICES:
@@ -98,14 +102,6 @@ def top_singular_pair(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     sigma = float(np.linalg.norm(ax))
     y[...] = ax / sigma
     return max(sigma, SIGMA_FLOOR)
-
-
-def spectral_norm(w: np.ndarray) -> float:
-    """Largest singular value, exact to rounding (see top_singular_pair)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise DimensionError(f"spectral_norm expects a matrix, got {w.shape}")
-    return top_singular_pair(w, np.zeros(w.shape[0]), np.zeros(w.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +292,6 @@ class ReconstructionNet:
             raise DimensionError(f"encode expects (B, {self.cfg.horizon}), got {y.shape}")
         return tape.conv_pyramid(tape.constant(y[:, :, None]), self.convs, CONV_STRIDE, CONV_PADDING)
 
-    def conv_features(self, tape: Tape, y: np.ndarray, level: int) -> Var:
-        """Raw (B, C_l, T_l) output of conv level `level` (0-based)."""
-        if not 0 <= level < N_CONV_LAYERS:
-            raise ConfigError(f"conv level must be in [0, {N_CONV_LAYERS}), got {level}")
-        b, h = y.shape
-        cur = tape.reshape(tape.constant(y), (b, 1, h))
-        for w, bias in self.convs[: level + 1]:
-            cur = tape.conv1d(cur, w, bias, stride=CONV_STRIDE, padding=CONV_PADDING)
-        return cur
-
     def forward(self, tape: Tape, y: np.ndarray) -> Var:
         """All candidate label sets, stacked: (B, S, H)."""
         b, h = y.shape
@@ -423,7 +409,7 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray],
     except (KeyError, TypeError, ValueError) as e:
         raise LoadError(f"{path}: bad checkpoint config or seed: {type(e).__name__}: {e}") from None
     names = {name.split(".", 1)[0] for name in blocks}
-    models = {}
+    models, unread = {}, set(blocks)
     for mname in sorted(names):
         if mname == "predictor":
             models[mname] = build_predictor(cfg, rng)
@@ -441,4 +427,7 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray],
                     f"model expects {arr.shape}"
                 )
             arr[...] = blocks[key]
+            unread.discard(key)
+    if unread:
+        raise LoadError(f"{path}: blocks that no model reads: {', '.join(sorted(unread))}")
     return cfg, models

@@ -138,6 +138,16 @@ def reference_conv_channels_last(x, w, b, stride, padding):
     return out.reshape(B, t_out, c_out), backward
 
 
+def conv_levels(g, y):
+    """Each conv level's (B, T_l, C_l) output, read back from its slice of
+    g.encode(y)'s (B, H, d_feat) features: level l holds columns
+    [l dm/2, (l + 1) dm/2), its output unfolded row-major onto the H rows."""
+    feats = g.encode(Tape(), y).value
+    per = g.cfg.dim_multiplier // 2
+    return [np.ascontiguousarray(feats[:, :, l * per:(l + 1) * per]).reshape(len(y), -1, c)
+            for l, c in enumerate(g.channels)]
+
+
 def reference_pointwise_mlp(z, w1, b1, w2, b2, g, chunk):
     """Tape.pointwise_mlp in its plain blocked form, each block's hidden
     layer and gradients fresh arrays: the output relu(z @ w1.T + b1) @ w2.T

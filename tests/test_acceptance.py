@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import away_from_kinks, fd_model_worst_rel_err, fd_worst_rel_err
-from tscorrect.autodiff import ParamStore, Tape
+from helpers import away_from_kinks, conv_levels, fd_model_worst_rel_err, fd_worst_rel_err
+from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape
 from tscorrect.cli import main
 from tscorrect.data import (
     SplitSpec,
@@ -28,14 +28,15 @@ from tscorrect.data import (
     make_synthetic,
     regime_index,
 )
-from tscorrect.losses import loss_identity_check, summarize_candidates
+from tscorrect.losses import (co_objective_loss, compute_masks, loss_identity_check, scam_masked_loss,
+                              summarize_candidates)
 from tscorrect.models import (
     ModelConfig,
     MlpPredictor,
     ReconstructionNet,
     build_predictor,
     build_recon,
-    spectral_norm,
+    top_singular_pair,
 )
 from tscorrect.sharpness import HvpContext, lambda_max
 from tscorrect.training import (
@@ -91,17 +92,39 @@ def _wmean(tape, v, w):
     return tape.mean(tape.mul(v, tape.constant(w)))
 
 
+def _candidates(rng, n_cand):
+    """Stacked candidates c (4, n_cand, 6) for p and t (4, 6), with
+    c - t = r (p - t) for r near -1.5, 0.25, 0.75, 1.5 or 2.5: every mask
+    region, and no |c - p|, |c - t|, |t - p| or |c - p| - |c - t| near the
+    0 where a probe would flip a mask or an abs."""
+    t = rng.standard_normal((4, 6))
+    d = away_from_kinks(rng.standard_normal((4, 6)))
+    r = rng.choice([-1.5, 0.25, 0.75, 1.5, 2.5], size=(4, n_cand, 6)) * rng.uniform(0.9, 1.1, (4, n_cand, 6))
+    return t[:, None] + r * d[:, None], t + d, t
+
+
 def _primitive_checks(rng):
     w43 = rng.standard_normal((4, 3))
     w254 = rng.standard_normal((2, 5, 4))
     w235 = rng.standard_normal((2, 3, 5))
     w34 = rng.standard_normal((3, 4))
-    w3 = rng.standard_normal(3)
-    w4 = rng.standard_normal(4)
     w26 = rng.standard_normal((2, 6))
     w432 = rng.standard_normal((4, 3, 2))
     wt43 = rng.standard_normal((4, 3))
     signs = rng.choice([-1.0, 1.0], size=(3, 4))
+    w286 = rng.standard_normal((2, 8, 6))
+    w1122 = rng.standard_normal((1, 12, 2))
+    wmlp = rng.standard_normal((POINTWISE_CHUNK + 3, 2))
+    w54 = rng.standard_normal((5, 4))
+    scale, shift = rng.uniform(0.5, 2.0, (5, 1)), rng.standard_normal((5, 1))
+    w53 = rng.standard_normal((5, 3))
+    # a p gradient of 0 must mean a loss flat in p, or the probe reads only
+    # rounding: an odd count of candidates keeps the co-objective's sum of
+    # signs off 0; per point the masked loss's is sign(p - t) times
+    # 2 (candidates on M_<) - (candidates off M), with 2 candidates 0 only
+    # when neither term is present
+    c3, p3, t3 = _candidates(rng, 3)
+    c2, p2, t2 = _candidates(rng, 2)
     return [
         ("matmul", lambda t, v: _wmean(t, t.matmul(v[0], v[1]), w43),
          [rng.standard_normal((4, 5)), rng.standard_normal((5, 3))]),
@@ -109,6 +132,26 @@ def _primitive_checks(rng):
          [rng.standard_normal((2, 3, 8)), rng.standard_normal((5, 3, 3)), rng.standard_normal(5)]),
         ("conv1d s1 p0", lambda t, v: _wmean(t, t.conv1d(v[0], v[1], v[2], stride=1, padding=0), w235),
          [rng.standard_normal((2, 2, 7)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)]),
+        ("conv_pyramid 3 levels", lambda t, v: _wmean(t, t.conv_pyramid(
+            v[0], [(v[1], v[2]), (v[3], v[4]), (v[5], v[6])], stride=2, padding=1), w286),
+         [rng.standard_normal((2, 8, 2)), rng.standard_normal((4, 2, 3)), rng.standard_normal(4),
+          rng.standard_normal((8, 4, 3)), rng.standard_normal(8),
+          rng.standard_normal((16, 8, 3)), rng.standard_normal(16)]),
+        ("conv_pyramid 2 levels", lambda t, v: _wmean(t, t.conv_pyramid(
+            v[0], [(v[1], v[2]), (v[3], v[4])], stride=2, padding=1), w1122),
+         [rng.standard_normal((1, 12, 1)), rng.standard_normal((2, 1, 3)), rng.standard_normal(2),
+          rng.standard_normal((4, 2, 3)), rng.standard_normal(4)]),
+        ("pointwise_mlp 2 blocks", lambda t, v: _wmean(t, t.pointwise_mlp(*v), wmlp),
+         [rng.standard_normal((POINTWISE_CHUNK + 3, 3)), rng.standard_normal((6, 3)),
+          rng.standard_normal(6), rng.standard_normal((2, 6)), rng.standard_normal(2)]),
+        ("linear", lambda t, v: _wmean(t, t.linear(v[0], v[1], v[2]), w54),
+         [rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)]),
+        ("affine_rows", lambda t, v: _wmean(t, t.affine_rows(v[0], scale, shift), w53),
+         [rng.standard_normal((5, 3))]),
+        ("candidate_mean co_objective", lambda t, v: co_objective_loss(
+            t, v[0], v[1], t3, rec_weight=1.5, pred_weight=0.75), [c3, p3]),
+        ("candidate_mean scam", lambda t, v: scam_masked_loss(
+            t, v[0], v[1], t2, compute_masks(v[0], v[1], t2)), [c2, p2]),
         ("add", lambda t, v: _wmean(t, t.add(v[0], v[1]), w34),
          [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]),
         ("sub", lambda t, v: _wmean(t, t.sub(v[0], v[1]), w34),
@@ -125,13 +168,7 @@ def _primitive_checks(rng):
          [away_from_kinks(rng.standard_normal((3, 4)))]),
         ("reciprocal", lambda t, v: _wmean(t, t.reciprocal(v[0]), w34),
          [rng.uniform(0.5, 1.5, size=(3, 4)) * signs]),
-        ("sum", lambda t, v: t.sum(v[0]),
-         [rng.standard_normal((3, 4))]),
-        ("sum axis1", lambda t, v: _wmean(t, t.sum(v[0], axes=(1,)), w3),
-         [rng.standard_normal((3, 4))]),
         ("mean", lambda t, v: t.mean(v[0]),
-         [rng.standard_normal((3, 4))]),
-        ("mean axis0", lambda t, v: _wmean(t, t.mean(v[0], axes=(0,)), w4),
          [rng.standard_normal((3, 4))]),
         ("reshape", lambda t, v: _wmean(t, t.reshape(v[0], (2, 6)), w26),
          [rng.standard_normal((3, 4))]),
@@ -139,8 +176,6 @@ def _primitive_checks(rng):
          [rng.standard_normal((3, 4))]),
         ("transpose axes", lambda t, v: _wmean(t, t.transpose(v[0], (2, 0, 1)), w432),
          [rng.standard_normal((3, 2, 4))]),
-        ("concat", lambda t, v: _wmean(t, t.concat([v[0], v[1]], axis=1), w26),
-         [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]),
     ]
 
 
@@ -208,7 +243,7 @@ def test_criterion_03_spectral_rescaling():
         n = int(rng.integers(1, 33))
         w = rng.standard_normal((m, n)) * rng.uniform(0.1, 3.0)
         ref = float(np.linalg.svd(w, compute_uv=False)[0])
-        worst_est = max(worst_est, abs(spectral_norm(w) - ref) / ref)
+        worst_est = max(worst_est, abs(top_singular_pair(w, np.zeros(m), np.zeros(n)) - ref) / ref)
 
     raw = make_synthetic(SyntheticConfig(length=1400, seed=5))
     bundle = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=32, horizon=16)
@@ -259,12 +294,12 @@ def test_criterion_04_receptive_field():
         batch = np.repeat(base, n + 1, axis=0)
         delta = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
         batch[np.arange(1, n + 1), np.arange(n)] += delta
-        for level in range(4):
-            feats = g.conv_features(Tape(), batch, level).value  # (n+1, C, T)
-            leak = np.abs(feats[1:] - feats[:1]).max(axis=1)  # (input i, conv t)
+        # each level's conv output, read back from its slice of encode's features
+        for level, feats in enumerate(conv_levels(g, batch)):  # (n+1, T, C)
+            leak = np.abs(feats[1:] - feats[:1]).max(axis=2)  # (input i, conv t)
             l1 = level + 1
             half = (1 << l1) - 1
-            centers = np.arange(feats.shape[2]) * (1 << l1)
+            centers = np.arange(feats.shape[1]) * (1 << l1)
             allowed = np.abs(np.arange(n)[:, None] - centers[None, :]) <= half
             assert np.all(leak[~allowed] == 0.0), f"level {l1}: leakage outside width {2 * half + 1}"
             assert np.any(leak[allowed] != 0.0), f"level {l1}: perturbations never reached the window"

@@ -50,15 +50,15 @@ def test_kink_pattern_is_collected_only_on_request():
 def test_relu_subgradient_zero_at_zero():
     t = Tape()
     x = Var(np.array([0.0, -0.5, 0.5]), requires_grad=True)
-    t.backward(t.sum(t.relu(x)))
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+    t.backward(t.mean(t.relu(x)))
+    assert np.array_equal(x.grad, [0.0, 0.0, 1.0 / 3])
 
 
 def test_abs_subgradient_zero_at_zero():
     t = Tape()
     x = Var(np.array([0.0, -0.5, 0.5]), requires_grad=True)
-    t.backward(t.sum(t.abs(x)))
-    assert np.array_equal(x.grad, [0.0, -1.0, 1.0])
+    t.backward(t.mean(t.abs(x)))
+    assert np.array_equal(x.grad, [0.0, -1.0 / 3, 1.0 / 3])
 
 
 def test_mean_abs_gradient_is_sign_over_n():
@@ -68,24 +68,22 @@ def test_mean_abs_gradient_is_sign_over_n():
     assert np.allclose(x.grad, [0.5, -0.5], atol=0, rtol=0)
 
 
-def test_mean_and_axis_sum_values():
+def test_mean_value():
     t = Tape()
     assert t.mean(Var(np.array([1.0, 2.0, 3.0]))).value.item() == 2.0
-    out = t.sum(Var(np.array([[1.0, 2.0], [3.0, 4.0]])), axes=0)
-    assert np.array_equal(out.value, [4.0, 6.0])
+    out = t.mean(Var(np.array([[1.0, 2.0], [3.0, 4.0]])))
+    assert out.value.size == 1 and out.value.item() == 2.5
 
 
-def test_sum_gradient_is_ones():
+def test_mean_gradient_is_one_over_n():
     t = Tape()
     x = Var(RNG(0).standard_normal((3, 4)), requires_grad=True)
-    t.backward(t.sum(x))
-    assert np.array_equal(x.grad, np.ones((3, 4)))
+    t.backward(t.mean(x))
+    assert np.array_equal(x.grad, np.full((3, 4), 1.0 / 12))
 
 
-def test_concat_and_transpose_values():
+def test_transpose_values():
     t = Tape()
-    out = t.concat([Var(np.array([[1.0], [2.0]])), Var(np.array([[3.0], [4.0]]))], axis=1)
-    assert np.array_equal(out.value, [[1.0, 3.0], [2.0, 4.0]])
     x = Var(RNG(1).standard_normal((2, 3)))
     assert np.array_equal(t.transpose(t.transpose(x)).value, x.value)
 
@@ -274,7 +272,7 @@ def test_pointwise_mlp_matches_layer_chain():
                 out = t.pointwise_mlp(*v)
             else:
                 out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
-            t.backward(t.sum(t.mul(out, t.constant(weight))))
+            t.backward(t.mean(t.mul(out, t.constant(weight))))
             return out.value, [x.grad for x in v]
 
         (chain, chain_grads), (fused, fused_grads) = run(False), run(True)
@@ -282,7 +280,8 @@ def test_pointwise_mlp_matches_layer_chain():
         for a, b in zip(fused_grads, chain_grads):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), n
         # the blocks written in place sum exactly as fresh blocks do
-        ref, ref_grads = reference_pointwise_mlp(z, w1, b1, w2, b2, weight, POINTWISE_CHUNK)
+        # the mean's backward hands the product 1/n times the weight
+        ref, ref_grads = reference_pointwise_mlp(z, w1, b1, w2, b2, weight * (1.0 / weight.size), POINTWISE_CHUNK)
         assert np.array_equal(fused, ref), n
         for a, b in zip(fused_grads, ref_grads):
             assert np.array_equal(a, b), n
@@ -326,7 +325,7 @@ def test_affine_rows_value_grad_and_shapes():
     up = rng.standard_normal(y.shape)
 
     def build(tape, v):
-        return tape.sum(tape.mul(tape.affine_rows(v[0], sd, mu), tape.constant(up)))
+        return tape.mean(tape.mul(tape.affine_rows(v[0], sd, mu), tape.constant(up)))
 
     assert fd_worst_rel_err(build, [y], rng) < 1e-6
     for bad_sd, bad_mu in ((sd[:4], mu[:4]), (sd[:, 0], mu[:, 0]), (sd, mu[:4])):
@@ -404,23 +403,15 @@ def test_fd_reductions_and_reshapes():
         r = t.reshape(v[0], (3, 4))
         return t.mean(t.mul(r, r))
 
-    def build_axis_sum(t, v):
-        s = t.sum(v[0], axes=0)
-        return t.mean(t.mul(s, s))
-
-    def build_axis_mean(t, v):
-        m = t.mean(v[0], axes=1)
-        return t.sum(t.mul(m, m))
-
     def build_transpose(t, v):
         tr = t.transpose(v[0])
         return t.mean(t.mul(tr, tr))
 
-    def build_concat(t, v):
-        c = t.concat([v[0], v[0]], axis=1)
-        return t.mean(t.mul(c, c))
+    def build_mean_of_means(t, v):
+        m = t.mean(v[0])
+        return t.mul(m, t.mean(t.mul(v[0], v[0])))
 
-    for build in (build_reshape, build_axis_sum, build_axis_mean, build_transpose, build_concat):
+    for build in (build_reshape, build_transpose, build_mean_of_means):
         assert fd_worst_rel_err(build, [x], rng) < 1e-6
 
 
@@ -434,8 +425,8 @@ def test_reshape_gradient_roundtrip():
     t = Tape()
     x = Var(RNG(18).standard_normal((2, 6)), requires_grad=True)
     y = t.reshape(x, (3, 4))
-    t.backward(t.sum(t.mul(y, t.constant(np.arange(12.0).reshape(3, 4)))))
-    assert np.array_equal(x.grad, np.arange(12.0).reshape(2, 6))
+    t.backward(t.mean(t.mul(y, t.constant(np.arange(12.0).reshape(3, 4)))))
+    assert np.array_equal(x.grad, np.arange(12.0).reshape(2, 6) * (1.0 / 12))
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +437,16 @@ def test_dag_fanout_sums_contributions():
     # z = x used by two consumers; grad must be the sum of both paths
     t = Tape()
     x = Var(np.array([1.5, -0.5]), requires_grad=True)
-    out = t.sum(t.add(t.mul(x, x), t.scale(x, 3.0)))
+    out = t.mean(t.add(t.mul(x, x), t.scale(x, 3.0)))
     t.backward(out)
-    assert np.allclose(x.grad, 2 * x.value + 3.0, rtol=0, atol=1e-15)
+    assert np.allclose(x.grad, (2 * x.value + 3.0) / 2, rtol=0, atol=1e-15)
 
 
 def test_repeated_backward_accumulates():
     x = Var(np.array([1.0, 2.0]), requires_grad=True)
     store = ParamStore([("x", x)])
     t = Tape()
-    out = t.sum(t.mul(x, x))
+    out = t.mean(t.mul(x, x))
     t.backward(out)
     once = x.grad.copy()
     t.backward(out)
@@ -484,9 +475,9 @@ def test_param_store_layout_and_views():
         assert v.value.shape == shapes[name] and np.array_equal(v.value.ravel(), vec[store.slices[name]])
     t = Tape()
     w, b = named[0][1], named[1][1]
-    t.backward(t.sum(t.linear(t.constant(np.ones((2, 4))), w, b)))
-    assert np.array_equal(store.grad[store.slices["b"]], np.full(3, 2.0))
-    assert np.array_equal(store.grad[store.slices["w"]], np.full(12, 2.0))
+    t.backward(t.mean(t.linear(t.constant(np.ones((2, 4))), w, b)))
+    assert np.array_equal(store.grad[store.slices["b"]], np.full(3, 2.0 / 6))
+    assert np.array_equal(store.grad[store.slices["w"]], np.full(12, 2.0 / 6))
     assert ParamStore([]).value.shape == (0,)
 
 
@@ -502,10 +493,10 @@ def test_only_requires_grad_leaves_hold_a_grad():
     c = t.constant(np.ones(2))
     x = Var(np.array([1.0, 2.0]), requires_grad=True)
     y = t.mul(x, c)
-    t.backward(t.sum(y))
+    t.backward(t.mean(y))
     assert c.grad is None and y.grad is None
     assert y.requires_grad
-    assert np.array_equal(x.grad, [1.0, 1.0])
+    assert np.array_equal(x.grad, [0.5, 0.5])
 
 
 def test_ops_on_constants_only_are_not_recorded():

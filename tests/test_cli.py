@@ -22,7 +22,7 @@ from tscorrect.data import SyntheticConfig, build_splits, load_csv, make_synthet
 from tscorrect.errors import ConfigError
 from tscorrect.losses import MASK_DUMP_FIELDS
 from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
-                              save_checkpoint, spectral_norm)
+                              save_checkpoint, top_singular_pair)
 from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
 
 BASE_CONFIG = """
@@ -226,8 +226,13 @@ def test_eval_refuses_a_bad_section_before_the_checkpoint(tmp_path, capsys):
     lambda h: h.update(seed="x"),
     lambda h: h["blocks"][0].update(shape=[2 ** 40]),
     lambda h: h["blocks"][0].update(shape=[2 ** 40, 2 ** 20]),
+    lambda h: h["config"].update(hidden=8.0),
+    lambda h: h["config"].update(hidden=8.5),
+    lambda h: h["config"].update(series_count=2.0),
+    lambda h: h["config"].update(revin_affine="false"),
 ], ids=["no-blocks", "no-config", "unknown-config-key", "shape-x", "shape-negative", "horizon-20", "seed-x",
-        "shape-huge", "shape-past-index"])
+        "shape-huge", "shape-past-index", "hidden-float", "hidden-fraction", "series-count-float",
+        "revin-affine-string"])
 def test_eval_of_a_malformed_checkpoint_header_exits_1_naming_the_file(tmp_path, capsys, edit):
     cfg = write_config(tmp_path, out_dir=str(tmp_path))
     ckpt = os.path.join(str(tmp_path), "bad.ckpt")
@@ -486,7 +491,7 @@ def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     _, models = restore_models(header, arrays)
     layer = models["predictor"].layers["layer"]
     w = layer.w.value
-    sn = spectral_norm(w)
+    sn = top_singular_pair(w, np.zeros(len(w)), np.zeros(w.shape[1]))
     assert abs(max(float(layer.u @ (w @ layer.v)), SIGMA_FLOOR) - sn) <= 1e-6 * sn
 
 

@@ -118,7 +118,7 @@ def test_scaler_roundtrip():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((50, 3)) * 7 + 2
     sc = Scaler.fit(vals)
-    assert np.abs(sc.inverse(sc.transform(vals)) - vals).max() < 1e-12
+    assert np.abs(sc.transform(vals) * sc.std + sc.mean - vals).max() < 1e-12
 
 
 def test_scaler_sees_only_train_rows():
@@ -201,7 +201,7 @@ def test_build_splits_extends_context_left():
     # first val window starts lookback rows before the boundary
     assert sw.val.origins[0] == b1 - 8
     # its first target row is exactly the boundary row
-    raw_first_target = sw.scaler.inverse(sw.val.y[:1])[0, 0, 0]
+    raw_first_target = (sw.val.y[:1] * sw.scaler.std + sw.scaler.mean)[0, 0, 0]
     assert raw_first_target == float(b1)
 
 

@@ -18,10 +18,9 @@ from tscorrect.models import (
     load_checkpoint,
     restore_models,
     save_checkpoint,
-    spectral_norm,
     top_singular_pair,
 )
-from helpers import fd_model_worst_rel_err
+from helpers import conv_levels, fd_model_worst_rel_err, reference_conv_channels_last
 
 RNG = np.random.default_rng
 
@@ -35,6 +34,10 @@ def tiny_cfg(**kw):
 
 # ---------------------------------------------------------------------------
 # spectral norm
+
+
+def spectral_norm(w):
+    return top_singular_pair(w, np.zeros(len(w)), np.zeros(w.shape[1]))
 
 
 def test_spectral_norm_diagonal():
@@ -304,9 +307,9 @@ def test_revin_equals_var_and_repeat_form(affine, rows, lookback, horizon):
             out = rv.denormalize(tape, y, stats)
         else:
             normed, out = revin_reference(rv, tape, x, y)
-        loss = tape.sum(tape.mul(out, tape.constant(up_out)))
+        loss = tape.mean(tape.mul(out, tape.constant(up_out)))
         if affine:  # the weight and bias also act through the normalized input
-            loss = tape.add(loss, tape.sum(tape.mul(normed, tape.constant(up_in))))
+            loss = tape.add(loss, tape.mean(tape.mul(normed, tape.constant(up_in))))
         tape.backward(loss)
         results.append([normed.value, out.value, y.grad] + [v.grad for _, v in rv.params()])
     for got, ref in zip(*results):
@@ -400,7 +403,7 @@ def test_recon_shape_walk():
     feats = g.encode(Tape(), y)
     assert feats.value.shape == (2, 96, 8)  # H positions, d_feat = 2*dm
     assert [w.value.shape[0] for w, _ in g.convs] == [4, 8, 16, 32]
-    lengths = [g.conv_features(Tape(), y, l).value.shape[2] for l in range(4)]
+    lengths = [level.shape[1] for level in conv_levels(g, y)]
     assert lengths == [48, 24, 12, 6]
     # each level contributes dm/2 features per horizon position: 2*96 per layer
     assert all(t_l * c_l == 2 * 96 for t_l, c_l in zip(lengths, [4, 8, 16, 32]))
@@ -408,17 +411,27 @@ def test_recon_shape_walk():
     assert out.value.shape == (2, 8, 96)
 
 
-def per_level_encode(tape, g, y):
-    """The encoder as separate tape ops: conv1d, transpose and reshape per
-    level, then concat."""
+def reference_encode(g, y, upstream):
+    """Tape.conv_pyramid on g's encoder, from reference_conv_channels_last:
+    the (B, H, d_feat) features, each level's output unfolded onto the H
+    rows, and the conv weight and bias gradients for the upstream gradient,
+    each level's upstream slice plus what the level above sends back."""
     b, h = y.shape
     per = g.cfg.dim_multiplier // 2
-    cur = tape.reshape(tape.constant(y), (b, 1, h))
-    feats = []
+    levels, cur = [], y[:, :, None]
     for w, bias in g.convs:
-        cur = tape.conv1d(cur, w, bias, stride=2, padding=1)
-        feats.append(tape.reshape(tape.transpose(cur, (0, 2, 1)), (b, h, per)))
-    return tape.concat(feats, axis=2)
+        levels.append(reference_conv_channels_last(cur, w.value, bias.value, 2, 1))
+        cur = levels[-1][0]
+    feats = np.concatenate([out.reshape(b, h, per) for out, _ in levels], axis=2)
+    grads, gx = [], None
+    for level in reversed(range(len(levels))):
+        out, back = levels[level]
+        go = np.ascontiguousarray(upstream[:, :, level * per:(level + 1) * per]).reshape(out.shape)
+        if gx is not None:
+            go += gx
+        gx, gw, gb = back(go, level > 0)
+        grads[:0] = [gw, gb]
+    return feats, grads
 
 
 @pytest.mark.parametrize("dm", [2, 4])
@@ -431,22 +444,14 @@ def test_encoder_equals_per_level_ops(b, h, dm):
     upstream = RNG(18).standard_normal((b, h, 2 * dm))
     upstream[:, ::5] = 0.0
     upstream[:, 1::7] = -0.0
-    results, store = [], ParamStore(g.parameters())
-    for encode in (g.encode, lambda t, y: per_level_encode(t, g, y)):
-        store.grad.fill(0.0)
-        t = Tape()
-        feats = encode(t, y)
-        t.backward(t.sum(t.mul(feats, t.constant(upstream))))
-        results.append([feats.value] + [v.grad.copy() for w, bias in g.convs for v in (w, bias)])
-    for new, ref in zip(*results):
-        assert np.array_equal(new, ref)
-    # conv_features stays channels-first: (B, C_l, T_l), the level's slice of the features
-    per = dm // 2
-    for level, c_l in enumerate(g.channels):
-        conv = g.conv_features(Tape(), y, level).value
-        assert conv.shape == (b, c_l, h >> (level + 1))
-        assert np.array_equal(conv.transpose(0, 2, 1).reshape(b, h, per),
-                              results[0][0][:, :, level * per:(level + 1) * per])
+    t = Tape()
+    feats = g.encode(t, y)
+    t.backward(t.mean(t.mul(feats, t.constant(upstream))))
+    # the mean's backward hands the product 1/n times the upstream
+    ref_feats, ref_grads = reference_encode(g, y, upstream * (1.0 / upstream.size))
+    assert np.array_equal(feats.value, ref_feats)
+    for v, ref in zip([v for w, bias in g.convs for v in (w, bias)], ref_grads):
+        assert np.array_equal(v.grad, ref)
 
 
 def test_recon_parameter_count_pin():
@@ -531,14 +536,13 @@ def test_erf_exact_zero_leakage_exhaustive():
     cfg = ModelConfig(lookback=96, horizon=96, hidden=8, dim_multiplier=2, series_count=2)
     g = build_recon(cfg, RNG([0, 11]))
     h = 96
-    base_feats = [g.conv_features(Tape(), np.zeros((1, h)), l).value for l in range(4)]
+    base_feats = conv_levels(g, np.zeros((1, h)))
     for pos in range(h):
         x = np.zeros((1, h))
         x[0, pos] = 1.0
-        for level in range(4):
+        for level, feats in enumerate(conv_levels(g, x)):
             l1 = level + 1  # 1-based conv depth
-            feats = g.conv_features(Tape(), x, level).value
-            diff = np.abs(feats - base_feats[level]).sum(axis=1)[0]  # (T_l,)
+            diff = np.abs(feats - base_feats[level]).sum(axis=2)[0]  # (T_l,)
             halfw = (layer_erf_width(l1) - 1) // 2
             centers = (2 ** l1) * np.arange(diff.shape[0])
             inside = np.abs(centers - pos) <= halfw
@@ -550,14 +554,13 @@ def test_erf_observed_width_matches_bound():
     cfg = ModelConfig(lookback=96, horizon=96, hidden=8, dim_multiplier=2, series_count=2)
     g = build_recon(cfg, RNG([0, 11]))
     h = 96
-    base_feats = [g.conv_features(Tape(), np.zeros((1, h)), l).value for l in range(4)]
+    base_feats = conv_levels(g, np.zeros((1, h)))
     worst = [0, 0, 0, 0]
     for pos in range(h):
         x = np.zeros((1, h))
         x[0, pos] = 1.0
-        for level in range(4):
-            feats = g.conv_features(Tape(), x, level).value
-            diff = np.abs(feats - base_feats[level]).sum(axis=1)[0]
+        for level, feats in enumerate(conv_levels(g, x)):
+            diff = np.abs(feats - base_feats[level]).sum(axis=2)[0]
             centers = (2 ** (level + 1)) * np.arange(diff.shape[0])
             changed = np.nonzero(diff > 0)[0]
             if changed.size:
@@ -660,6 +663,29 @@ def test_restore_rejects_buffer_of_wrong_shape(tmp_path):
     blocks["predictor.buffer.layer1.pi_u"] = np.zeros(3)
     with pytest.raises(LoadError, match="pi_u"):
         restore_models(header, blocks)
+
+
+@pytest.mark.parametrize("key, value", [("hidden", 8.0), ("hidden", 8.5), ("series_count", 2.0), ("lookback", True),
+                                        ("revin_affine", "false"), ("revin_affine", 0), ("snr", None)])
+def test_config_refuses_a_value_of_another_type(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tiny_cfg(**{key: value})
+
+
+def test_restore_refuses_blocks_no_model_reads(tmp_path):
+    # an snr-both predictor read back as snr none would drop its gamma and
+    # singular-vector blocks and compute another function
+    cfg = tiny_cfg(snr="both")
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
+                    models={"predictor": build_predictor(cfg, RNG(0))})
+    header, blocks = load_checkpoint(path)
+    header["config"]["snr"] = "none"
+    with pytest.raises(LoadError, match="no model reads") as err:
+        restore_models(header, blocks, path)
+    assert path in str(err.value)
+    for name in ("predictor.layer1.gamma", "predictor.buffer.layer2.pi_u", "predictor.buffer.layer2.pi_v"):
+        assert name in str(err.value)
 
 
 def test_flat_param_roundtrip():

@@ -8,8 +8,11 @@ must record keeps at least one target that resolves in tscorrect.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def load_tracing():
@@ -35,3 +38,13 @@ def test_every_expected_span_has_a_live_target():
     live = {name for modname, attr, name in tracing.TARGETS if resolves(modname, attr)}
     for workload, spans in tracing.EXPECTED.items():
         assert not spans - live, (workload, sorted(spans - live))
+
+
+def test_tracer_installs_on_this_tree():
+    # in a child process, so that no test runs on a patched tscorrect;
+    # install() also reads names outside TARGETS, such as Tape.conv1d
+    code = "import tracing; tracing.Tracer().install()"
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.dirname(TRACING)])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
