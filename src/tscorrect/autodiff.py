@@ -33,7 +33,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,7 +141,8 @@ class Tape:
     def __init__(self, record: bool = True):
         self.record = bool(record)
         self._entries: list[tuple[Var, tuple[Var, ...], Callable]] = []
-        self.kinks: list[Array] | None = None  # a list collects relu and abs input signs
+        self.masks: list[Array] | None = None  # a list collects each relu's mask
+        self.frozen: Iterator[Array] | None = None  # relu masks to replay, in order
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -344,18 +345,8 @@ class Tape:
     def mul(self, a, b) -> Var:
         return self._binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
-    def scale(self, x: Var, c: float) -> Var:
-        c = float(c)
-
-        def backward(g: Array):
-            return (g * c,)
-
-        return self._record(x.value * c, (x,), backward)
-
     def abs(self, x: Var) -> Var:
         s = np.sign(x.value)  # sign(0) = 0
-        if self.kinks is not None:
-            self.kinks.append(s)
 
         def backward(g: Array):
             return (g * s,)
@@ -363,14 +354,18 @@ class Tape:
         return self._record(np.abs(x.value), (x,), backward)
 
     def relu(self, x: Var) -> Var:
-        m = x.value > 0.0
-        if self.kinks is not None:
-            self.kinks.append(m)
+        """max(x, 0), or x * m for m the next frozen mask, the piece m selects."""
+        m = x.value > 0.0 if self.frozen is None else next(self.frozen, None)
+        if m is None or m.shape != x.value.shape:
+            raise DimensionError(f"relu of {x.value.shape} has no frozen mask of its shape")
+        if self.masks is not None:
+            self.masks.append(m)
 
         def backward(g: Array):
             return (g * m,)
 
-        return self._record(np.maximum(x.value, 0.0), (x,), backward)
+        out = np.maximum(x.value, 0.0) if self.frozen is None else x.value * m
+        return self._record(out, (x,), backward)
 
     def reciprocal(self, x: Var) -> Var:
         if np.any(x.value == 0.0):

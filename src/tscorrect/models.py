@@ -146,7 +146,7 @@ class LinearLayer:
             return self.w
         if self.u @ (self.w.value @ self.v) <= SIGMA_FLOOR:
             # degenerate matrix: no usable direction, freeze the normalizer
-            return tape.mul(self.gamma, tape.scale(self.w, 1.0 / SIGMA_FLOOR))
+            return tape.mul(self.gamma, tape.mul(self.w, 1.0 / SIGMA_FLOOR))
         # sigma = u^T W v with u, v held fixed, so the rescaling itself is
         # differentiated (rank-one correction in dL/dW) as in standard
         # spectral normalization

@@ -1,12 +1,12 @@
 """Curvature diagnostics and channel-distribution alignment.
 
-Hessian-vector products are formed from first-order gradients by central
-finite differences, so any loss that exposes (loss, gradient) as a function
-of a flat parameter vector can be probed. A loss with kinks (L1, ReLU) that
-also returns its kink pattern gets a step that crosses none, so the products
-are the almost-everywhere Hessian's, as autograd's double backward computes
-them; one without a pattern keeps a fixed step. lambda_max extracts the
-largest (signed) eigenvalue by Lanczos iteration with full reorthogonalization:
+Hessian-vector products are one central difference of first-order gradients
+at a fixed step, so any loss that exposes (loss, gradient) as a function of a
+flat parameter vector can be probed. A loss with kinks (L1, ReLU) is probed
+on theta0's own piece (training.predictor_loss_context fixes it once), which
+no step leaves, so the products are the almost-everywhere Hessian's, as
+autograd's double backward computes them. lambda_max extracts the largest
+(signed) eigenvalue by Lanczos iteration with full reorthogonalization:
 one Hessian-vector product per step, top Ritz values non-decreasing, and
 exact once the Krylov space exhausts the (masked) dimension. Plain power
 iteration on H stalls whenever the extreme negative eigenvalue rivals the
@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-EPS_BASE = 1e-4
-MAX_SHRINKS = 6  # a step of 1e-10 * max(1, |theta0|) is near rounding
+EPS_BASE = 1e-6
 RAYLEIGH_TOL = 1e-6
 MAX_POWER_ITERS = 100
 
@@ -35,17 +34,13 @@ MAX_POWER_ITERS = 100
 class HvpContext:
     """A loss surface probed at a fixed point theta0.
 
-    loss_and_grad maps a flat parameter vector to (loss, gradient) or to
-    (loss, gradient, kink pattern), a list of sign arrays; segments name
-    slices of the vector (for per-component curvature). kinks and shrinks
-    are hvp's: theta0's pattern and the accepted step's number of tenths.
+    loss_and_grad maps a flat parameter vector to (loss, gradient); segments
+    name slices of the vector (for per-component curvature).
     """
 
     theta0: np.ndarray
-    loss_and_grad: Callable[[np.ndarray], tuple]
+    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     segments: dict[str, slice] = field(default_factory=dict)
-    kinks: list | None = field(default=None, init=False, repr=False)
-    shrinks: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
@@ -56,12 +51,8 @@ class HvpContext:
 
 
 def hvp(ctx: HvpContext, v: np.ndarray) -> np.ndarray:
-    """H @ v by central differences of the gradient along v.
-
-    The step is EPS_BASE * max(1, |theta0|). If loss_and_grad also returns a
-    kink pattern, the step is divided by 10, at most MAX_SHRINKS times, until
-    both probes show theta0's pattern, and the context keeps it from then on.
-    """
+    """H @ v by central differences of the gradient along v, at the step
+    EPS_BASE * max(1, |theta0|): two gradient passes."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape != ctx.theta0.shape:
         raise DimensionError(f"direction of {v.shape} for {ctx.theta0.shape} parameters")
@@ -69,18 +60,10 @@ def hvp(ctx: HvpContext, v: np.ndarray) -> np.ndarray:
     if nv == 0.0:
         return np.zeros_like(v)
     vhat = v / nv
-    while True:
-        eps = EPS_BASE * max(1.0, float(np.linalg.norm(ctx.theta0))) / 10.0**ctx.shrinks
-        plus = ctx.loss_and_grad(ctx.theta0 + eps * vhat)
-        minus = ctx.loss_and_grad(ctx.theta0 - eps * vhat)
-        if len(plus) == 2 or ctx.shrinks == MAX_SHRINKS:
-            break
-        if ctx.kinks is None:
-            ctx.kinks = ctx.loss_and_grad(ctx.theta0)[2]
-        if all(map(np.array_equal, plus[2] + minus[2], ctx.kinks + ctx.kinks)):
-            break
-        ctx.shrinks += 1
-    return (plus[1] - minus[1]) * (nv / (2.0 * eps))
+    eps = EPS_BASE * max(1.0, float(np.linalg.norm(ctx.theta0)))
+    plus = ctx.loss_and_grad(ctx.theta0 + eps * vhat)[1]
+    minus = ctx.loss_and_grad(ctx.theta0 - eps * vhat)[1]
+    return (plus - minus) * (nv / (2.0 * eps))
 
 
 @dataclass

@@ -356,7 +356,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             cands.append(g.forward(tape, y))
             # y stands in for the predictions, which a weight of 0 never reads
             chunk = L.co_objective_loss(tape, cands[-1], y, y, pred_weight=0.0)
-            tape.backward(tape.scale(chunk, y.size / labels.size))
+            tape.backward(tape.mul(chunk, y.size / labels.size))
             loss_rec += chunk.value.item() * (y.size / labels.size)
         frozen = np.concatenate([c.value for c in cands])
         # one stream of batches over as many epochs as the budget takes
@@ -414,18 +414,20 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
         point_weights = point_weights / point_weights.mean()
     f = copy.deepcopy(f)
     store = ParamStore(f.parameters())
+    # theta0's piece: one forward pass keeps its relu masks and residual signs
+    # (sign(0) = 0), so each probe's mean((f(x) - y) * w) crosses no kink
+    probe = Tape(record=False)
+    probe.masks = []
+    w = np.sign(f.forward(probe, x).value - y) * (1.0 if point_weights is None else point_weights)
 
-    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray, list]:
+    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         store.value[...] = theta
         tape = Tape()
-        tape.kinks = []  # the ReLU inputs' and the residuals' signs
-        diff = tape.abs(tape.sub(f.forward(tape, x), tape.constant(y)))
-        if point_weights is not None:
-            diff = tape.mul(diff, tape.constant(point_weights))
-        loss = tape.mean(diff)
+        tape.frozen = iter(probe.masks)
+        loss = tape.mean(tape.mul(tape.sub(f.forward(tape, x), tape.constant(y)), tape.constant(w)))
         store.grad.fill(0.0)
         tape.backward(loss)
-        return loss.value.item(), store.grad.copy(), tape.kinks
+        return loss.value.item(), store.grad.copy()
 
     spans = store.slices
     segments = {

@@ -74,9 +74,10 @@ def fd_model_worst_rel_err(params, loss_value_fn, samples=20, eps=1e-6, rng=None
 
 
 def away_from_kinks(a, margin=0.05):
-    """Push values away from 0 so abs/relu finite differences stay clean."""
+    """Push values in (-margin, 0) down and values in [0, margin) up by margin,
+    so abs/relu finite differences stay clean."""
     a = np.asarray(a, dtype=np.float64)
-    return np.where(np.abs(a) < margin, a + np.sign(a + 0.5) * margin, a)
+    return np.where(np.abs(a) < margin, a + np.where(a < 0, -margin, margin), a)
 
 
 def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):

@@ -160,7 +160,7 @@ def _primitive_checks(rng):
          [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]),
         ("mul broadcast", lambda t, v: _wmean(t, t.mul(v[0], v[1]), w34),
          [rng.standard_normal(1), rng.standard_normal((3, 4))]),
-        ("scale", lambda t, v: _wmean(t, t.scale(v[0], 1.7), w34),
+        ("mul scalar", lambda t, v: _wmean(t, t.mul(v[0], 1.7), w34),
          [rng.standard_normal((3, 4))]),
         ("abs", lambda t, v: _wmean(t, t.abs(v[0]), w34),
          [away_from_kinks(rng.standard_normal((3, 4)))]),

@@ -41,10 +41,31 @@ def test_kink_pattern_is_collected_only_on_request():
     t = Tape()
     x = Var(np.array([-1.0, 0.0, 2.0]))
     t.relu(t.abs(x))
-    assert t.kinks is None
-    t.kinks = []
+    assert t.masks is None
+    t.masks = []
     t.relu(t.abs(x))
-    assert [k.tolist() for k in t.kinks] == [[-1.0, 0.0, 1.0], [True, False, True]]
+    t.relu(x)
+    assert [m.tolist() for m in t.masks] == [[True, False, True], [False, False, True]]
+
+
+def test_frozen_relu_mask_drives_forward_and_backward():
+    x = Var(np.array([-1.0, 0.5, 2.0, -3.0]), requires_grad=True)
+    t = Tape()
+    t.frozen = iter([np.array([True, False, True, True])])
+    out = t.relu(x)
+    # x * m: the masked-in negative passes through, the masked-out positive is 0
+    assert np.array_equal(out.value, [-1.0, 0.0, 2.0, -3.0])
+    t.backward(t.mean(out))
+    assert np.array_equal(x.grad, [0.25, 0.0, 0.25, 0.25])
+
+
+@pytest.mark.parametrize("masks", [[], [np.array([True, False])], [np.ones((3, 1), dtype=bool)]],
+                         ids=["exhausted", "short", "misshapen"])
+def test_frozen_relu_refuses_a_mask_it_cannot_use(masks):
+    t = Tape()
+    t.frozen = iter(masks)
+    with pytest.raises(DimensionError, match="frozen mask"):
+        t.relu(Var(np.array([1.0, -1.0, 2.0])))
 
 
 def test_relu_subgradient_zero_at_zero():
@@ -192,7 +213,7 @@ def test_fd_elementwise_ops():
         lambda t, v: t.mean(t.add(v[0], v[1])),
         lambda t, v: t.mean(t.sub(v[0], v[1])),
         lambda t, v: t.mean(t.mul(v[0], v[1])),
-        lambda t, v: t.mean(t.scale(v[0], -1.7)),
+        lambda t, v: t.mean(t.mul(v[0], -1.7)),
     ]
     for build in cases:
         assert fd_worst_rel_err(build, [a, b], rng) < 1e-6
@@ -209,6 +230,15 @@ def test_fd_scalar_broadcast():
         lambda t, v: t.mean(t.mul(v[0], t.reciprocal(v[1]))),
     ):
         assert fd_worst_rel_err(build, [a, s], rng) < 1e-6
+
+
+def test_away_from_kinks_moves_each_value_away_from_zero():
+    # a value just above -margin must go down: moved up it would land next to 0
+    margin = 0.05
+    moved = away_from_kinks(np.array([-0.0499999, 0.0, 0.0499999, -0.3, 0.7]), margin)
+    assert moved[0] <= -margin
+    assert moved[1] >= margin and moved[2] >= margin
+    assert np.array_equal(moved[3:], [-0.3, 0.7])
 
 
 def test_fd_abs_relu_away_from_kinks():
@@ -437,7 +467,7 @@ def test_dag_fanout_sums_contributions():
     # z = x used by two consumers; grad must be the sum of both paths
     t = Tape()
     x = Var(np.array([1.5, -0.5]), requires_grad=True)
-    out = t.mean(t.add(t.mul(x, x), t.scale(x, 3.0)))
+    out = t.mean(t.add(t.mul(x, x), t.mul(x, 3.0)))
     t.backward(out)
     assert np.allclose(x.grad, (2 * x.value + 3.0) / 2, rtol=0, atol=1e-15)
 

@@ -310,15 +310,15 @@ def per_candidate_loss(c, yh, y, masked):
             lt = tape.constant(ms.mask_lt * ms.mask)
             ge = tape.constant((1.0 - ms.mask_lt) * ms.mask)
             sup = tape.mul(tape.abs(tape.sub(yc, vh)), m_out)
-            corr = tape.scale(tape.add(tape.mul(tape.abs(tape.sub(cs, vh)), lt),
-                                       tape.mul(tape.abs(tape.sub(cs, yc)), ge)), 2.0)
+            corr = tape.mul(tape.add(tape.mul(tape.abs(tape.sub(cs, vh)), lt),
+                                     tape.mul(tape.abs(tape.sub(cs, yc)), ge)), 2.0)
             per.append(tape.mean(tape.add(sup, corr)))
         else:
             per.append(tape.mean(tape.add(tape.abs(tape.sub(cs, yc)), tape.abs(tape.sub(cs, vh)))))
     total = per[0]
     for part in per[1:]:
         total = tape.add(total, part)
-    loss = tape.scale(total, 1.0 / len(per))
+    loss = tape.mul(total, 1.0 / len(per))
     tape.backward(loss)
     return loss.value.item(), np.stack([cs.grad for cs in cands], axis=1), vh.grad
 

@@ -6,12 +6,13 @@ a real (piecewise) surface where both routes share the finite-difference
 operator.
 """
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from tscorrect.autodiff import Tape
+from tscorrect.autodiff import ParamStore, Tape
 from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, flatten_channels, make_synthetic
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.models import MlpPredictor, ModelConfig
@@ -343,7 +344,7 @@ def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
 
 
 # ---------------------------------------------------------------------------
-# the kink guard: lambda_max of the almost-everywhere Hessian
+# theta0's piece: lambda_max of the almost-everywhere Hessian
 
 
 @pytest.fixture(scope="module")
@@ -372,42 +373,60 @@ def test_segment_sharpness_interlaces_below_the_total(trained_snr_both):
             assert lambda_max(ctx, segment=seg, seed=s).value <= total * (1.0 + 1e-9), (seg, s)
 
 
-def test_lambda_max_holds_when_the_step_floor_drops(trained_snr_both, monkeypatch):
-    ref = lambda_max(predictor_loss_context(*trained_snr_both, 16), seed=0).value
-    monkeypatch.setattr(sharpness, "MAX_SHRINKS", sharpness.MAX_SHRINKS + 1)
-    low = lambda_max(predictor_loss_context(*trained_snr_both, 16), seed=0).value
-    assert abs(low - ref) < 1e-6 * abs(ref)
-
-
-def test_guarded_step_is_kept_and_costs_two_passes_once_settled(trained_snr_both):
+def test_context_costs_one_forward_and_each_product_two_gradient_passes(trained_snr_both, monkeypatch):
+    calls = []
+    forward, backward = MlpPredictor.forward, Tape.backward
+    monkeypatch.setattr(MlpPredictor, "forward", lambda *a: calls.append("forward") or forward(*a))
+    monkeypatch.setattr(Tape, "backward", lambda *a: calls.append("backward") or backward(*a))
     ctx = predictor_loss_context(*trained_snr_both, 16)
-    inner, calls = ctx.loss_and_grad, []
-    v = inner(ctx.theta0)[1]  # along the gradient the residuals cross zero at the first step
-    ctx.loss_and_grad = lambda theta: calls.append(1) or inner(theta)
-    first = hvp(ctx, v)
-    shrinks, settle = ctx.shrinks, len(calls)
-    assert shrinks >= 1
-    assert settle == 2 * (shrinks + 1) + 1  # the probes of each step tried, theta0's pattern
-    calls.clear()
-    assert np.array_equal(hvp(ctx, v), first)
-    assert len(calls) == 2 and ctx.shrinks == shrinks
+    assert calls == ["forward"]
+    grad = ctx.loss_and_grad(ctx.theta0)[1]
+    directions = [grad, *np.random.default_rng(3).standard_normal((2, ctx.n))]
+    for v in directions:
+        calls.clear()
+        hvp(ctx, v)
+        assert calls == ["forward", "backward"] * 2
 
 
-def test_context_without_a_pattern_keeps_the_fixed_step():
-    # |theta| has kinks the probes cross, but (loss, grad) carries no pattern
-    def loss_and_grad(theta):
-        return float(np.abs(theta).sum() + (theta ** 3).sum()), np.sign(theta) + 3.0 * theta ** 2
+def ae_hvp_snr_none(f, x, y, v):
+    """The almost-everywhere Hessian-vector product of the predictor's L1
+    loss, written out in numpy for an snr-none mlp with no RevIN affine: on
+    theta0's piece the loss is bilinear in the two layers, so H v is exact."""
+    w1, b1, w2, b2 = (p.value for _, p in f.parameters())
+    v1, c1, v2, c2 = np.split(v, np.cumsum([w1.size, b1.size, w2.size]))
+    v1, v2 = v1.reshape(w1.shape), v2.reshape(w2.shape)
+    mu = x.mean(axis=1, keepdims=True)
+    sd = np.sqrt(((x - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+    xn = (x - mu) / sd
+    m = xn @ w1.T + b1 > 0.0
+    pred = ((xn @ w1.T + b1) * m @ w2.T + b2) * sd + mu
+    g = np.sign(pred - y) * sd / y.size  # d loss / d (layer-2 output)
+    dz = (g @ v2) * m  # c2 moves no gradient: the loss is linear in b2
+    return np.concatenate([(dz.T @ xn).ravel(), dz.sum(axis=0),
+                           (g.T @ ((xn @ v1.T + c1) * m)).ravel(), np.zeros(b2.size)])
 
-    theta0 = np.linspace(-2e-4, 3.0, 7)
-    ctx = HvpContext(theta0=theta0, loss_and_grad=loss_and_grad)
-    eps = EPS_BASE * max(1.0, float(np.linalg.norm(theta0)))
-    for v in np.random.default_rng(5).standard_normal((3, 7)):
-        nv = float(np.linalg.norm(v))
-        vhat = v / nv
-        want = (loss_and_grad(theta0 + eps * vhat)[1] - loss_and_grad(theta0 - eps * vhat)[1]) \
-            * (nv / (2.0 * eps))
-        assert np.array_equal(hvp(ctx, v), want)
-    assert ctx.shrinks == 0 and ctx.kinks is None
+
+def test_hvp_is_the_almost_everywhere_product_on_thetas_piece(monkeypatch):
+    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
+    cfg = ModelConfig(backbone="mlp", lookback=16, horizon=16, hidden=8, snr="none")
+    f = MlpPredictor(cfg, np.random.default_rng(0))
+    ctx = predictor_loss_context(f, splits.train, batch=128)
+    x, y = (flatten_channels(a[:128]) for a in (splits.train.x, splits.train.y))
+    grad = ctx.loss_and_grad(ctx.theta0)[1]
+    # a step of 1e-2 * |theta0| along the gradient moves residuals across zero
+    signs = []
+    for step in (-1e-2, 0.0, 1e-2):
+        probe = copy.deepcopy(f)
+        move = step * float(np.linalg.norm(ctx.theta0)) / float(np.linalg.norm(grad))
+        ParamStore(probe.parameters()).value[...] = ctx.theta0 + move * grad
+        signs.append(np.sign(probe.forward(Tape(record=False), x).value - y))
+    assert np.any(signs[0] != signs[1]) or np.any(signs[2] != signs[1])
+    for base in (EPS_BASE, 1e-2):
+        monkeypatch.setattr(sharpness, "EPS_BASE", base)
+        for v in [grad, *np.random.default_rng(8).standard_normal((3, ctx.n))]:
+            want = ae_hvp_snr_none(f, x, y, v)
+            assert np.linalg.norm(hvp(ctx, v) - want) <= 1e-8 * np.linalg.norm(want), base
 
 
 # ---------------------------------------------------------------------------
