@@ -301,6 +301,28 @@ class Tape:
 
         return self._record(feats, (x, *params), backward)
 
+    def spectral_weight(self, w: Var, gamma: Var, u: Array, v: Array, floor: float) -> Var:
+        """gamma * w / sigma, sigma = u^T w v with u, v held constant (so dL/dw has
+        spectral normalization's rank-one term), frozen at floor when at most floor.
+        Same float operations, so the same bits, as the matmul/reciprocal/mul chain."""
+        sig = (u[None, :] @ (w.value @ v[:, None])).reshape(1)
+        live = not sig[0] <= floor  # a NaN sigma stays live and propagates, as in the chain
+        inv = 1.0 / sig if live else np.full(1, 1.0 / floor)
+        scaled = w.value * inv
+
+        def backward(g: Array):
+            gg = np.sum(g * scaled).reshape(1) if gamma.requires_grad else None
+            if not w.requires_grad:
+                return None, gg
+            gw = g * gamma.value
+            d_sig = -np.sum(gw * w.value) * inv * inv  # read before gw is scaled in place
+            gw *= inv
+            if live:
+                gw += (u[:, None] @ d_sig.reshape(1, 1)) @ v[None, :]
+            return gw, gg
+
+        return self._record(gamma.value * scaled, (w, gamma), backward)
+
     def affine_rows(self, y: Var, scale: Array, shift: Array) -> Var:
         """y * scale + shift for y (B, n) and constant (B, 1) columns."""
         if y.value.ndim != 2 or scale.shape != (len(y.value), 1) or shift.shape != scale.shape:

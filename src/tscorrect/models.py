@@ -144,16 +144,8 @@ class LinearLayer:
     def effective_weight(self, tape: Tape) -> Var:
         if not self.snr_enabled:
             return self.w
-        if self.u @ (self.w.value @ self.v) <= SIGMA_FLOOR:
-            # degenerate matrix: no usable direction, freeze the normalizer
-            return tape.mul(self.gamma, tape.mul(self.w, 1.0 / SIGMA_FLOOR))
-        # sigma = u^T W v with u, v held fixed, so the rescaling itself is
-        # differentiated (rank-one correction in dL/dW) as in standard
-        # spectral normalization
-        u = tape.constant(self.u[None, :])
-        v = tape.constant(self.v[:, None])
-        sig = tape.reshape(tape.matmul(u, tape.matmul(self.w, v)), (1,))
-        return tape.mul(self.gamma, tape.mul(self.w, tape.reciprocal(sig)))
+        # a degenerate matrix has no usable direction: its normalizer is frozen
+        return tape.spectral_weight(self.w, self.gamma, self.u, self.v, SIGMA_FLOOR)
 
     def apply(self, tape: Tape, x: Var) -> Var:
         return tape.linear(x, self.effective_weight(tape), self.b)

@@ -2,17 +2,19 @@
 
 Hessian-vector products are one central difference of first-order gradients
 at a fixed step, so any loss that exposes (loss, gradient) as a function of a
-flat parameter vector can be probed. A loss with kinks (L1, ReLU) is probed
-on theta0's own piece (training.predictor_loss_context fixes it once), which
-no step leaves, so the products are the almost-everywhere Hessian's, as
-autograd's double backward computes them. lambda_max extracts the largest
-(signed) eigenvalue by Lanczos iteration with full reorthogonalization:
-one Hessian-vector product per step, top Ritz values non-decreasing, and
-exact once the Krylov space exhausts the (masked) dimension. Plain power
-iteration on H stalls whenever the extreme negative eigenvalue rivals the
-extreme positive one in magnitude, and a shifted rerun loses the small
-top eigenvalue to cancellation, so neither meets the eigensolve-oracle
-tolerance this module is tested against.
+flat parameter vector can be probed, if it keeps no vector it is given and
+gives up the gradient it returns: hvp writes both probes into the context's
+own vectors and forms the product in the first gradient. A loss with kinks
+(L1, ReLU) is probed on theta0's own piece (training.predictor_loss_context
+fixes it once), which no step leaves, so the products are the
+almost-everywhere Hessian's, as autograd's double backward computes them.
+lambda_max extracts the largest (signed) eigenvalue by Lanczos iteration
+with full reorthogonalization: one Hessian-vector product per step, top
+Ritz values non-decreasing, and exact once the Krylov space exhausts the
+(masked) dimension. Plain power iteration on H stalls whenever the extreme
+negative eigenvalue rivals the extreme positive one in magnitude, and a
+shifted rerun loses the small top eigenvalue to cancellation, so neither
+meets the eigensolve-oracle tolerance this module is tested against.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ MAX_POWER_ITERS = 100
 class HvpContext:
     """A loss surface probed at a fixed point theta0.
 
-    loss_and_grad maps a flat parameter vector to (loss, gradient); segments
-    name slices of the vector (for per-component curvature).
-    """
+    loss_and_grad maps a flat parameter vector, one of the context's own that
+    it must not keep, to (loss, gradient), a gradient the caller then owns;
+    segments name slices of the vector (for per-component curvature)."""
 
     theta0: np.ndarray
     loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -44,6 +46,8 @@ class HvpContext:
 
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
+        self.eps = EPS_BASE * max(1.0, float(np.linalg.norm(self.theta0)))
+        self._step, self._probe = np.empty(self.n), np.empty(self.n)
 
     @property
     def n(self) -> int:
@@ -52,18 +56,19 @@ class HvpContext:
 
 def hvp(ctx: HvpContext, v: np.ndarray) -> np.ndarray:
     """H @ v by central differences of the gradient along v, at the step
-    EPS_BASE * max(1, |theta0|): two gradient passes."""
+    ctx.eps = EPS_BASE * max(1, |theta0|): two gradient passes."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.shape != ctx.theta0.shape:
         raise DimensionError(f"direction of {v.shape} for {ctx.theta0.shape} parameters")
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         return np.zeros_like(v)
-    vhat = v / nv
-    eps = EPS_BASE * max(1.0, float(np.linalg.norm(ctx.theta0)))
-    plus = ctx.loss_and_grad(ctx.theta0 + eps * vhat)[1]
-    minus = ctx.loss_and_grad(ctx.theta0 - eps * vhat)[1]
-    return (plus - minus) * (nv / (2.0 * eps))
+    step = np.multiply(np.divide(v, nv, out=ctx._step), ctx.eps, out=ctx._step)  # eps * vhat
+    plus = ctx.loss_and_grad(np.add(ctx.theta0, step, out=ctx._probe))[1]
+    minus = ctx.loss_and_grad(np.subtract(ctx.theta0, step, out=ctx._probe))[1]
+    plus -= minus
+    plus *= nv / (2.0 * ctx.eps)
+    return plus
 
 
 @dataclass
@@ -114,28 +119,29 @@ def lambda_max(
     space exhausted the masked dimension, in which case the value is exact
     up to the finite-difference error of the Hessian-vector products.
     """
+    if max_iters < 1 or not tol > 0:
+        raise ContractError(f"lambda_max needs max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
     rng = np.random.default_rng(seed)
     mask = _segment_mask(ctx, segment)
-
-    def matvec(v):
-        hv = hvp(ctx, v)
-        return hv * mask if mask is not None else hv
 
     dim = ctx.n if mask is None else int(round(float(mask.sum())))
     steps = min(max_iters, dim)
     # one block for the Krylov basis: rows never written are never faulted in
     basis = np.empty((steps, ctx.n))
     basis[0] = _random_unit(ctx.n, rng, mask)
+    proj = np.empty(ctx.n)
     alphas: list[float] = []
     betas: list[float] = []
     theta = 0.0
     for it in range(1, steps + 1):
         q, done = basis[it - 1], basis[:it]
-        w = matvec(q)
+        w = hvp(ctx, q)
+        if mask is not None:
+            w *= mask
         alphas.append(float(q @ w))
         # full reorthogonalization, block Gram-Schmidt twice to kill roundoff drift
-        w -= (done @ w) @ done
-        w -= (done @ w) @ done
+        for _ in range(2):
+            w -= np.matmul(done @ w, done, out=proj)
         beta = float(np.linalg.norm(w))
         tri = np.diag(alphas)
         if betas:
@@ -151,7 +157,7 @@ def lambda_max(
             return SharpnessResult(theta, it, True)  # invariant subspace, exactly
         if it == steps:
             break
-        basis[it] = w / beta
+        np.divide(w, beta, out=basis[it])
         betas.append(beta)
     return SharpnessResult(theta, steps, steps == dim)
 

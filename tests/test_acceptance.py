@@ -34,6 +34,7 @@ from tscorrect.models import (
     ModelConfig,
     MlpPredictor,
     ReconstructionNet,
+    SIGMA_FLOOR,
     build_predictor,
     build_recon,
     top_singular_pair,
@@ -176,7 +177,18 @@ def _primitive_checks(rng):
          [rng.standard_normal((3, 4))]),
         ("transpose axes", lambda t, v: _wmean(t, t.transpose(v[0], (2, 0, 1)), w432),
          [rng.standard_normal((3, 2, 4))]),
+        # drawn last, so that every earlier check keeps its draws
+        ("spectral_weight", *_spectral_weight_check(rng)),
     ]
+
+
+def _spectral_weight_check(rng):
+    """(build, arrays) for spectral_weight on W (5, 3) and gamma, with u, v
+    W's top singular pair, so sigma = u^T W v sits far from the floor."""
+    w, gamma, weight = rng.standard_normal((5, 3)), rng.uniform(0.5, 2.0, 1), rng.standard_normal((5, 3))
+    lu, _, lvt = np.linalg.svd(w)
+    return (lambda t, v: _wmean(t, t.spectral_weight(v[0], v[1], lu[:, 0], lvt[0], SIGMA_FLOOR), weight),
+            [w, gamma])
 
 
 def test_criterion_02_gradient_suite():

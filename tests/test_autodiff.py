@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import co_objective_loss
+from tscorrect.models import SIGMA_FLOOR
 from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last,
                      reference_pointwise_mlp, weighted_candidate_l1)
 
@@ -315,6 +316,41 @@ def test_pointwise_mlp_matches_layer_chain():
         assert np.array_equal(fused, ref), n
         for a, b in zip(fused_grads, ref_grads):
             assert np.array_equal(a, b), n
+
+
+def spectral_chain(t, w, gamma, u, v):
+    """gamma * w / (u^T w v) as the matmul/reciprocal/mul chain the
+    spectral_weight op replaced, floor branch included."""
+    if u @ (w.value @ v) <= SIGMA_FLOOR:
+        return t.mul(gamma, t.mul(w, 1.0 / SIGMA_FLOOR))
+    sig = t.reshape(t.matmul(t.constant(u[None, :]), t.matmul(w, t.constant(v[:, None]))), (1,))
+    return t.mul(gamma, t.mul(w, t.reciprocal(sig)))
+
+
+@pytest.mark.parametrize("shape,zero", [((7, 4), False), ((3, 9), False), ((6, 5), True)])
+def test_spectral_weight_matches_the_op_chain_bit_for_bit(shape, zero):
+    # one op, the same float operations in the same order: value, dW (with the
+    # rank-one correction) and dgamma keep the chain's bits, and a zero
+    # matrix takes the floor branch in both
+    rng = RNG(25)
+    w0, gamma0, weight = rng.standard_normal(shape), rng.uniform(0.5, 2.0, 1), rng.standard_normal(shape)
+    lu, _, lvt = np.linalg.svd(w0)  # u^T w v > 0 for w's top singular pair
+    u, v = lu[:, 0], lvt[0]
+    if zero:
+        w0[...] = 0.0
+
+    def run(fused: bool):
+        t = Tape()
+        w, gamma = Var(w0, requires_grad=True), Var(gamma0, requires_grad=True)
+        out = t.spectral_weight(w, gamma, u, v, SIGMA_FLOOR) if fused else spectral_chain(t, w, gamma, u, v)
+        ops = len(t)
+        t.backward(t.mean(t.mul(out, t.constant(weight))))
+        return out.value, w.grad, gamma.grad, ops
+
+    (*chain, chain_ops), (*fused, fused_ops) = run(False), run(True)
+    assert (chain_ops, fused_ops) == (2 if zero else 6, 1)
+    for a, b in zip(fused, chain):
+        assert np.array_equal(a, b)
 
 
 def test_fd_candidate_l1():

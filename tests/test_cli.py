@@ -523,6 +523,24 @@ def test_rerun_is_byte_identical_up_to_timing(tmp_path):
     assert epochs_lines("runs_a") == epochs_lines("runs_b")
 
 
+def test_importing_the_cli_leaves_the_worker_pool_unloaded(tmp_path):
+    # concurrent.futures (and the logging it imports) loads only when a run
+    # starts the pool; a fresh process checks it, then runs that pool
+    text = BASE_CONFIG.replace("seeds = 0", "seeds = 0,1")
+    cfg_path = write_config(tmp_path, text=text, out_dir=os.path.join(str(tmp_path), "runs"))
+    code = ("import sys, tscorrect.cli as cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            f"cli.main(['train', '--config', {cfg_path!r}, '--threads', '2', '--out', {str(tmp_path)!r}])\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=str(tmp_path), env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "False" and proc.stdout.split()[-1] == "True", proc.stdout
+    run_dir = os.path.join(str(tmp_path), [d for d in os.listdir(str(tmp_path)) if d.startswith("scam-")][0])
+    assert sorted(json.load(open(os.path.join(run_dir, "manifest.json")))["seeds"]) == ["0", "1"]
+
+
 def test_seed_pool_matches_serial_run(tmp_path):
     # threads = 2 runs the seeds in a two-worker process pool; every seed
     # directory must match the serial run byte for byte, timing aside

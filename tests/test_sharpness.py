@@ -8,6 +8,7 @@ operator.
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,13 @@ def test_empty_segment_raises():
         lambda_max(ctx, segment=slice(2, 2))
 
 
+@pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-6},
+                                    {"tol": float("nan")}])
+def test_lambda_max_refuses_no_iterations_or_a_tolerance_not_above_zero(kwargs):
+    with pytest.raises(ContractError, match="max_iters >= 1 and tol > 0"):
+        lambda_max(quad_ctx(np.eye(4)), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # lambda_max on a real model surface
 
@@ -388,6 +396,50 @@ def test_context_costs_one_forward_and_each_product_two_gradient_passes(trained_
         assert calls == ["forward", "backward"] * 2
 
 
+def test_hvp_leaves_its_inputs_alone_and_returns_a_fresh_array(trained_snr_both):
+    # the probes are formed in the context's own vectors and the difference
+    # in the first gradient: neither may reach the caller's arrays
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    theta0 = ctx.theta0.copy()
+    u, v = np.random.default_rng(4).standard_normal((2, ctx.n))
+    u_in, v_in = u.copy(), v.copy()
+    hu = hvp(ctx, u)
+    hu_then = hu.copy()
+    hv = hvp(ctx, v)
+    assert np.array_equal(u, u_in) and np.array_equal(v, v_in) and np.array_equal(ctx.theta0, theta0)
+    assert not np.shares_memory(hu, hv) and np.array_equal(hu, hu_then)
+    assert not any(np.shares_memory(h, b) for h in (hu, hv) for b in (u, v, ctx.theta0))
+
+
+def test_curvature_pass_of_an_snr_both_predictor_records_nine_tape_ops(trained_snr_both, monkeypatch):
+    # one spectral_weight and one linear op per layer, the frozen relu, the
+    # denormalization, and the residual's sub, weighting mul and mean
+    ops, backward = [], Tape.backward
+    monkeypatch.setattr(Tape, "backward", lambda tape, root: ops.append(len(tape)) or backward(tape, root))
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    hvp(ctx, np.random.default_rng(5).standard_normal(ctx.n))
+    assert ops == [9, 9]
+
+
+# measured on this fixture (16 rows, 49506 parameters): 2.74 MB when the
+# probes and their difference were fresh arrays (and each rescaled weight a
+# chain of six tape ops), 1.94 MB with them in the context's own vectors
+HVP_PEAK_BYTES = 2_300_000
+
+
+def test_one_product_traces_a_bounded_peak(trained_snr_both):
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    v = np.random.default_rng(6).standard_normal(ctx.n)
+    hvp(ctx, v)  # first-call allocations (lazy imports, caches) stay out
+    tracemalloc.start()
+    try:
+        hvp(ctx, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= HVP_PEAK_BYTES, peak
+
+
 def ae_hvp_snr_none(f, x, y, v):
     """The almost-everywhere Hessian-vector product of the predictor's L1
     loss, written out in numpy for an snr-none mlp with no RevIN affine: on
@@ -423,10 +475,13 @@ def test_hvp_is_the_almost_everywhere_product_on_thetas_piece(monkeypatch):
         signs.append(np.sign(probe.forward(Tape(record=False), x).value - y))
     assert np.any(signs[0] != signs[1]) or np.any(signs[2] != signs[1])
     for base in (EPS_BASE, 1e-2):
+        # a context fixes its step when it is built
         monkeypatch.setattr(sharpness, "EPS_BASE", base)
+        probed = predictor_loss_context(f, splits.train, batch=128)
+        assert probed.eps == base * max(1.0, float(np.linalg.norm(ctx.theta0)))
         for v in [grad, *np.random.default_rng(8).standard_normal((3, ctx.n))]:
             want = ae_hvp_snr_none(f, x, y, v)
-            assert np.linalg.norm(hvp(ctx, v) - want) <= 1e-8 * np.linalg.norm(want), base
+            assert np.linalg.norm(hvp(probed, v) - want) <= 1e-8 * np.linalg.norm(want), base
 
 
 # ---------------------------------------------------------------------------
