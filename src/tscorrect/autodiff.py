@@ -16,8 +16,9 @@ them.
 Conventions:
   * everything is float64, row-major;
   * no broadcasting beyond scalar-with-array, save for the bias rows of
-    ``linear`` (x @ w.T + b) and ``pointwise_mlp``, added in place to the
-    matmul output, not through a ones-matmul; the conv bias, added in place
+    ``linear`` (x @ w.T + b) and ``pointwise_mlp``'s output, added in place
+    to the matmul output (its hidden bias rides in the GEMM, against a
+    column of ones); the conv bias, added in place
     as b tiled r times over r output rows at once; the (B, 1) constant
     columns of ``affine_rows``; and the candidate axis of
     ``candidate_mean``, where candidates c of (B, S, ...) meet p of
@@ -201,43 +202,65 @@ class Tape:
         w2 (out, hidden), over blocks of at most POINTWISE_CHUNK rows. Backward
         recomputes each block's hidden layer and relu mask: at large N an
         (N, hidden) array is tens of MB that the allocator maps, faults in and
-        unmaps on every use, which costs more than the recomputed matmul."""
+        unmaps on every use, which costs more than the recomputed matmul.
+
+        Backward works on the live rows only: those whose upstream gradient
+        has a nonzero entry, NaN and inf included. A dead row adds nothing to
+        any weight gradient and its z gradient is 0, so its recompute is
+        skipped; Scam's masked loss leaves about half the rows dead, since off
+        M it never reads the candidate. gb2 still sums each whole block; gb1
+        sums the live rows only, which can move its last bit."""
         zv, w1v, b1v, w2v = z.value, w1.value, b1.value, w2.value
         if (zv.ndim != 2 or w1v.ndim != 2 or w2v.ndim != 2 or zv.shape[1] != w1v.shape[1]
                 or w2v.shape[1] != len(w1v) or b1v.shape != w1v.shape[:1] or b2.value.shape != w2v.shape[:1]):
             raise DimensionError(f"pointwise_mlp got z {zv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
                                  f"w2 {w2v.shape}, b2 {b2.value.shape}")
         # near-equal blocks: a one-row block would go to gemv and round differently
-        n, k = len(zv), -(-len(zv) // POINTWISE_CHUNK)
+        n, d, k = len(zv), zv.shape[1], -(-len(zv) // POINTWISE_CHUNK)
         blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
-        # a block's hidden layer goes to h_buf's leading rows, its relu mask and
-        # hidden gradient to those of backward's buffers: made once per call
-        w1t, h_buf = np.ascontiguousarray(w1v.T), np.empty((-(-n // k), len(w1v)))
+        # b1 rides in the first GEMM: z_buf's last column is 1 and w1b's last
+        # row b1. A block's z rows, hidden layer, relu mask and hidden gradient
+        # go to the leading rows of buffers made once per call
+        w1b, z_buf = np.vstack((w1v.T, b1v)), np.ones((-(-n // k), d + 1))
+        h_buf = np.empty((len(z_buf), len(w1v)))
 
-        def hidden(rows: slice) -> Array:
-            h = np.matmul(zv[rows], w1t, out=h_buf[: rows.stop - rows.start])
-            h += b1v
+        def hidden(zr: Array) -> Array:
+            zb = z_buf[: len(zr)]
+            zb[:, :d] = zr
+            h = np.matmul(zb, w1b, out=h_buf[: len(zb)])
             return np.maximum(h, 0.0, out=h)
 
         out = np.empty((n, len(w2v)))
         for rows in blocks:
-            np.matmul(hidden(rows), w2v.T, out=out[rows])
+            np.matmul(hidden(zv[rows]), w2v.T, out=out[rows])
         out += b2.value
 
         def backward(g: Array):
-            gz = np.empty_like(zv) if z.requires_grad else None
+            live = np.abs(g) @ np.ones(g.shape[1]) != 0.0
+            gz = np.zeros_like(zv) if z.requires_grad else None
             gh_buf, relu_buf = np.empty_like(h_buf), np.empty(h_buf.shape, dtype=bool)
             gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v.value) for v in (w1, b1, w2, b2)]
             for rows in blocks:
-                h, gr = hidden(rows), g[rows]
+                gb2 += np.ones(rows.stop - rows.start) @ g[rows]
+                idx = np.flatnonzero(live[rows]) + rows.start
+                if len(idx) == rows.stop - rows.start:
+                    idx, zr, gr = rows, zv[rows], g[rows]  # every row live: views
+                elif len(idx):
+                    if len(idx) == 1:
+                        # one row would go to gemv, which rounds apart from the
+                        # forward's GEMM: a dead row rides along, adding zeros
+                        idx = np.unique([rows.start + (idx[0] == rows.start), idx[0]])
+                    zr, gr = np.take(zv, idx, axis=0), np.take(g, idx, axis=0)
+                else:
+                    continue
+                h = hidden(zr)
                 gw2 += gr.T @ h
-                gb2 += np.ones(len(gr)) @ gr
                 gh = np.matmul(gr, w2v, out=gh_buf[: len(h)])
                 gh *= np.greater(h, 0.0, out=relu_buf[: len(h)])
-                gw1 += gh.T @ zv[rows]
+                gw1 += gh.T @ zr
                 gb1 += np.ones(len(gh)) @ gh
                 if gz is not None:
-                    np.matmul(gh, w1v, out=gz[rows])
+                    gz[idx] = gh @ w1v
             return gz, *(gv if v.requires_grad else None for v, gv in zip((w1, b1, w2, b2), sums))
 
         return self._record(out, (z, w1, b1, w2, b2), backward)

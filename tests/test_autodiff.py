@@ -8,6 +8,7 @@ from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_chan
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import co_objective_loss
 from tscorrect.models import SIGMA_FLOOR
+from tscorrect.training import Adam
 from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last,
                      reference_pointwise_mlp, weighted_candidate_l1)
 
@@ -316,6 +317,46 @@ def test_pointwise_mlp_matches_layer_chain():
         assert np.array_equal(fused, ref), n
         for a, b in zip(fused_grads, ref_grads):
             assert np.array_equal(a, b), n
+
+
+@pytest.mark.parametrize("case", ["half dead", "all dead", "one live row per block", "nan row"])
+def test_pointwise_mlp_backward_skips_dead_rows(case):
+    # a row whose upstream gradient is all zero adds nothing, so backward
+    # skips it: gz matches the dense blocks bit for bit, the weight and bias
+    # gradients up to the dropped zeros' place in the sums
+    rng = RNG(25)
+    n = 2 * POINTWISE_CHUNK + 3  # blocks [0, 683), [683, 1367), [1367, 2051)
+    z = rng.standard_normal((n, 8))
+    w1, b1 = rng.uniform(-1, 1, (64, 8)), rng.uniform(-1, 1, 64)
+    w2, b2 = rng.uniform(-1, 1, (4, 64)), rng.uniform(-1, 1, 4)
+    weight = rng.standard_normal((n, 4))
+    weight[rng.random((n, 4)) < 0.3] = 0.0  # live rows with dead entries
+    weight[rng.random(n) < 0.5] = 0.0
+    if case == "all dead":
+        weight[:] = 0.0
+    elif case == "one live row per block":
+        # a lone row goes to gemv, which rounds apart from the forward's GEMM
+        live = [0, 700, n - 1]
+        weight[np.setdiff1d(np.arange(n), live)] = 0.0
+        weight[live] = rng.standard_normal((3, 4))
+    elif case == "nan row":
+        weight[5] = [0.0, 0.0, np.nan, 0.0]
+    t = Tape()
+    v = [Var(a, requires_grad=True) for a in (z, w1, b1, w2, b2)]
+    opt = Adam(ParamStore(list(zip("w1 b1 w2 b2".split(), v[1:]))), lr=1e-3)
+    t.backward(t.mean(t.mul(t.pointwise_mlp(*v), t.constant(weight))))
+    _, ref = reference_pointwise_mlp(z, w1, b1, w2, b2, weight * (1.0 / weight.size), POINTWISE_CHUNK)
+    assert np.array_equal(v[0].grad, ref[0], equal_nan=True)
+    if case == "nan row":
+        # NaN counts as live and reaches every gradient: the step is skipped
+        assert all(np.isnan(x.grad).any() for x in v)
+        opt.step()
+        assert opt.skipped_steps == 1
+        return
+    for x, r in zip(v[1:], ref[1:]):
+        assert np.max(np.abs(x.grad - r), initial=0.0) <= 1e-12 * np.max(np.abs(r), initial=0.0)
+    if case == "all dead":
+        assert not any(x.grad.any() for x in v)
 
 
 def spectral_chain(t, w, gamma, u, v):

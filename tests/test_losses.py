@@ -399,6 +399,20 @@ def test_masked_loss_equals_weight_array_form(seed, make, stacked):
         assert loss_breakdown(compute_masks(vc.value, vh.value, vy)) == bd
 
 
+@pytest.mark.parametrize("make", [candidate_stack, tie_stack])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_masked_loss_leaves_no_candidate_gradient_off_the_mask(seed, make):
+    # off M the loss is |t - p|, which never reads c: a (b, h) with no
+    # candidate in M hands the reconstruction net an all-zero row, which
+    # Tape.pointwise_mlp's backward skips
+    c, yh, y = make(seed)
+    masks = compute_masks(c, yh, y)
+    _, gc, _ = stacked_loss(c, yh, y, masked=True)
+    assert not gc[~masks.mask].any()
+    dead = ~masks.mask.any(axis=1)
+    assert dead.any() and not gc.transpose(0, 2, 1)[dead].any()
+
+
 def test_summarize_candidates_equals_per_candidate_loop():
     c, yh, y = candidate_stack(5)
     mask, rec, rec_mass, bd = summarize_candidates(c, yh, y)
