@@ -24,8 +24,18 @@ each with its own `PYTHONPATH=<tree>/src`, so run ids and manifests agree:
 
 Every output file is compared after perfbench's normalization, which drops
 only the training.TIMING_FIELDS columns and the manifest's created_unix. Each
-file prints as `identical`, or with the worst relative drift of its numbers.
-Exit status: 0 when every file is identical, 1 otherwise.
+file prints as `identical`, or with what a waiver states:
+
+  * the worst relative drift of its numbers and, for a CSV, of each column;
+  * in a mask dump, the count of flipped cells of the boolean M and M_lt, and
+    the drift of m = (c - p)(c - t) against the scale of its factors,
+    (|c| + |p|)(|c| + |t|), next to m's plain relative drift. m cancels where
+    the candidate c sits next to the prediction p or the label t, so a tiny
+    absolute change there reads as a large relative one.
+
+A summary by file kind (checkpoint, epochs.csv, mask dump, JSON, other)
+follows. No drift is forgiven. Exit status: 0 when every file is identical,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ import run as perfbench_run  # noqa: E402
 from tscorrect.training import TIMING_FIELDS  # noqa: E402
 
 SIDES = ("base", "head")
+FLAGS = ("M", "M_lt")  # the mask dumps' boolean columns: a changed cell is a flipped mask bit
+KINDS = ("checkpoint", "epochs.csv", "mask dump", "JSON", "other")
 
 
 def extract(rev: str, dest: str) -> None:
@@ -157,17 +169,92 @@ def _numbers(path: str):
     return [lines[0], *map(walk, rows[1:])], np.array(leaves)
 
 
-def drift(path_a: str, path_b: str) -> str:
-    """How two files that are not byte-identical differ."""
+def file_kind(rel: str) -> str:
+    name = os.path.basename(rel)
+    if name.endswith(".ckpt"):
+        return "checkpoint"
+    if name == "epochs.csv":
+        return name
+    if os.path.basename(os.path.dirname(rel)) == "masks":
+        return "mask dump"
+    return "JSON" if name.endswith(".json") else "other"
+
+
+def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relative drift per number against the larger magnitude; a number
+    against NaN drifts without bound."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale > 0)
+    rel[np.isnan(a) != np.isnan(b)] = np.inf
+    return rel
+
+
+def _float(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return float("nan")
+
+
+def _columns(path: str) -> dict[str, np.ndarray]:
+    """A CSV's columns by name, timing columns dropped; a cell that is not a
+    number reads NaN."""
+    with open(path) as fh:
+        header, *rows = (line.split(",") for line in fh.read().splitlines())
+    return {name: np.array([_float(r[i]) for r in rows], dtype=np.float64)
+            for i, name in enumerate(header) if name not in TIMING_FIELDS}
+
+
+def drift(path_a: str, path_b: str) -> tuple[str, dict]:
+    """How two files that are not byte-identical differ: the verdict line and
+    its figures, "worst" (the worst relative drift of any number) and, in a
+    mask dump, "m_scaled" and the flipped cells of each of FLAGS."""
     try:
         (layout_a, a), (layout_b, b) = _numbers(path_a), _numbers(path_b)
     except (ValueError, UnicodeDecodeError):
-        return "bytes differ"
+        return "bytes differ", {}
     if layout_a != layout_b or a.shape != b.shape:
-        return "layout differs"
-    scale = np.maximum(np.abs(a), np.abs(b))
-    rel = np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale > 0)
-    return f"worst relative drift {rel.max(initial=0.0):.3g}"
+        return "layout differs", {}
+    stats = {"worst": float(_rel(a, b).max(initial=0.0))}
+    parts = [f"worst relative drift {stats['worst']:.3g}"]
+    if path_a.endswith(".csv"):
+        cols_a, cols_b = _columns(path_a), _columns(path_b)
+        cells = []
+        for name, col in cols_a.items():
+            if name in FLAGS:
+                stats[name] = int(np.count_nonzero(col != cols_b[name]))
+                cells.append(f"{name} {stats[name]} flipped")
+                continue
+            cells.append(f"{name} {_rel(col, cols_b[name]).max(initial=0.0):.3g}")
+            if name == "m" and file_kind(path_a) == "mask dump":
+                c, p, t = (np.abs(cols_a[k]) for k in ("y_tilde", "y_hat", "y"))
+                scale = (c + p) * (c + t)
+                scaled = np.divide(np.abs(col - cols_b[name]), scale, out=np.zeros_like(scale), where=scale > 0)
+                stats["m_scaled"] = float(scaled.max(initial=0.0))
+                cells[-1] += f" ({stats['m_scaled']:.3g} against (|c| + |p|)(|c| + |t|))"
+        parts.append("by column: " + ", ".join(cells))
+    return "; ".join(parts), stats
+
+
+def kind_summary(results: list[tuple[str, str, dict]]) -> list[str]:
+    """One line per file kind from each file's (path, verdict, figures): how
+    many files differ and their worst drift; for the mask dumps also the
+    worst m against its factors' scale and the flipped M and M_lt cells."""
+    lines = []
+    for kind in KINDS:
+        verdicts = [(verdict, stats) for rel, verdict, stats in results if file_kind(rel) == kind]
+        if not verdicts:
+            continue
+        differ = [stats for verdict, stats in verdicts if verdict != "identical"]
+        line = f"{kind}: {len(differ)} of {len(verdicts)} differ"
+        if differ:
+            line += f", worst relative drift {max(s.get('worst', np.inf) for s in differ):.3g}"
+        if kind == "mask dump" and differ:
+            m_scaled = max(s.get("m_scaled", np.inf) for s in differ)
+            line += f", m against its factors' scale {m_scaled:.3g}"
+            line += "".join(f", {flag} {sum(s.get(flag, 0) for s in differ)} flipped" for flag in FLAGS)
+        lines.append(line)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -183,16 +270,21 @@ def main(argv=None) -> int:
         for side, tree in zip(SIDES, (os.path.join(work, "tree"), ROOT)):
             run_side(tree, configs, outs[side])
         digests = [perfbench_run.normalized_digest(outs[side], TIMING_FIELDS) for side in SIDES]
-        names, differ = sorted(set(digests[0]) | set(digests[1])), 0
+        names, results = sorted(set(digests[0]) | set(digests[1])), []
         for rel in names:
+            stats = {}
             if rel not in digests[0] or rel not in digests[1]:
                 verdict = f"only in {SIDES[rel in digests[1]]}"
             elif digests[0][rel] == digests[1][rel]:
                 verdict = "identical"
             else:
-                verdict = drift(*(os.path.join(outs[side], rel) for side in SIDES))
-            differ += verdict != "identical"
+                verdict, stats = drift(*(os.path.join(outs[side], rel) for side in SIDES))
+            results.append((rel, verdict, stats))
             print(f"{rel}: {verdict}")
+        differ = sum(verdict != "identical" for _, verdict, _ in results)
+        print("by file kind:")
+        for line in kind_summary(results):
+            print(f"  {line}")
         print(f"{args.rev} vs working tree: " + (f"{differ} of {len(names)} files differ" if differ
                                                  else f"identical, all {len(names)} files"))
         return 1 if differ else 0

@@ -426,19 +426,17 @@ class Tape:
 
     def candidate_mean(self, c: Var, p: Var, total: Array, grads) -> Var:
         """Record the mean over candidates of each one's mean of the per-point
-        loss `total`, for candidates c of (B, S, ...) against p of (B, ...), or
-        one c of p's shape; grads(k, over_cands, need_c, need_p) gives c's and
-        p's gradients (None if not needed) for upstream k per point."""
-        stacked = c.value.ndim == p.value.ndim + 1
-        n_cand = c.value.shape[1] if stacked else 1
+        loss `total`, for candidates c of (B, S, ...) against p of (B, ...);
+        grads(k, need_c, need_p) gives c's gradient and p's, summed over the
+        candidate axis 1 (None if not needed), for upstream k per point."""
+        n_cand = c.value.shape[1]
         # one contiguous row per candidate: each mean adds as its own array would
-        rows = np.ascontiguousarray(total.swapaxes(0, 1) if stacked else total)
+        rows = np.ascontiguousarray(total.swapaxes(0, 1))
         per = rows.reshape(n_cand, -1).mean(axis=1)
         n_points = rows.size // n_cand
 
         def backward(g: Array):
-            return grads(g.item() * (1.0 / n_cand) * (1.0 / n_points),
-                         lambda x: x.sum(axis=1) if stacked else x, c.requires_grad, p.requires_grad)
+            return grads(g.item() * (1.0 / n_cand) * (1.0 / n_points), c.requires_grad, p.requires_grad)
 
         return self._record(per.sum() * (1.0 / n_cand), (c, p), backward)
 

@@ -210,15 +210,14 @@ def _dump_masks(out_dir: str, g, f, bundle: SplitWindows, n_samples: int) -> Non
     y = flatten_channels(ds.y[:nwin])[:take]
     yhat = f.forward(Tape(record=False), x).value
     cands = g.forward(Tape(record=False), y).value
+    ms = LO.compute_masks(cands, yhat, y)
     for i in range(take):
         origin = int(ds.origins[i // ds.n_channels])
         t_index = origin + ds.lookback + np.arange(ds.horizon)
         for s in range(cands.shape[1]):
-            masks = LO.compute_masks(cands[i, s], yhat[i], y[i])
-            LO.write_mask_dump(
-                os.path.join(out_dir, f"sample{i}_cand{s}.csv"),
-                t_index, y[i], yhat[i], cands[i, s], masks,
-            )
+            row = LO.MaskSet(*(a[i, s] for a in (ms.m, ms.mask, ms.mask_lt, ms.ap, ms.at)), ms.sup[i, 0])
+            LO.write_mask_dump(os.path.join(out_dir, f"sample{i}_cand{s}.csv"),
+                               t_index, y[i], yhat[i], cands[i, s], row)
 
 
 def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows) -> dict:

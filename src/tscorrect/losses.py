@@ -11,9 +11,9 @@ The co-objective per point is |c - t| + |c - p|; it decomposes exactly into
   |t - p| + 2*min(|c-p|, |c-t|)   on points with M = 1,
 which is what the masked training loss uses, with masks held constant.
 
-Every function here takes one candidate c of p's shape, or the S stacked
-candidates c of (B, S, ...) against p and t of (B, ...), read with a
-length-1 axis 1; an objective over a stack averages the candidates' means.
+Every function here takes the S stacked candidates c of (B, S, ...) against
+p and t of (B, ...), read with a length-1 axis 1; an objective averages the
+candidates' means.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ def _as_value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def align_candidates(c: np.ndarray, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """p and t read with a length-1 axis 1 when c is a (B, S, ...) stack of
-    candidates for p and t of (B, ...), as they are when c has p's shape;
-    and whether c is a stack."""
-    stacked = c.ndim == p.ndim + 1
-    if p.shape != t.shape or (c.shape[:1] + c.shape[2:] if stacked else c.shape) != p.shape:
+def align_candidates(c: np.ndarray, p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and t read with a length-1 axis 1, against c, a (B, S, ...) stack of
+    candidates for p and t of (B, ...)."""
+    if p.shape != t.shape or c.ndim != p.ndim + 1 or c.shape[:1] + c.shape[2:] != p.shape:
         raise DimensionError(f"candidates {c.shape} against predictions {p.shape} and labels {t.shape}")
-    return (p[:, None], t[:, None], True) if stacked else (p, t, False)
+    return p[:, None], t[:, None]
 
 
 @dataclass
@@ -50,7 +48,7 @@ class MaskSet:
     mask_lt: np.ndarray  # M_<: |c - p| strictly smaller than |c - t|
     ap: np.ndarray  # |c - p|
     at: np.ndarray  # |c - t|
-    sup: np.ndarray  # |t - p|, with a length-1 candidate axis for a stack
+    sup: np.ndarray  # |t - p|, with a length-1 candidate axis
 
 
 def compute_masks(y_tilde, y_hat, y) -> MaskSet:
@@ -59,7 +57,7 @@ def compute_masks(y_tilde, y_hat, y) -> MaskSet:
     for name, v in (("y_tilde", c), ("y_hat", p), ("y", t)):
         if not np.isfinite(v).all():
             raise ContractError(f"non-finite values in {name}")
-    p, t, _ = align_candidates(c, p, t)
+    p, t = align_candidates(c, p, t)
     a = c - p
     b = c - t
     m = a * b
@@ -75,17 +73,17 @@ def co_objective_loss(tape: Tape, y_tilde, y_hat, y, rec_weight: float = 1.0,
     |c - p| half and proposes candidates from the |c - t| half."""
     c, p = (x if isinstance(x, Var) else Var(x) for x in (y_tilde, y_hat))
     cv = c.value
-    pv, tv, _ = align_candidates(cv, p.value, _as_value(y))
+    pv, tv = align_candidates(cv, p.value, _as_value(y))
     a = cv - pv if pred_weight != 0 else None
     b = cv - tv if rec_weight != 0 else None
     kept = [np.abs(r) * w for w, r in ((pred_weight, a), (rec_weight, b)) if r is not None]
     total = sum(kept[1:], kept[0]) if kept else np.zeros(cv.shape)
 
-    def grads(k: float, over_cands, need_c: bool, need_p: bool):
+    def grads(k: float, need_c: bool, need_p: bool):
         # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
         ga = np.sign(a) * pred_weight if a is not None else np.zeros(cv.shape)
         gc = (ga + np.sign(b) * rec_weight if b is not None else ga + 0.0) * k if need_c else None
-        gp = over_cands(ga + 0.0) * -k if need_p else None
+        gp = (ga + 0.0).sum(axis=1) * -k if need_p else None
         return gc, gp
 
     return tape.candidate_mean(c, p, total, grads)
@@ -103,7 +101,7 @@ def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) ->
     """
     if masks.mask.shape != y_tilde.value.shape:
         raise DimensionError(f"masks of {masks.mask.shape} for predictions of {y_tilde.value.shape}")
-    pv, tv, _ = align_candidates(y_tilde.value, y_hat.value, _as_value(y))
+    pv, tv = align_candidates(y_tilde.value, y_hat.value, _as_value(y))
     mask, lt, off = masks.mask, masks.mask_lt, ~masks.mask
     # arithmetic on the bool masks: np.where and masked copies run 5x slower
     total = np.minimum(masks.ap, masks.at)
@@ -111,27 +109,15 @@ def scam_masked_loss(tape: Tape, y_tilde: Var, y_hat: Var, y, masks: MaskSet) ->
     total *= mask
     total += masks.sup * off
 
-    def grads(k: float, over_cands, need_c: bool, need_p: bool):
+    def grads(k: float, need_c: bool, need_p: bool):
         up = mask & (y_tilde.value > pv)  # sign(c - p) on M: 1 on up, -1 on down
         down = mask & ~up
         gc = np.subtract(up, down, dtype=np.float64) * (2.0 * k) if need_c else None
-        gp = (2.0 * np.subtract(over_cands(up & lt), over_cands(down & lt), dtype=np.float64)
-              + np.sign(tv - pv).reshape(y_hat.value.shape) * over_cands(off)) * -k if need_p else None
+        gp = (2.0 * np.subtract((up & lt).sum(axis=1), (down & lt).sum(axis=1), dtype=np.float64)
+              + np.sign(tv - pv).reshape(y_hat.value.shape) * off.sum(axis=1)) * -k if need_p else None
         return gc, gp
 
     return tape.candidate_mean(y_tilde, y_hat, total, grads)
-
-
-def loss_identity_check(y_tilde, y_hat, y) -> float:
-    """Max pointwise gap between the absolute-difference form and the
-    masked min form of the correction objective. Should be ~1e-16."""
-    c, p, t = _as_value(y_tilde), _as_value(y_hat), _as_value(y)
-    a = c - p
-    b = c - t
-    lhs = np.abs(t - p) + np.abs(a) + np.abs(b) - np.abs(a - b)
-    agree = (a * b > 0.0).astype(np.float64)
-    rhs = np.abs(t - p) + 2.0 * np.minimum(np.abs(a), np.abs(b)) * agree
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass
@@ -158,12 +144,12 @@ def loss_breakdown(masks: MaskSet) -> LossBreakdown:
     """The four components and three totals of the arrays the masks came from."""
     ap, at, sup, mask, lt = masks.ap, masks.at, masks.sup, masks.mask, masks.mask_lt
     n = ap.size
-    inside = mask.sum(axis=1, keepdims=True) if sup.shape != mask.shape else mask  # candidates in M
+    inside = mask.sum(axis=1, keepdims=True)  # candidates in M
     return LossBreakdown(
         rec_corrected=2.0 * float(np.sum(at * (mask & ~lt))) / n,
         pred_corrected=2.0 * float(np.sum(ap * (mask & lt))) / n,
         sup_in_mask=float(np.sum(sup * inside)) / n,
-        sup_out_mask=float(np.sum(sup * (mask.size // sup.size - inside))) / n,
+        sup_out_mask=float(np.sum(sup * (mask.shape[1] - inside))) / n,
         loss_rec=float(np.mean(at)),
         loss_pred=float(np.mean(ap)),
         loss_target=float(np.mean(sup)),

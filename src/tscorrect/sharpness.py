@@ -88,15 +88,13 @@ def _random_unit(n: int, rng: np.random.Generator, mask: np.ndarray | None) -> n
     return v / nv
 
 
-def _segment_mask(ctx: HvpContext, segment) -> np.ndarray | None:
+def _segment_mask(ctx: HvpContext, segment: str | None) -> np.ndarray | None:
     if segment is None:
         return None
-    if isinstance(segment, str):
-        if segment not in ctx.segments:
-            raise ContractError(f"unknown segment {segment!r}; have {sorted(ctx.segments)}")
-        segment = ctx.segments[segment]
+    if segment not in ctx.segments:
+        raise ContractError(f"unknown segment {segment!r}; have {sorted(ctx.segments)}")
     mask = np.zeros(ctx.n)
-    mask[segment] = 1.0
+    mask[ctx.segments[segment]] = 1.0
     return mask
 
 
@@ -105,7 +103,7 @@ def lambda_max(
     seed: int = 0,
     max_iters: int = MAX_POWER_ITERS,
     tol: float = RAYLEIGH_TOL,
-    segment=None,
+    segment: str | None = None,
     trace: list | None = None,
 ) -> SharpnessResult:
     """Largest (algebraic) eigenvalue of the (segment-restricted) Hessian.

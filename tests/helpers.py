@@ -89,7 +89,7 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
     scam_masked_loss's weight arrays."""
     c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
     cv = c.value
-    pv, tv, _ = align_candidates(cv, p.value, as_array(t))
+    pv, tv = align_candidates(cv, p.value, as_array(t))
     weights = (w_pred, w_rec, w_sup)
     a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                      for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
@@ -97,17 +97,29 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
     full = lambda x: x if np.shape(x) == cv.shape else np.broadcast_to(x, cv.shape)
     total = full(sum(kept[1:], kept[0]) if kept else 0.0)
 
-    def grads(k, over_cands, need_c, need_p):
+    def grads(k, need_c, need_p):
         # ga + 0.0 also turns -0.0 into +0.0, as a sum of terms would
         ga = np.sign(a) * w_pred if a is not None else 0.0
         gc = gp = None
         if need_c:
             gc = full(ga + np.sign(b) * w_rec if b is not None else ga + 0.0) * k
         if need_p:
-            gp = over_cands(full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0)) * -k
+            gp = full(ga + np.sign(d) * w_sup if d is not None else ga + 0.0).sum(axis=1) * -k
         return gc, gp
 
     return tape.candidate_mean(c, p, total, grads)
+
+
+def loss_identity_check(y_tilde, y_hat, y) -> float:
+    """Max pointwise gap between the absolute-difference form and the
+    masked min form of the correction objective. Should be ~1e-16."""
+    c, p, t = as_array(y_tilde), as_array(y_hat), as_array(y)
+    a = c - p
+    b = c - t
+    lhs = np.abs(t - p) + np.abs(a) + np.abs(b) - np.abs(a - b)
+    agree = (a * b > 0.0).astype(np.float64)
+    rhs = np.abs(t - p) + 2.0 * np.minimum(np.abs(a), np.abs(b)) * agree
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def reference_conv_channels_last(x, w, b, stride, padding):

@@ -16,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import away_from_kinks, conv_levels, fd_model_worst_rel_err, fd_worst_rel_err
+from helpers import (away_from_kinks, conv_levels, fd_model_worst_rel_err, fd_worst_rel_err,
+                     loss_identity_check)
 from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape
 from tscorrect.cli import main
 from tscorrect.data import (
@@ -28,8 +29,7 @@ from tscorrect.data import (
     make_synthetic,
     regime_index,
 )
-from tscorrect.losses import (co_objective_loss, compute_masks, loss_identity_check, scam_masked_loss,
-                              summarize_candidates)
+from tscorrect.losses import co_objective_loss, compute_masks, scam_masked_loss, summarize_candidates
 from tscorrect.models import (
     ModelConfig,
     MlpPredictor,

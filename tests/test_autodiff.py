@@ -416,8 +416,8 @@ def test_fd_candidate_l1():
              + w_sup * np.abs(t - p)[:, None])
     value = weighted_candidate_l1(Tape(), Var(c), Var(p), t, w_pred, w_rec, w_sup).value.item()
     assert value == pytest.approx(terms.mean(axis=(0, 2)).mean(), rel=1e-14)
-    # one candidate of p's shape; a weight of 0 drops its term
-    one = co_objective_loss(Tape(), Var(c[:, 0]), Var(p), t, rec_weight=0.0, pred_weight=1.0).value.item()
+    # one candidate, a stack of S = 1; a weight of 0 drops its term
+    one = co_objective_loss(Tape(), Var(c[:, :1]), Var(p), t, rec_weight=0.0, pred_weight=1.0).value.item()
     assert one == np.abs(c[:, 0] - p).mean()
     with pytest.raises(DimensionError):
         co_objective_loss(Tape(), Var(c), Var(p[:, :4]), t[:, :4], rec_weight=1.0, pred_weight=1.0)
@@ -444,24 +444,24 @@ def candidate_l1_reference(cv, pv, tv, w_pred, w_rec, w_sup):
     """helpers.weighted_candidate_l1 as written before its lean form, from its
     sum() and broadcast_to total: the value and the rule's c and p gradients
     for an upstream gradient of 1."""
-    stacked = cv.ndim == pv.ndim + 1
-    pa, ta = (pv[:, None], tv[:, None]) if stacked else (pv, tv)
+    pa, ta = pv[:, None], tv[:, None]
     weights = (w_pred, w_rec, w_sup)
     a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                      for w, x, y in zip(weights, (cv, cv, ta), (pa, ta, pa))]
     total = np.broadcast_to(sum(np.abs(r) * w for w, r in zip(weights, res) if r is not None), cv.shape)
-    n_cand = cv.shape[1] if stacked else 1
-    rows = np.ascontiguousarray(np.moveaxis(total, 1, 0) if stacked else total)
+    n_cand = cv.shape[1]
+    rows = np.ascontiguousarray(np.moveaxis(total, 1, 0))
     value = rows.reshape(n_cand, -1).mean(axis=1).sum() * (1.0 / n_cand)
     k = 1.0 * (1.0 / n_cand) * (1.0 / (rows.size // n_cand))
     ga = np.sign(a) * w_pred if a is not None else 0.0
     gc = np.broadcast_to(ga + (np.sign(b) * w_rec if b is not None else 0.0), cv.shape) * k
     gp = np.broadcast_to(ga + (np.sign(d) * w_sup if d is not None else 0.0), cv.shape)
-    return value, gc, (gp.sum(axis=1) if stacked else gp) * -k
+    return value, gc, gp.sum(axis=1) * -k
 
 
 def tied_candidates(seed, stacked):
-    """c, p, t with ties (c = p, c = t, p = t) and -0.0 entries."""
+    """c, p, t with ties (c = p, c = t, p = t) and -0.0 entries; c holds
+    3 candidates, or only the first when not stacked."""
     rng = RNG(seed)
     c, p, t = rng.uniform(-2, 2, (6, 3, 8)), rng.uniform(-2, 2, (6, 8)), rng.uniform(-2, 2, (6, 8))
     c[0, 0] = p[0]
@@ -469,7 +469,7 @@ def tied_candidates(seed, stacked):
     t[2] = p[2]
     c[3, :, :4], p[3, :4], t[3, :4] = -0.0, 0.0, -0.0
     c[4, 2, :3], p[4, :3], t[4, :3] = 0.0, -0.0, -0.0
-    return (c, p, t) if stacked else (c[:, 0].copy(), p, t)
+    return (c, p, t) if stacked else (c[:, :1].copy(), p, t)
 
 
 @pytest.mark.parametrize("stacked", [True, False])

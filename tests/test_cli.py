@@ -20,7 +20,7 @@ from tscorrect import cli
 from tscorrect.cli import load_config, load_series, main, make_bundle, run_experiment
 from tscorrect.data import SyntheticConfig, build_splits, load_csv, make_synthetic
 from tscorrect.errors import ConfigError
-from tscorrect.losses import MASK_DUMP_FIELDS
+from tscorrect.losses import MASK_DUMP_FIELDS, compute_masks
 from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
                               save_checkpoint, top_singular_pair)
 from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
@@ -427,6 +427,20 @@ def test_mask_dumps_written_per_sample_and_candidate(scam_pipeline):
         cells = line.split(",")
         assert np.isfinite(float(cells[4]))  # the product A*B, a float
         assert cells[5] in ("0", "1") and cells[6] in ("0", "1")
+
+
+def test_mask_dumps_hold_the_masks_of_their_own_values(scam_pipeline):
+    # floats are written by repr, so the values read back exactly; each file's
+    # m, M and M_lt are compute_masks of its y_tilde as an S = 1 stack
+    _, run_dir = scam_pipeline
+    paths = sorted(glob.glob(os.path.join(run_dir, "seed0", "masks", "sample*_cand*.csv")))
+    assert len(paths) == 4
+    for path in paths:
+        cols = dict(zip(MASK_DUMP_FIELDS, np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)))
+        ms = compute_masks(cols["y_tilde"][:, None], cols["y_hat"], cols["y"])
+        assert np.array_equal(ms.m[:, 0], cols["m"]), path
+        assert np.array_equal(ms.mask[:, 0], cols["M"]), path
+        assert np.array_equal(ms.mask_lt[:, 0], cols["M_lt"]), path
 
 
 def test_eval_reproduces_manifest_metrics_exactly(scam_pipeline, capsys):

@@ -1,0 +1,66 @@
+"""scripts/identity_check.py's waiver figures, on small mask dumps; no tree runs."""
+
+import importlib.util
+import os
+
+import numpy as np
+
+from tscorrect.losses import compute_masks, write_mask_dump
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_identity_check():
+    spec = importlib.util.spec_from_file_location(
+        "_identity_check", os.path.join(ROOT, "scripts", "identity_check.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def dump(tmp_path, side, y, y_hat, y_tilde):
+    path = tmp_path / side / "masks" / "sample0_cand0.csv"
+    path.parent.mkdir(parents=True)
+    write_mask_dump(str(path), np.arange(len(y)), y, y_hat, y_tilde, compute_masks(y_tilde[:, None], y_hat, y))
+    return str(path)
+
+
+def test_waiver_separates_a_regrouped_dump_from_a_flipped_mask(tmp_path):
+    ic = load_identity_check()
+    y = np.array([1.0, -0.5, 2.0, 0.3])
+    y_hat = np.array([0.2, 0.4, 1.0, 0.1])
+    # point 0: c within 1e-9 of p, so m = (c - p)(c - t) cancels
+    y_tilde = np.array([0.2 + 1e-9, 0.0, 2.5, 0.3])
+    base = dump(tmp_path, "base", y, y_hat, y_tilde)
+    # regrouped: c moves by one ulp, as a reordered sum moves it
+    moved = y_tilde.copy()
+    moved[0] = np.nextafter(moved[0], np.inf)
+    regrouped = dump(tmp_path, "regrouped", y, y_hat, moved)
+    # flipped: point 1 has m = -0.2, and its M cell turns from 0 to 1
+    lines = open(base).read().splitlines()
+    cells = lines[2].split(",")
+    assert cells[5] == "0"
+    lines[2] = ",".join(cells[:5] + ["1"] + cells[6:])
+    flipped = str(tmp_path / "flipped" / "masks" / "sample0_cand0.csv")
+    os.makedirs(os.path.dirname(flipped))
+    with open(flipped, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+    verdict, stats = ic.drift(base, regrouped)
+    # m's plain relative drift misses a 1e-12 bar; against its factors' scale it is rounding
+    assert stats["worst"] > 1e-12 and stats["m_scaled"] < 1e-15
+    assert (stats["M"], stats["M_lt"]) == (0, 0)
+    assert "y_tilde 0," not in verdict and "M 0 flipped" in verdict and "M_lt 0 flipped" in verdict
+
+    verdict, stats = ic.drift(base, flipped)
+    assert (stats["M"], stats["M_lt"], stats["m_scaled"]) == (1, 0, 0.0)
+    assert "M 1 flipped" in verdict and "y_tilde 0," in verdict
+
+    results = [("seed0/masks/sample0_cand0.csv", *ic.drift(base, regrouped)),
+               ("seed0/masks/sample0_cand1.csv", *ic.drift(base, flipped)),
+               ("seed0/masks/sample1_cand0.csv", "identical", {}),
+               ("seed0/epochs.csv", "identical", {})]
+    summary = ic.kind_summary(results)
+    assert summary[0] == "epochs.csv: 0 of 1 differ"
+    assert summary[1].startswith("mask dump: 2 of 3 differ, worst relative drift 1, m against its factors' scale ")
+    assert summary[1].endswith(", M 1 flipped, M_lt 0 flipped")

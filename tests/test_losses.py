@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from dataclasses import astuple, replace
 
-from helpers import weighted_candidate_l1
+from helpers import loss_identity_check, weighted_candidate_l1
 from tscorrect.autodiff import Tape, Var
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import (
@@ -12,7 +12,6 @@ from tscorrect.losses import (
     co_objective_loss,
     compute_masks,
     loss_breakdown,
-    loss_identity_check,
     scam_masked_loss,
     summarize_candidates,
     write_mask_dump,
@@ -36,18 +35,23 @@ def random_triples(seed, n, include_ties=True):
     return y_tilde, y_hat, y
 
 
+def one(c):
+    """A single candidate as the S = 1 stack the losses take."""
+    return np.asarray(c)[:, None]
+
+
 # ---------------------------------------------------------------------------
 # masks
 
 
 def test_mask_between_case():
-    m = compute_masks(np.array([0.5]), np.array([0.0]), np.array([1.0]))
+    m = compute_masks(one([0.5]), np.array([0.0]), np.array([1.0]))
     assert m.m.item() == pytest.approx(-0.25)
     assert m.mask.item() == 0.0
 
 
 def test_mask_outside_case():
-    m = compute_masks(np.array([2.0]), np.array([0.0]), np.array([1.0]))
+    m = compute_masks(one([2.0]), np.array([0.0]), np.array([1.0]))
     assert m.m.item() == pytest.approx(2.0)
     assert m.mask.item() == 1.0
     assert m.mask_lt.item() == 0.0  # |A|=2 not < |B|=1
@@ -55,27 +59,27 @@ def test_mask_outside_case():
 
 def test_mask_tie_is_zero():
     y = np.array([1.0, -2.0, 0.3])
-    m = compute_masks(y.copy(), y.copy(), RNG(0).standard_normal(3))
-    assert np.array_equal(m.mask, np.zeros(3))
+    m = compute_masks(one(y), y.copy(), RNG(0).standard_normal(3))
+    assert np.array_equal(m.mask, np.zeros((3, 1)))
 
 
 def test_mask_lt_tie_takes_reconstruction_branch():
     # |A| == |B| must set M_lt = 0
-    m = compute_masks(np.array([2.0]), np.array([1.0]), np.array([1.0]))
+    m = compute_masks(one([2.0]), np.array([1.0]), np.array([1.0]))
     assert m.mask.item() == 1.0
     assert m.mask_lt.item() == 0.0
 
 
 def test_masks_binary():
     yt, yh, y = random_triples(1, 1000)
-    ms = compute_masks(yt, yh, y)
+    ms = compute_masks(one(yt), yh, y)
     assert set(np.unique(ms.mask)) <= {0.0, 1.0}
     assert set(np.unique(ms.mask_lt)) <= {0.0, 1.0}
 
 
 def test_masks_reject_non_finite():
     with pytest.raises(ContractError, match="y_hat"):
-        compute_masks(np.ones(2), np.array([1.0, np.nan]), np.ones(2))
+        compute_masks(one(np.ones(2)), np.array([1.0, np.nan]), np.ones(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,8 +88,8 @@ def test_masks_scale_covariant(seed, c):
     # ties sit on the decision boundary where one ulp of rounding in c*x can
     # flip the branch, so the property is over non-degenerate triples
     yt, yh, y = random_triples(seed, 64, include_ties=False)
-    a = compute_masks(yt, yh, y)
-    b = compute_masks(c * yt, c * yh, c * y)
+    a = compute_masks(one(yt), yh, y)
+    b = compute_masks(one(c * yt), c * yh, c * y)
     assert np.array_equal(a.mask, b.mask)
     assert np.array_equal(a.mask_lt, b.mask_lt)
 
@@ -95,9 +99,9 @@ def test_masks_scale_covariant_exact_ties():
     yt = np.array([1.5, 2.0, 0.7])
     yh = np.array([1.5, -0.3, 0.2])
     y = np.array([0.4, 2.0, 0.2])
-    a = compute_masks(yt, yh, y)
+    a = compute_masks(one(yt), yh, y)
     for c in (0.37, 3.0, 12.5):
-        b = compute_masks(c * yt, c * yh, c * y)
+        b = compute_masks(one(c * yt), c * yh, c * y)
         assert np.array_equal(a.mask, b.mask)
         assert np.array_equal(a.mask_lt, b.mask_lt)
 
@@ -109,12 +113,12 @@ def test_masks_scale_covariant_exact_ties():
 def test_co_objective_zero_when_all_equal():
     t = Tape()
     v = Var(np.array([1.0, 2.0]))
-    assert co_objective_loss(t, v, v, v.value).value.item() == 0.0
+    assert co_objective_loss(t, Var(one(v.value)), v, v.value).value.item() == 0.0
 
 
 def test_co_objective_hand_value():
     t = Tape()
-    out = co_objective_loss(t, Var(np.array([2.0])), Var(np.array([0.0])), np.array([1.0]))
+    out = co_objective_loss(t, Var(one([2.0])), Var(np.array([0.0])), np.array([1.0]))
     assert out.value.item() == pytest.approx(3.0)
 
 
@@ -141,7 +145,7 @@ def test_identity_property(seed):
 
 
 def test_masked_loss_reduces_to_supervised_when_mask_empty():
-    yt = np.array([0.5, -0.2])
+    yt = one([0.5, -0.2])
     yh = np.array([1.0, 0.4])
     y = np.array([0.0, -1.0])  # y_tilde strictly between y_hat and y
     ms = compute_masks(yt, yh, y)
@@ -154,7 +158,7 @@ def test_masked_loss_reduces_to_supervised_when_mask_empty():
 def test_masked_loss_hand_case_drops_supervised_term():
     # y=1, y_hat=0, y_tilde=2: M=1, M_lt=0 -> contribution 2*|2-1| = 2
     t = Tape()
-    yt, yh, y = np.array([2.0]), np.array([0.0]), np.array([1.0])
+    yt, yh, y = one([2.0]), np.array([0.0]), np.array([1.0])
     ms = compute_masks(yt, yh, y)
     out = scam_masked_loss(t, Var(yt), Var(yh), y, ms)
     assert out.value.item() == pytest.approx(2.0)
@@ -163,7 +167,7 @@ def test_masked_loss_hand_case_drops_supervised_term():
 def test_masked_loss_hand_case_outside_mask():
     # y=0, y_hat=3, y_tilde=2: m = (-1)(2) = -2 -> M=0 -> |0-3| = 3
     t = Tape()
-    yt, yh, y = np.array([2.0]), np.array([3.0]), np.array([0.0])
+    yt, yh, y = one([2.0]), np.array([3.0]), np.array([0.0])
     ms = compute_masks(yt, yh, y)
     out = scam_masked_loss(t, Var(yt), Var(yh), y, ms)
     assert out.value.item() == pytest.approx(3.0)
@@ -173,6 +177,7 @@ def test_masked_loss_hand_case_outside_mask():
 @given(seed=st.integers(0, 100_000))
 def test_masked_loss_bounded_by_co_objective_plus_supervised(seed):
     yt, yh, y = random_triples(seed, 128)
+    yt = one(yt)
     ms = compute_masks(yt, yh, y)
     t = Tape()
     masked = scam_masked_loss(t, Var(yt), Var(yh), y, ms).value.item()
@@ -189,12 +194,12 @@ def test_masked_loss_gradient_routing_by_finite_differences():
     # point 1: y_tilde between y_hat and y -> M=0
     # point 2: A=1.5, B=2, same sign -> M=1, M_lt=1 (prediction-corrected)
     # point 3: A=-0.15, B=0.1, opposite signs -> M=0
-    yt = np.array([2.0, 0.5, -1.0, 0.6])
+    yt = one([2.0, 0.5, -1.0, 0.6])
     yh = np.array([0.0, 1.0, -2.5, 0.75])
     y = np.array([1.0, 0.0, -3.0, 0.5])
     ms = compute_masks(yt, yh, y)
-    assert ms.mask.tolist() == [1.0, 0.0, 1.0, 0.0]
-    assert ms.mask_lt.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert ms.mask[:, 0].tolist() == [1.0, 0.0, 1.0, 0.0]
+    assert ms.mask_lt[:, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
 
     t = Tape()
     vt, vh = Var(yt, requires_grad=True), Var(yh, requires_grad=True)
@@ -230,7 +235,7 @@ def test_masked_loss_gradient_routing_by_finite_differences():
 def test_breakdown_tilde_equals_label():
     y = RNG(3).standard_normal(32)
     yh = RNG(4).standard_normal(32)
-    ms = compute_masks(y.copy(), yh, y)
+    ms = compute_masks(one(y), yh, y)
     bd = loss_breakdown(ms)
     assert bd.rec_corrected == 0.0
     assert bd.pred_corrected == 0.0
@@ -239,7 +244,7 @@ def test_breakdown_tilde_equals_label():
 
 
 def test_breakdown_single_point_hand_case():
-    yt, yh, y = np.array([2.0]), np.array([0.0]), np.array([1.0])
+    yt, yh, y = one([2.0]), np.array([0.0]), np.array([1.0])
     ms = compute_masks(yt, yh, y)
     bd = loss_breakdown(ms)
     assert bd.rec_corrected == pytest.approx(2.0)
@@ -255,6 +260,7 @@ def test_breakdown_single_point_hand_case():
 @given(seed=st.integers(0, 100_000))
 def test_breakdown_components_sum_to_co_objective(seed):
     yt, yh, y = random_triples(seed, 200)
+    yt = one(yt)
     ms = compute_masks(yt, yh, y)
     bd = loss_breakdown(ms)
     t = Tape()
@@ -305,10 +311,11 @@ def per_candidate_loss(c, yh, y, masked):
     per = []
     for cs in cands:
         if masked:
-            ms = compute_masks(cs.value, yh, y)
-            m_out = tape.constant(1.0 - ms.mask)
-            lt = tape.constant(ms.mask_lt * ms.mask)
-            ge = tape.constant((1.0 - ms.mask_lt) * ms.mask)
+            ms = compute_masks(one(cs.value), yh, y)
+            mask, mask_lt = ms.mask[:, 0], ms.mask_lt[:, 0]
+            m_out = tape.constant(1.0 - mask)
+            lt = tape.constant(mask_lt * mask)
+            ge = tape.constant((1.0 - mask_lt) * mask)
             sup = tape.mul(tape.abs(tape.sub(yc, vh)), m_out)
             corr = tape.mul(tape.add(tape.mul(tape.abs(tape.sub(cs, vh)), lt),
                                      tape.mul(tape.abs(tape.sub(cs, yc)), ge)), 2.0)
@@ -337,12 +344,12 @@ def test_stacked_loss_equals_per_candidate_mean(seed, masked):
 @pytest.mark.parametrize("masked", [True, False])
 def test_identical_candidates_equal_one_candidate(masked):
     c, yh, y = candidate_stack(3, s=1)
-    one_value, one_gc, one_gp = stacked_loss(c[:, 0], yh, y, masked)
+    one_value, one_gc, one_gp = stacked_loss(c, yh, y, masked)
     value, gc, gp = stacked_loss(np.repeat(c, 4, axis=1), yh, y, masked)
     assert value == pytest.approx(one_value, rel=1e-15)
     assert np.array_equal(gp, one_gp)
     for s in range(4):
-        assert np.array_equal(gc[:, s], one_gc / 4)
+        assert np.array_equal(gc[:, s], one_gc[:, 0] / 4)
 
 
 def test_stacked_loss_rejects_misaligned_shapes():
@@ -351,6 +358,22 @@ def test_stacked_loss_rejects_misaligned_shapes():
         compute_masks(c[:, :, :8], yh, y)
     with pytest.raises(DimensionError):
         co_objective_loss(Tape(), Var(c), Var(yh[:4]), y[:4][:, :8])
+
+
+def test_losses_reject_a_candidate_of_the_predictions_shape():
+    # one candidate is an S = 1 stack; c of p's shape is no layout
+    c, yh, y = candidate_stack(6)
+    c = c[:, 0].copy()
+    with pytest.raises(DimensionError):
+        compute_masks(c, yh, y)
+    with pytest.raises(DimensionError):
+        co_objective_loss(Tape(), Var(c), Var(yh), y)
+    # masks of c's shape, read as a stack of H candidates for each row's one point,
+    # pass the mask check and leave the layout to the loss
+    masks = compute_masks(c, yh[:, 0], y[:, 0])
+    assert masks.mask.shape == c.shape
+    with pytest.raises(DimensionError, match="candidates"):
+        scam_masked_loss(Tape(), Var(c), Var(yh), y, masks)
 
 
 def tie_stack(seed, b=8, s=4, h=16):
@@ -383,7 +406,7 @@ def weighted_masked_loss(c, yh, y, masks):
 def test_masked_loss_equals_weight_array_form(seed, make, stacked):
     c, yh, y = make(seed)
     if not stacked:
-        c = c[:, 0].copy()
+        c = c[:, :1].copy()
     masks = compute_masks(c, yh, y)
     ref = weighted_masked_loss(c, yh, y, masks)
     bd = loss_breakdown(masks)
@@ -420,9 +443,9 @@ def test_summarize_candidates_equals_per_candidate_loop():
     ref = np.zeros((3,) + y.shape)
     parts = []
     for s in range(n):
-        ms = compute_masks(c[:, s], yh, y)
-        ind = ms.mask * (1.0 - ms.mask_lt)
-        ref[0] += ms.mask
+        ms = compute_masks(c[:, s:s + 1], yh, y)
+        ind = ms.mask[:, 0] * (1.0 - ms.mask_lt[:, 0])
+        ref[0] += ms.mask[:, 0]
         ref[1] += ind
         ref[2] += 2.0 * np.abs(c[:, s] - y) * ind
         parts.append(astuple(loss_breakdown(ms)))
@@ -435,7 +458,7 @@ def test_summarize_candidates_equals_per_candidate_loop():
 
 def test_mask_dump_roundtrip(tmp_path):
     yt, yh, y = random_triples(9, 16)
-    ms = compute_masks(yt, yh, y)
+    ms = compute_masks(one(yt), yh, y)
     path = str(tmp_path / "dump.csv")
     write_mask_dump(path, np.arange(16), y, yh, yt, ms)
     lines = open(path).read().strip().split("\n")
@@ -446,7 +469,7 @@ def test_mask_dump_roundtrip(tmp_path):
     assert cells[5] in ("0", "1")
     # every row as the format states it: int t, floats by repr, masks as 0/1
     for i, line in enumerate(lines[1:]):
-        row = (i, *map(float, (y[i], yh[i], yt[i], ms.m[i])), int(ms.mask[i]), int(ms.mask_lt[i]))
+        row = (i, *map(float, (y[i], yh[i], yt[i], ms.m[i, 0])), int(ms.mask[i, 0]), int(ms.mask_lt[i, 0]))
         assert line == "{},{!r},{!r},{!r},{!r},{},{}".format(*row)
     with pytest.raises(DimensionError, match="equal length"):
         write_mask_dump(path, np.arange(15), y, yh, yt, ms)

@@ -193,7 +193,7 @@ def test_segment_slice_matches_principal_submatrix():
     rng = np.random.default_rng(11)
     a = sym(rng, 10)
     ref = float(np.linalg.eigvalsh(a[3:8, 3:8])[-1])
-    res = lambda_max(quad_ctx(a), segment=slice(3, 8))
+    res = lambda_max(quad_ctx(a, segments={"block": slice(3, 8)}), segment="block")
     assert abs(res.value - ref) < 1e-8 * max(abs(ref), 1.0)
 
 
@@ -204,9 +204,9 @@ def test_unknown_segment_name_raises():
 
 
 def test_empty_segment_raises():
-    ctx = quad_ctx(np.eye(4))
+    ctx = quad_ctx(np.eye(4), segments={"empty": slice(2, 2)})
     with pytest.raises(ContractError, match="empty"):
-        lambda_max(ctx, segment=slice(2, 2))
+        lambda_max(ctx, segment="empty")
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-6},
@@ -341,8 +341,8 @@ def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     eig = np.concatenate([10.0 - 1e-3 * np.arange(8), rng.uniform(-5.0, 5.0, 52)])
-    quad = quad_ctx((q * eig) @ q.T)
-    cases = [(quad, None), (quad, slice(5, 45)), (tiny_mlp_ctx, None)]
+    quad = quad_ctx((q * eig) @ q.T, segments={"middle": slice(5, 45)})
+    cases = [(quad, None), (quad, "middle"), (tiny_mlp_ctx, None)]
     for ctx, segment in cases:
         for seed in (0, 1):
             ref = lambda_max_per_vector(ctx, seed=seed, segment=segment)
