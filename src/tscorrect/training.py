@@ -375,14 +375,9 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             if steps >= cfg.grid_inner_steps or gnorm <= cfg.grid_grad_threshold:
                 break
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
-        loss_target = 0.0
-        for lo in range(0, n, cfg.eval_batch):
-            y = labels[lo * nch : (lo + cfg.eval_batch) * nch]
-            x = flatten_channels(bundle.train.x[lo : lo + cfg.eval_batch])
-            with_f = f.forward(Tape(record=False), x).value
-            loss_target += float(np.mean(np.abs(with_f - y))) * (y.size / labels.size)
         records.append(GridRecord(
-            index=i, loss_rec=loss_rec, loss_pred=loss.value.item(), loss_target=loss_target,
+            index=i, loss_rec=loss_rec, loss_pred=loss.value.item(),
+            loss_target=evaluate(f, bundle.train, cfg.eval_batch)[1],
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
             phi_snapshot=outer.store.value.copy(),
         ))

@@ -4,10 +4,12 @@ One small masked-correction training run is shared across the manifest,
 eval, and diagnose tests to keep the suite quick.
 """
 
+import argparse
 import glob
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -23,7 +25,7 @@ from tscorrect.errors import ConfigError
 from tscorrect.losses import MASK_DUMP_FIELDS, compute_masks
 from tscorrect.models import (SIGMA_FLOOR, ModelConfig, build_predictor, load_checkpoint, restore_models,
                               save_checkpoint, top_singular_pair)
-from tscorrect.training import EPOCH_CSV_FIELDS, TIMING_FIELDS
+from tscorrect.training import EPOCH_CSV_FIELDS, GRID_CSV_FIELDS, TIMING_FIELDS
 
 BASE_CONFIG = """
 [experiment]
@@ -299,10 +301,14 @@ def test_in_process_seed_trains_on_the_checked_windows(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def readme_text() -> str:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        return fh.read()
+
+
 def readme_quickstart(heading: str = "## CLI quickstart") -> list[list[str]]:
     """The commands of README's first sh block after `heading`, continuations joined."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        block = fh.read().split(heading, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_text().split(heading, 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = (shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines())
     return [argv for argv in lines if argv]
 
@@ -345,6 +351,63 @@ def test_readme_ablation_runs_the_four_variants(tmp_path, capsys):
         assert header["config"]["snr"] == snr
         run_dirs.append(run_dir)
     assert len(set(run_dirs)) == 4
+
+
+def not_in_readme(names) -> list[str]:
+    """The names README does not hold as a whole word, a flag's dashes included."""
+    text = readme_text()
+    return sorted(n for n in set(names) if not re.search(rf"(?<![\w-]){re.escape(n)}(?![\w-])", text))
+
+
+def parser_names(parser: argparse.ArgumentParser) -> set[str]:
+    """Every subcommand and `--` flag of the parser, argparse's own --help aside."""
+    names = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names |= {name} | parser_names(sub)
+        names |= {o for o in action.option_strings if o.startswith("--") and o != "--help"}
+    return names
+
+
+def test_readme_names_every_key_flag_and_column(scam_pipeline, diagnosis, tmp_path, capsys):
+    cfg_path, run_dir = scam_pipeline
+    names = set(cli._SCHEMA) | {key for section in cli._SCHEMA.values() for key in section}
+    names |= parser_names(cli.build_parser())
+    names |= {*EPOCH_CSV_FIELDS, *GRID_CSV_FIELDS, *MASK_DUMP_FIELDS}
+    with open(os.path.join(diagnosis, "kl_table.csv")) as fh:
+        names |= set(fh.readline().strip().split(","))
+    names |= set(json.load(open(os.path.join(diagnosis, "breakdown.json"))))
+    sharpness = json.load(open(os.path.join(diagnosis, "sharpness.json")))
+    names |= set(sharpness) | {key for v in sharpness.values() if isinstance(v, dict) for key in v}
+    ckpt = os.path.join(run_dir, "seed0", "checkpoints", "best.ckpt")
+    assert main(["eval", "--config", cfg_path, "--checkpoint", ckpt]) == 0
+    names |= set(json.loads(capsys.readouterr().out))
+    grid_text = BASE_CONFIG.replace("[train]", "[train]\ngrid_candidates = 1\ngrid_inner_steps = 2\n")
+    grid_cfg = write_config(tmp_path, text=grid_text, out_dir=os.path.join(str(tmp_path), "runs"))
+    assert main(["grid-search", "--config", grid_cfg]) == 0
+    grid_dir = capsys.readouterr().out.strip().splitlines()[-1]
+    for manifest_dir in (run_dir, grid_dir):
+        manifest = json.load(open(os.path.join(manifest_dir, "manifest.json")))
+        names |= set(manifest) | set(manifest["seeds"]["0"])
+    missing = not_in_readme(names)
+    assert not missing, f"README does not name {len(missing)}: {' '.join(missing)}"
+
+
+def test_readme_library_use_runs(tmp_path):
+    block = readme_text().split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(ROOT), "src")}
+    proc = subprocess.run([sys.executable, "-c", block], cwd=str(tmp_path), env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_readme_paths_exist():
+    paths = set(re.findall(r"(?<![\w/.-])((?:configs|scripts|tests)/[\w.-]+\.(?:ini|py)|BENCH_\d+\.json)",
+                           readme_text()))
+    assert paths
+    assert [p for p in sorted(paths) if not os.path.exists(os.path.join(ROOT, p))] == []
 
 
 @pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))),
