@@ -18,7 +18,7 @@ each with its own `PYTHONPATH=<tree>/src`, so run ids and manifests agree:
     output directory so that both sides print the same path;
   * toy_regimes.ini on two seeds with snr both and log_sharpness, run with
     --threads 2 so the seeds go through the worker pool; its checkpoints
-    carry singular-vector buffers and its epochs.csv lambda_max;
+    hold a spectrally rescaled predictor and its epochs.csv lambda_max;
   * toy_regimes.ini in co_objective mode on seed 0 with snr both, the one
     run whose training loss is the full co-objective.
 
@@ -27,6 +27,9 @@ only the training.TIMING_FIELDS columns and the manifest's created_unix. Each
 file prints as `identical`, or with what a waiver states:
 
   * the worst relative drift of its numbers and, for a CSV, of each column;
+  * in a checkpoint, compared block by block by name: the header fields that
+    changed, the blocks found on one side only, and the worst relative drift
+    of the blocks both sides hold;
   * in a mask dump, the count of flipped cells of the boolean M and M_lt, and
     the drift of m = (c - p)(c - t) against the scale of its factors,
     (|c| + |p|)(|c| + |t|), next to m's plain relative drift. m cancels where
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -140,13 +144,8 @@ def run_side(tree: str, configs: dict[str, str], out: str) -> None:
 
 
 def _numbers(path: str):
-    """(layout, float array) of a checkpoint, CSV or JSON file: two files of
-    one layout differ only in the numbers."""
-    if path.endswith(".ckpt"):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        hlen = int.from_bytes(raw[:8], "little")
-        return raw[8:8 + hlen], np.frombuffer(raw[8 + hlen:], dtype="<f8")
+    """(layout, float array) of a CSV or JSON file: two files of one layout
+    differ only in the numbers."""
     leaves = []
 
     def walk(node):
@@ -205,11 +204,46 @@ def _columns(path: str) -> dict[str, np.ndarray]:
             for i, name in enumerate(header) if name not in TIMING_FIELDS}
 
 
+def _checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's header without its block list, and its blocks by name.
+    Read raw, not through tscorrect, so that a file of another version reads too."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8:8 + hlen])
+    blocks, at = {}, 8 + hlen
+    for spec in header.pop("blocks"):
+        size = 8 * math.prod(spec["shape"])
+        blocks[spec["name"]] = np.frombuffer(raw[at:at + size], dtype="<f8").reshape(spec["shape"])
+        at += size
+    return header, blocks
+
+
+def checkpoint_drift(path_a: str, path_b: str) -> tuple[str, dict]:
+    """drift() of two checkpoints, block by block: the header fields that
+    changed, the blocks on one side only, and "worst" over the shared blocks
+    (a shared block of another shape drifts without bound)."""
+    (head_a, a), (head_b, b) = _checkpoint(path_a), _checkpoint(path_b)
+    parts = [f"{key} {head_a.get(key)!r} -> {head_b.get(key)!r}"
+             for key in sorted(set(head_a) | set(head_b)) if head_a.get(key) != head_b.get(key)]
+    for side, mine, theirs in zip(SIDES, (a, b), (b, a)):
+        only = [name for name in mine if name not in theirs]
+        if only:
+            parts.append(f"only in {side}: {', '.join(only)}")
+    shared = [name for name in a if name in b]
+    worst = [_rel(a[n], b[n]).max(initial=0.0) if a[n].shape == b[n].shape else np.inf for n in shared]
+    stats = {"worst": float(max(worst, default=0.0))}
+    parts.append(f"{len(shared)} shared blocks, worst relative drift {stats['worst']:.3g}")
+    return "; ".join(parts), stats
+
+
 def drift(path_a: str, path_b: str) -> tuple[str, dict]:
     """How two files that are not byte-identical differ: the verdict line and
     its figures, "worst" (the worst relative drift of any number) and, in a
     mask dump, "m_scaled" and the flipped cells of each of FLAGS."""
     try:
+        if path_a.endswith(".ckpt"):
+            return checkpoint_drift(path_a, path_b)
         (layout_a, a), (layout_b, b) = _numbers(path_a), _numbers(path_b)
     except (ValueError, UnicodeDecodeError):
         return "bytes differ", {}

@@ -220,7 +220,7 @@ class Tape:
         blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
         # b1 rides in the first GEMM: z_buf's last column is 1 and w1b's last
         # row b1. A block's z rows, hidden layer, relu mask and hidden gradient
-        # go to the leading rows of buffers made once per call
+        # go to the leading rows of scratch arrays made once per call
         w1b, z_buf = np.vstack((w1v.T, b1v)), np.ones((-(-n // k), d + 1))
         h_buf = np.empty((len(z_buf), len(w1v)))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -133,10 +134,6 @@ class LinearLayer:
             out.append(("gamma", self.gamma))
         return out
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        """u and v, live: writing into them restores the tracked state."""
-        return [("pi_u", self.u), ("pi_v", self.v)] if self.snr_enabled else []
-
     def spectral_step(self) -> None:
         if self.snr_enabled:
             top_singular_pair(self.w.value, self.u, self.v)
@@ -230,9 +227,6 @@ class MlpPredictor:
         out += [(f"revin.{n}", v) for n, v in self.revin.params()]
         return out
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return [(f"{name}.{n}", a) for name, layer in self.layers.items() for n, a in layer.buffers()]
-
     def segments(self) -> dict[str, list[str]]:
         """The last layer is the projector, any earlier ones the embedding."""
         out: dict[str, list[str]] = {}
@@ -306,9 +300,6 @@ class ReconstructionNet:
             out += [(f"{name}.{n}", v) for n, v in getattr(self, name).params()]
         return out
 
-    def buffers(self) -> list[tuple[str, np.ndarray]]:
-        return []
-
     def loss_parameters(self) -> list[tuple[str, Var]]:
         """Parameters that training losses may touch (readout excluded)."""
         return [(n, v) for n, v in self.parameters() if not n.startswith("readout.")]
@@ -322,24 +313,11 @@ def build_recon(cfg: ModelConfig, rng: np.random.Generator) -> ReconstructionNet
 # checkpoints: uint64-LE header length, JSON header, then raw float64 blocks
 
 
-_CKPT_VERSION = 2
-
-
-def model_state(model) -> list[tuple[str, np.ndarray]]:
-    """Every array that defines a model, named as in a checkpoint: the
-    parameters, then buffer.<name> for each singular-vector buffer. The
-    arrays are live, so writing into them restores the model's state."""
-    state = [(name, var.value) for name, var in model.parameters()]
-    return state + [(f"buffer.{name}", arr) for name, arr in model.buffers()]
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(path: str, kind: str, config: ModelConfig, seed: int, epoch: int, models: dict) -> None:
-    blocks = []
-    arrays = []
-    for mname in sorted(models):
-        for name, arr in model_state(models[mname]):
-            blocks.append({"name": f"{mname}.{name}", "shape": list(arr.shape)})
-            arrays.append(arr)
+    arrays = [(f"{mname}.{name}", var.value) for mname in sorted(models) for name, var in models[mname].parameters()]
     header = {
         "format": "tscorrect-checkpoint",
         "version": _CKPT_VERSION,
@@ -347,14 +325,14 @@ def save_checkpoint(path: str, kind: str, config: ModelConfig, seed: int, epoch:
         "config": asdict(config),
         "seed": int(seed),
         "epoch": int(epoch),
-        "blocks": blocks,
+        "blocks": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(len(payload).to_bytes(8, "little"))
         fh.write(payload)
-        for arr in arrays:
+        for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     os.replace(tmp, path)
 
@@ -382,6 +360,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError("negative block size")
         except (KeyError, TypeError, ValueError) as e:
             raise LoadError(f"{path}: bad checkpoint block list: {type(e).__name__}: {e}") from None
+        twice = sorted(name for name, k in Counter(name for name, _ in specs).items() if k > 1)
+        if twice:
+            raise LoadError(f"{path}: blocks named twice: {', '.join(twice)}")
         # sized in Python ints before any read: a huge shape is a bad file, not a MemoryError
         declared = 8 * sum(math.prod(shape) for _, shape in specs)
         held = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -395,7 +376,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 def restore_models(header: dict, blocks: dict[str, np.ndarray],
                    path: str = "checkpoint") -> tuple[ModelConfig, dict]:
-    """Rebuild the models named in the checkpoint at `path`, with their parameters and buffers."""
+    """Rebuild the models named in the checkpoint at `path`; u and v are recomputed from the restored W."""
     try:  # ConfigError is a ValueError, as is a negative seed
         cfg, rng = ModelConfig(**header["config"]), np.random.default_rng(header.get("seed", 0))
     except (KeyError, TypeError, ValueError) as e:
@@ -409,8 +390,8 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray],
             models[mname] = build_recon(cfg, rng)
         else:
             raise LoadError(f"{path}: unknown model name {mname!r}")
-        for name, arr in model_state(models[mname]):
-            key = f"{mname}.{name}"
+        for name, var in models[mname].parameters():
+            key, arr = f"{mname}.{name}", var.value
             if key not in blocks:
                 raise LoadError(f"{path}: missing block {key}")
             if blocks[key].shape != arr.shape:
@@ -422,4 +403,6 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray],
             unread.discard(key)
     if unread:
         raise LoadError(f"{path}: blocks that no model reads: {', '.join(sorted(unread))}")
+    if "predictor" in models:
+        models["predictor"].spectral_step()
     return cfg, models

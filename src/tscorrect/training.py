@@ -203,23 +203,19 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     batch_loss_fn(tape, x, y) returns the loss, the prediction values and
     the batch's LossBreakdown, or None.
     """
-    models = [f] + ([g] if g is not None else [])
     store = ParamStore(f.parameters() + (g.loss_parameters() if g is not None else []))
     opt = Adam(store, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    # all trained state: the parameters and the singular-vector buffers
-    state = [store.value] + [arr for model in models for _, arr in model.buffers()]
     rng = np.random.default_rng([cfg.seed, 1])
     n = len(bundle.train)
     records: list[EpochRecord] = []
     best_val = np.inf
     best_epoch = -1
-    best_state = [arr.copy() for arr in state]
+    best_state = store.value.copy()
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
         sq = ab = 0.0
         count = 0
         bsum = np.zeros(len(BREAKDOWN_FIELDS))
-        bweight = 0
         for idx in _batch_indices(n, cfg.batch_size, rng):
             x = flatten_channels(bundle.train.x[idx])
             y = flatten_channels(bundle.train.y[idx])
@@ -235,10 +231,9 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             count += d.size
             if parts is not None:
                 bsum += np.array(astuple(parts)) * d.size
-                bweight += d.size
         val_mse, val_mae = evaluate(f, bundle.val, cfg.eval_batch)
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
-        bmean = bsum / bweight if bweight else bsum
+        bmean = bsum / count  # all zeros when batch_loss_fn gives no breakdown
         lam = None
         if cfg.log_sharpness:
             lam = lambda_max(predictor_loss_context(f, bundle.val, cfg.sharpness_batch), seed=cfg.seed).value
@@ -254,11 +249,11 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_state = [arr.copy() for arr in state]
+            best_state = store.value.copy()
         elif epoch - best_epoch >= cfg.patience:
             break
-    for arr, saved in zip(state, best_state):
-        arr[...] = saved
+    store.value[...] = best_state
+    f.spectral_step()
     return records
 
 

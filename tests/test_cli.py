@@ -551,7 +551,7 @@ def test_checkpoint_of_other_window_shape_exits_2(scam_pipeline, tmp_path, capsy
 
 def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     # linear snr=both run whose best epoch is not the last, so the restore
-    # has to roll the singular-vector buffers back along with the weights
+    # has to recompute the singular vectors from the best epoch's weights
     text = (BASE_CONFIG.replace("length = 600", "length = 900")
             .replace("[model]", "[model]\nbackbone = linear").replace("snr = none", "snr = both")
             .replace("max_epochs = 2", "lr = 3e-2\nmax_epochs = 6"))

@@ -1,11 +1,15 @@
-"""scripts/identity_check.py's waiver figures, on small mask dumps; no tree runs."""
+"""scripts/identity_check.py's waiver figures, on small mask dumps and
+checkpoints; no tree runs."""
 
 import importlib.util
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
+from tscorrect.autodiff import Var
 from tscorrect.losses import compute_masks, write_mask_dump
+from tscorrect.models import ModelConfig, save_checkpoint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,3 +68,28 @@ def test_waiver_separates_a_regrouped_dump_from_a_flipped_mask(tmp_path):
     assert summary[0] == "epochs.csv: 0 of 1 differ"
     assert summary[1].startswith("mask dump: 2 of 3 differ, worst relative drift 1, m against its factors' scale ")
     assert summary[1].endswith(", M 1 flipped, M_lt 0 flipped")
+
+
+def test_checkpoints_compare_block_by_block(tmp_path):
+    ic = load_identity_check()
+    cfg = ModelConfig(lookback=4, horizon=16)
+    named = [("a.w", Var(np.array([[1.0, -2.0], [0.5, 3.0]]))), ("a.b", Var(np.array([0.25, 0.0]))),
+             ("g", Var(np.ones(1)))]
+
+    def ckpt(name, params, epoch=0):
+        path = str(tmp_path / f"{name}.ckpt")
+        save_checkpoint(path, "supervised", cfg, 0, epoch, {"predictor": SimpleNamespace(parameters=lambda: params)})
+        return path
+
+    base = ckpt("base", named)
+    # one block gone and the best epoch moved: the shared blocks are bit-identical
+    verdict, stats = ic.drift(base, ckpt("removed", named[:2], epoch=1))
+    assert verdict == "epoch 0 -> 1; only in base: predictor.g; 2 shared blocks, worst relative drift 0"
+    assert stats == {"worst": 0.0}
+    drifted = [("a.w", Var(np.array([[1.0, -2.0], [0.5, 3.0 * (1 + 1e-9)]]))), *named[1:]]
+    verdict, stats = ic.drift(base, ckpt("drifted", drifted))
+    assert verdict == "3 shared blocks, worst relative drift 1e-09"
+    assert abs(stats["worst"] - 1e-9) < 1e-15
+    summary = ic.kind_summary([("seed0/checkpoints/best.ckpt", verdict, stats),
+                               ("seed1/checkpoints/best.ckpt", "identical", {})])
+    assert summary == ["checkpoint: 1 of 2 differ, worst relative drift 1e-09"]

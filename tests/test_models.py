@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_snr_gradient_matches_finite_differences():
 def test_plain_layer_has_no_gamma():
     layer = LinearLayer(3, 2, RNG(0), snr_enabled=False)
     assert [n for n, _ in layer.params()] == ["w", "b"]
-    assert layer.buffers() == []
+    assert not hasattr(layer, "u") and not hasattr(layer, "v")
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +611,37 @@ def test_checkpoint_preserves_power_iteration_buffers(tmp_path, backbone, snr):
     assert len(tracked) == {"none": 0, "pre": 1, "post": 1, "both": len(f.layers)}[snr]
     for name in tracked:
         a, b = f.layers[name], f2.layers[name]
+        # no block holds u or v: the restore recomputes them from W, bit for bit
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.v, b.v)
-    assert [n for n, _ in f2.buffers()] == [n for n, _ in f.buffers()]
+
+
+@pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)
+def test_checkpoint_holds_exactly_the_parameters(tmp_path, backbone, snr):
+    cfg = tiny_cfg(backbone=backbone, snr=snr)
+    models = {"predictor": build_predictor(cfg, RNG([4, 10])), "recon": build_recon(cfg, RNG([4, 11]))}
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "scam", cfg, seed=4, epoch=0, models=models)
+    header, _ = load_checkpoint(path)
+    expected = [f"{m}.{n}" for m in sorted(models) for n, _ in models[m].parameters()]
+    assert [spec["name"] for spec in header["blocks"]] == expected
+
+
+def test_checkpoint_refuses_a_block_named_twice(tmp_path):
+    cfg = tiny_cfg()
+    f = build_predictor(cfg, RNG(0))
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, "supervised", cfg, seed=0, epoch=0, models={"predictor": f})
+    raw = open(path, "rb").read()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8 : 8 + hlen])
+    header["blocks"].append({"name": "predictor.layer1.w", "shape": list(f.layers["layer1"].w.value.shape)})
+    payload = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(len(payload).to_bytes(8, "little") + payload + raw[8 + hlen :])
+        fh.write(f.layers["layer1"].w.value.astype("<f8").tobytes())
+    with pytest.raises(LoadError, match="named twice: predictor.layer1.w$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_other_version(tmp_path):
@@ -660,8 +689,8 @@ def test_restore_rejects_buffer_of_wrong_shape(tmp_path):
     save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
                     models={"predictor": build_predictor(cfg, RNG(0))})
     header, blocks = load_checkpoint(path)
-    blocks["predictor.buffer.layer1.pi_u"] = np.zeros(3)
-    with pytest.raises(LoadError, match="pi_u"):
+    blocks["predictor.layer1.w"] = np.zeros(3)
+    with pytest.raises(LoadError, match=r"block predictor\.layer1\.w has shape \(3,\)"):
         restore_models(header, blocks)
 
 
@@ -673,8 +702,8 @@ def test_config_refuses_a_value_of_another_type(key, value):
 
 
 def test_restore_refuses_blocks_no_model_reads(tmp_path):
-    # an snr-both predictor read back as snr none would drop its gamma and
-    # singular-vector blocks and compute another function
+    # an snr-both predictor read back as snr none would drop its gamma
+    # blocks and compute another function
     cfg = tiny_cfg(snr="both")
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, "supervised", cfg, seed=0, epoch=0,
@@ -684,8 +713,7 @@ def test_restore_refuses_blocks_no_model_reads(tmp_path):
     with pytest.raises(LoadError, match="no model reads") as err:
         restore_models(header, blocks, path)
     assert path in str(err.value)
-    for name in ("predictor.layer1.gamma", "predictor.buffer.layer2.pi_u", "predictor.buffer.layer2.pi_v"):
-        assert name in str(err.value)
+    assert str(err.value).endswith("no model reads: predictor.layer1.gamma, predictor.layer2.gamma")
 
 
 def test_flat_param_roundtrip():

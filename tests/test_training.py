@@ -21,7 +21,15 @@ from tscorrect.data import (
     make_synthetic,
 )
 from tscorrect.errors import ConfigError, ContractError
-from tscorrect.models import MlpPredictor, ModelConfig, ReconstructionNet
+from tscorrect.models import (
+    MlpPredictor,
+    ModelConfig,
+    ReconstructionNet,
+    load_checkpoint,
+    restore_models,
+    save_checkpoint,
+    top_singular_pair,
+)
 from tscorrect.training import (
     EPOCH_CSV_FIELDS,
     Adam,
@@ -418,6 +426,25 @@ def test_scam_records_are_complete(scam_run):
                 assert np.isfinite(v)
 
 
+def test_best_epoch_restore_recomputes_the_singular_pairs(tmp_path):
+    # the restored weights are the best epoch's, not the last one's, so u and v
+    # have to follow them; a checkpoint of the trained model restores the same pairs
+    splits = toy_bundle(seed=0, length=700)
+    mc = toy_model_config(backbone="linear", snr="both")
+    cfg = TrainConfig(mode="supervised", lr=1.0, batch_size=64, max_epochs=3, patience=3, seed=0)
+    f, records = train_supervised(splits, MlpPredictor(mc, np.random.default_rng(0)), cfg)
+    best = int(np.argmin([r.val_mse for r in records]))
+    assert best < len(records) - 1
+    layer = f.layers["layer"]
+    u, v = np.zeros_like(layer.u), np.zeros_like(layer.v)
+    top_singular_pair(layer.w.value, u, v)
+    assert np.array_equal(layer.u, u) and np.array_equal(layer.v, v)
+    path = str(tmp_path / "best.ckpt")
+    save_checkpoint(path, "supervised", mc, seed=0, epoch=best, models={"predictor": f})
+    restored = restore_models(*load_checkpoint(path))[1]["predictor"].layers["layer"]
+    assert np.array_equal(restored.u, layer.u) and np.array_equal(restored.v, layer.v)
+
+
 def test_log_sharpness_leaves_training_unchanged():
     # each epoch's curvature context probes a copy of f, never the parameters
     # that the optimizer's store backs
@@ -430,7 +457,8 @@ def test_log_sharpness_leaves_training_unchanged():
         cfg = TrainConfig(mode="scam", lr=3e-3, batch_size=64, max_epochs=3, patience=3, seed=0,
                           log_sharpness=log, sharpness_batch=16)
         f, g, records = train_scam(splits, g, f, cfg)
-        state = [v.value for _, v in f.parameters() + g.parameters()] + [a for _, a in f.buffers()]
+        pairs = [a for layer in f.layers.values() if layer.snr_enabled for a in (layer.u, layer.v)]
+        state = [v.value for _, v in f.parameters() + g.parameters()] + pairs
         runs.append(([a.copy() for a in state], records))
     (state_off, off), (state_on, on) = runs
     assert all(np.array_equal(a, b) for a, b in zip(state_on, state_off))
