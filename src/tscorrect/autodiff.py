@@ -24,6 +24,9 @@ Conventions:
     ``candidate_mean``, where candidates c of (B, S, ...) meet p of
     (B, ...), and the gradient of p sums over that axis. Every other
     backward rule stays a plain transpose/sum;
+  * layouts: ``conv_pyramid`` works channels-last, (B, T, C), and
+    ``pointwise_mlp`` maps its (B, T, d) features to the (B, S, T)
+    candidate stack the losses read, so no op only moves axes;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread;
@@ -61,10 +64,6 @@ class Var:
         self.value = as_array(value)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.value) if self.requires_grad else None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Var(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -198,11 +197,13 @@ class Tape:
         return self._record(out, (x, w, b), backward)
 
     def pointwise_mlp(self, z: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-        """relu(z @ w1.T + b1) @ w2.T + b2 for z (N, in), w1 (hidden, in) and
-        w2 (out, hidden), over blocks of at most POINTWISE_CHUNK rows. Backward
-        recomputes each block's hidden layer and relu mask: at large N an
-        (N, hidden) array is tens of MB that the allocator maps, faults in and
-        unmaps on every use, which costs more than the recomputed matmul.
+        """relu(z @ w1.T + b1) @ w2.T + b2 at each position of z (B, T, in),
+        for w1 (hidden, in) and w2 (S, hidden), returned as the (B, S, T)
+        stack. It runs over the (B*T, in) rows in blocks of at most
+        POINTWISE_CHUNK. Backward recomputes each block's hidden layer and
+        relu mask: at large B*T a (B*T, hidden) array is tens of MB that the
+        allocator maps, faults in and unmaps on every use, which costs more
+        than the recomputed matmul.
 
         Backward works on the live rows only: those whose upstream gradient
         has a nonzero entry, NaN and inf included. A dead row adds nothing to
@@ -211,12 +212,14 @@ class Tape:
         M it never reads the candidate. gb2 still sums each whole block; gb1
         sums the live rows only, which can move its last bit."""
         zv, w1v, b1v, w2v = z.value, w1.value, b1.value, w2.value
-        if (zv.ndim != 2 or w1v.ndim != 2 or w2v.ndim != 2 or zv.shape[1] != w1v.shape[1]
+        if (zv.ndim != 3 or w1v.ndim != 2 or w2v.ndim != 2 or zv.shape[2] != w1v.shape[1]
                 or w2v.shape[1] != len(w1v) or b1v.shape != w1v.shape[:1] or b2.value.shape != w2v.shape[:1]):
             raise DimensionError(f"pointwise_mlp got z {zv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
                                  f"w2 {w2v.shape}, b2 {b2.value.shape}")
+        B, T, d = zv.shape
+        zv = zv.reshape(B * T, d)
         # near-equal blocks: a one-row block would go to gemv and round differently
-        n, d, k = len(zv), zv.shape[1], -(-len(zv) // POINTWISE_CHUNK)
+        n, k = len(zv), -(-len(zv) // POINTWISE_CHUNK)
         blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
         # b1 rides in the first GEMM: z_buf's last column is 1 and w1b's last
         # row b1. A block's z rows, hidden layer, relu mask and hidden gradient
@@ -236,6 +239,7 @@ class Tape:
         out += b2.value
 
         def backward(g: Array):
+            g = g.transpose(0, 2, 1).reshape(n, -1)
             live = np.abs(g) @ np.ones(g.shape[1]) != 0.0
             gz = np.zeros_like(zv) if z.requires_grad else None
             gh_buf, relu_buf = np.empty_like(h_buf), np.empty(h_buf.shape, dtype=bool)
@@ -261,9 +265,11 @@ class Tape:
                 gb1 += np.ones(len(gh)) @ gh
                 if gz is not None:
                     gz[idx] = gh @ w1v
-            return gz, *(gv if v.requires_grad else None for v, gv in zip((w1, b1, w2, b2), sums))
+            return (None if gz is None else gz.reshape(B, T, d),
+                    *(gv if v.requires_grad else None for v, gv in zip((w1, b1, w2, b2), sums)))
 
-        return self._record(out, (z, w1, b1, w2, b2), backward)
+        # Var copies the transposed view: the stack is the one array kept
+        return self._record(out.reshape(B, T, -1).transpose(0, 2, 1), (z, w1, b1, w2, b2), backward)
 
     def conv1d(self, x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
         """1-D convolution (cross-correlation) along the last axis.
@@ -466,20 +472,6 @@ class Tape:
             return (g.reshape(orig),)
 
         return self._record(out, (x,), backward)
-
-    def transpose(self, x: Var, axes: Sequence[int] | None = None) -> Var:
-        nd = x.value.ndim
-        if axes is None:
-            axes = tuple(reversed(range(nd)))
-        axes = tuple(int(a) for a in axes)
-        if sorted(axes) != list(range(nd)):
-            raise DimensionError(f"transpose axes {axes} invalid for shape {x.value.shape}")
-        inv = np.argsort(axes)
-
-        def backward(g: Array):
-            return (g.transpose(inv),)
-
-        return self._record(x.value.transpose(axes), (x,), backward)
 
     # ---- reverse pass ----------------------------------------------------
 

@@ -47,6 +47,7 @@ from .models import (
 )
 from .sharpness import channel_histograms, kl_alignment, lambda_max
 from .training import (
+    EPOCH_CSV_FIELDS,
     GRID_CSV_FIELDS,
     MODES,
     TrainConfig,
@@ -55,7 +56,6 @@ from .training import (
     train_grid_search,
     train_scam,
     train_supervised,
-    write_epochs_csv,
 )
 from .autodiff import Tape
 
@@ -239,7 +239,7 @@ def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows
         # the trainer hands back the best round's predictor and phi
         save_checkpoint(ckpt, mode, mcfg, seed, best.index, {"predictor": f, "recon": g})
         write_csv(os.path.join(seed_dir, "trajectory.csv"), GRID_CSV_FIELDS,
-                  ([getattr(r, c) for c in GRID_CSV_FIELDS] for r in grecords))
+                  map(dataclasses.astuple, grecords))
         summary.update({
             "candidates": len(grecords),
             "best_candidate": best.index,
@@ -260,7 +260,7 @@ def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows
     if g is not None:
         _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
                     cfg["experiment"]["mask_dump_samples"])
-    write_epochs_csv(records, os.path.join(seed_dir, "epochs.csv"))
+    write_csv(os.path.join(seed_dir, "epochs.csv"), EPOCH_CSV_FIELDS, map(dataclasses.astuple, records))
     summary.update({
         "epochs": len(records),
         "best_epoch": best_epoch.epoch,

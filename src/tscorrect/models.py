@@ -247,7 +247,9 @@ def build_predictor(cfg: ModelConfig, rng: np.random.Generator) -> MlpPredictor:
 class ReconstructionNet:
     """Label-window encoder with one S-output candidate head layer.
 
-    encode: (B, H) -> (B, H, d_feat). The conv levels run channels-last;
+    encode: (B, H) -> (B, H, d_feat); forward runs the FFN and its S heads
+    at each horizon position of those features, one pointwise_mlp op, and
+    returns the (B, S, H) candidate stack. The conv levels run channels-last;
     each halves the time axis and doubles the channel count, so level l
     holds exactly dim_multiplier/2 features per horizon position once its
     (T_l, C_l) output is unfolded row-major onto the horizon grid. Horizon
@@ -280,10 +282,8 @@ class ReconstructionNet:
 
     def forward(self, tape: Tape, y: np.ndarray) -> Var:
         """All candidate label sets, stacked: (B, S, H)."""
-        b, h = y.shape
-        z = tape.reshape(self.encode(tape, y), (b * h, self.cfg.d_feat))
-        out = tape.pointwise_mlp(z, self.ffn_in.w, self.ffn_in.b, self.heads.w, self.heads.b)  # (B*H, S)
-        return tape.transpose(tape.reshape(out, (b, h, self.cfg.series_count)), (0, 2, 1))
+        ffn, heads = self.ffn_in, self.heads
+        return tape.pointwise_mlp(self.encode(tape, y), ffn.w, ffn.b, heads.w, heads.b)
 
     def intermediate(self, tape: Tape, y: np.ndarray) -> Var:
         """Diagnostic readout applied to raw conv features, skipping the FFN."""

@@ -12,13 +12,13 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import losses as L
 from .autodiff import ParamStore, Tape
-from .data import SplitWindows, WindowDataset, flatten_channels, write_csv
+from .data import SplitWindows, WindowDataset, flatten_channels
 from .errors import ConfigError, ContractError
 from .models import ReconstructionNet
 from .sharpness import HvpContext, lambda_max
@@ -148,10 +148,6 @@ EPOCH_CSV_FIELDS = [f.name for f in fields(EpochRecord)]
 BREAKDOWN_FIELDS = [f.name for f in fields(L.LossBreakdown)]
 
 TIMING_FIELDS = {"wall_time_s"}
-
-
-def write_epochs_csv(records: list[EpochRecord], path: str) -> None:
-    write_csv(path, EPOCH_CSV_FIELDS, map(astuple, records))
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +305,9 @@ class GridRecord:
     grad_norm: float
     test_mse: float
     test_mae: float
-    phi_snapshot: np.ndarray = field(repr=False)  # the flat phi of outer's ParamStore
 
 
-GRID_CSV_FIELDS = [f.name for f in fields(GridRecord) if f.name != "phi_snapshot"]
+GRID_CSV_FIELDS = [f.name for f in fields(GridRecord)]
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,
@@ -374,12 +369,11 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             index=i, loss_rec=loss_rec, loss_pred=loss.value.item(),
             loss_target=evaluate(f, bundle.train, cfg.eval_batch)[1],
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
-            phi_snapshot=outer.store.value.copy(),
         ))
         if best is None or test_mse < best.test_mse:
-            best, best_f = records[-1], f
+            best, best_f, best_phi = records[-1], f, outer.store.value.copy()
         outer.step()
-    outer.store.value[...] = best.phi_snapshot
+    outer.store.value[...] = best_phi
     return best_f, g, records
 
 

@@ -162,10 +162,11 @@ def conv_levels(g, y):
 
 
 def reference_pointwise_mlp(z, w1, b1, w2, b2, g, chunk):
-    """Tape.pointwise_mlp in its plain blocked form, each block's hidden
-    layer and gradients fresh arrays: the output relu(z @ w1.T + b1) @ w2.T
-    + b2 and, for its upstream gradient g, the gradients of z, w1, b1, w2
-    and b2. The bit-exact reference for the in-place blocks."""
+    """Tape.pointwise_mlp on its (N, in) rows in plain blocked form, each
+    block's hidden layer and gradients fresh arrays: the (N, out) output
+    relu(z @ w1.T + b1) @ w2.T + b2 and, for its (N, out) upstream gradient
+    g, the gradients of z, w1, b1, w2 and b2. The bit-exact reference for
+    the in-place blocks."""
     n, k = len(z), -(-len(z) // chunk)
     blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 

@@ -105,12 +105,6 @@ def test_mean_gradient_is_one_over_n():
     assert np.array_equal(x.grad, np.full((3, 4), 1.0 / 12))
 
 
-def test_transpose_values():
-    t = Tape()
-    x = Var(RNG(1).standard_normal((2, 3)))
-    assert np.array_equal(t.transpose(t.transpose(x)).value, x.value)
-
-
 def test_scalar_chain_rule_hand_value():
     # L = mean((W*x - y)^2) on a 1x1 problem, via mul: dL/dW = 2*(6-5)*3 = 6
     t = Tape()
@@ -268,7 +262,7 @@ def test_fd_linear():
 
 def test_fd_pointwise_mlp():
     rng = RNG(23)
-    z, w1, b1 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (6, 3)), rng.uniform(-2, 2, 6)
+    z, w1, b1 = rng.uniform(-2, 2, (2, 5, 3)), rng.uniform(-2, 2, (6, 3)), rng.uniform(-2, 2, 6)
     w2, b2 = rng.uniform(-2, 2, (2, 6)), rng.uniform(-2, 2, 2)
 
     def build(t, v):
@@ -277,8 +271,10 @@ def test_fd_pointwise_mlp():
 
     assert fd_worst_rel_err(build, [z, w1, b1, w2, b2], rng) < 1e-6
     value = Tape().pointwise_mlp(Var(z), Var(w1), Var(b1), Var(w2), Var(b2)).value
-    assert np.allclose(value, np.maximum(z @ w1.T + b1, 0.0) @ w2.T + b2, rtol=1e-14, atol=0)
-    for bad in ((np.ones((5, 4)), w1, b1, w2, b2), (z[0], w1, b1, w2, b2),
+    ref = np.maximum(z @ w1.T + b1, 0.0) @ w2.T + b2  # (B, T, S)
+    assert value.shape == (2, 2, 5) and value.flags.c_contiguous
+    assert np.allclose(value, ref.transpose(0, 2, 1), rtol=1e-14, atol=0)
+    for bad in ((np.ones((2, 5, 4)), w1, b1, w2, b2), (z[0], w1, b1, w2, b2),
                 (z, w1, np.ones(5), w2, b2), (z, w1, b1, np.ones((2, 5)), b2),
                 (z, w1, b1, w2, np.ones(3))):
         with pytest.raises(DimensionError):
@@ -298,12 +294,14 @@ def test_pointwise_mlp_matches_layer_chain():
         weight = rng.standard_normal((n, 4))
 
         def run(fused: bool):
+            # fused on n windows of one position: its (n, 4, 1) stack holds the chain's (n, 4)
             t = Tape()
-            v = [Var(a, requires_grad=True) for a in (z, w1, b1, w2, b2)]
+            v = [Var(a, requires_grad=True) for a in (z[:, None] if fused else z, w1, b1, w2, b2)]
             if fused:
                 out = t.pointwise_mlp(*v)
-            else:
-                out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
+                t.backward(t.mean(t.mul(out, t.constant(weight[:, :, None]))))
+                return out.value[:, :, 0], [v[0].grad[:, 0], *(x.grad for x in v[1:])]
+            out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
             t.backward(t.mean(t.mul(out, t.constant(weight))))
             return out.value, [x.grad for x in v]
 
@@ -342,11 +340,12 @@ def test_pointwise_mlp_backward_skips_dead_rows(case):
     elif case == "nan row":
         weight[5] = [0.0, 0.0, np.nan, 0.0]
     t = Tape()
-    v = [Var(a, requires_grad=True) for a in (z, w1, b1, w2, b2)]
+    # n windows of one position: the (n, 4, 1) stack's rows are z's rows
+    v = [Var(a, requires_grad=True) for a in (z[:, None], w1, b1, w2, b2)]
     opt = Adam(ParamStore(list(zip("w1 b1 w2 b2".split(), v[1:]))), lr=1e-3)
-    t.backward(t.mean(t.mul(t.pointwise_mlp(*v), t.constant(weight))))
+    t.backward(t.mean(t.mul(t.pointwise_mlp(*v), t.constant(weight[:, :, None]))))
     _, ref = reference_pointwise_mlp(z, w1, b1, w2, b2, weight * (1.0 / weight.size), POINTWISE_CHUNK)
-    assert np.array_equal(v[0].grad, ref[0], equal_nan=True)
+    assert np.array_equal(v[0].grad[:, 0], ref[0], equal_nan=True)
     if case == "nan row":
         # NaN counts as live and reaches every gradient: the step is skipped
         assert all(np.isnan(x.grad).any() for x in v)
@@ -510,15 +509,11 @@ def test_fd_reductions_and_reshapes():
         r = t.reshape(v[0], (3, 4))
         return t.mean(t.mul(r, r))
 
-    def build_transpose(t, v):
-        tr = t.transpose(v[0])
-        return t.mean(t.mul(tr, tr))
-
     def build_mean_of_means(t, v):
         m = t.mean(v[0])
         return t.mul(m, t.mean(t.mul(v[0], v[0])))
 
-    for build in (build_reshape, build_transpose, build_mean_of_means):
+    for build in (build_reshape, build_mean_of_means):
         assert fd_worst_rel_err(build, [x], rng) < 1e-6
 
 
@@ -621,7 +616,7 @@ def test_constant_operand_leaves_leaf_gradient_unchanged():
     x0, w0, b0 = rng.uniform(-2, 2, (2, 3, 10)), rng.uniform(-2, 2, (4, 3, 3)), rng.uniform(-2, 2, 4)
     a0, m0 = rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, (3, 2))
     lw0, lb0 = rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, 4)
-    z0, pw0, pb0 = rng.uniform(-2, 2, (7, 3)), rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, 5)
+    z0, pw0, pb0 = rng.uniform(-2, 2, (1, 7, 3)), rng.uniform(-2, 2, (5, 3)), rng.uniform(-2, 2, 5)
     qw0, qb0 = rng.uniform(-2, 2, (2, 5)), rng.uniform(-2, 2, 2)
 
     def grads(data_needs_grad: bool):
@@ -651,9 +646,8 @@ def test_non_recording_tape_gives_the_same_values_and_records_nothing():
 
     def forward(t):
         p = [Var(a, requires_grad=True) for a in (w, b, w1, b1, w2, b2)]
-        conv = t.conv1d(t.constant(x), p[0], p[1], stride=2, padding=1)
-        z = t.reshape(t.transpose(conv, (0, 2, 1)), (-1, 4))
-        return t.mean(t.abs(t.pointwise_mlp(z, *p[2:])))
+        z = t.conv_pyramid(t.constant(x.transpose(0, 2, 1)), [(p[0], p[1])], stride=2, padding=1)
+        return t.mean(t.abs(t.pointwise_mlp(t.reshape(z, (2, 6, 4)), *p[2:])))
 
     recording, silent = Tape(), Tape(record=False)
     out = forward(silent)

@@ -410,6 +410,36 @@ def test_readme_paths_exist():
     assert [p for p in sorted(paths) if not os.path.exists(os.path.join(ROOT, p))] == []
 
 
+def test_readme_code_names_resolve():
+    # a deleted or renamed op takes README's mention with it: `Tape.candidate_l1` outlived its op.
+    # Code names start from tscorrect, its modules by short name or the classes
+    # they define; file names, `[section] key` pairs and BENCHMARK.json metric
+    # names share the dotted form and are left out
+    mods = {n.rpartition(".")[2]: m for n, m in sys.modules.items() if n.startswith("tscorrect.")}
+    space = {"tscorrect": sys.modules["tscorrect"], **mods,
+             **{k: v for m in mods.values() for k, v in vars(m).items()
+                if isinstance(v, type) and v.__module__ == m.__name__}}
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    skip = {m["name"] for kind in ("end_to_end", "per_layer") for m in bench[kind]}
+    skip |= {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
+    names = {n for n in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme_text())
+             if n not in skip and n.split(".")[0] in space
+             and not n.endswith((".py", ".json", ".csv", ".ckpt", ".ini", ".md"))}
+    assert {"Tape.pointwise_mlp", "ReconstructionNet.forward", "training.train_scam"} <= names
+
+    def resolves(name: str) -> bool:
+        head, *rest = name.split(".")
+        obj = space[head]
+        for part in rest:
+            obj = getattr(obj, part, None)
+            if obj is None:
+                return False
+        return True
+
+    assert [n for n in sorted(names) if not resolves(n)] == []
+
+
 @pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))),
                          ids=os.path.basename)
 def test_script_help_exits_0(script, tmp_path):

@@ -483,6 +483,22 @@ def test_recon_identical_heads_identical_series():
         assert np.array_equal(out[:, s, :], out[:, 0, :])
 
 
+def test_recon_forward_records_two_ops():
+    # the (B, S, H) stack comes straight out of pointwise_mlp: no op only moves axes
+    cfg = tiny_cfg()
+    g = build_recon(cfg, RNG([0, 11]))
+    y = RNG(17).standard_normal((3, 16))
+    t = Tape()
+    out = g.forward(t, y).value
+    ops = [rule.__qualname__.split(".")[1] for _, _, rule in t._entries]
+    assert len(t) == 2 and ops == ["conv_pyramid", "pointwise_mlp"]
+    z = g.encode(Tape(), y).value  # (B, H, d_feat)
+    hidden = np.maximum(z @ g.ffn_in.w.value.T + g.ffn_in.b.value, 0.0)
+    ref = (hidden @ g.heads.w.value.T + g.heads.b.value).transpose(0, 2, 1)
+    assert out.shape == (3, cfg.series_count, 16)
+    np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
 def test_recon_gradient_vs_finite_differences():
     cfg = tiny_cfg()
     g = build_recon(cfg, RNG([0, 11]))
