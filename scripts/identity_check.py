@@ -27,6 +27,8 @@ only the training.TIMING_FIELDS columns and the manifest's created_unix. Each
 file prints as `identical`, or with what a waiver states:
 
   * the worst relative drift of its numbers and, for a CSV, of each column;
+  * in a JSON file, the drift of each float that moved, by key path, and
+    each changed int or bool, e.g. `masked_in.iterations 47 -> 48`;
   * in a checkpoint, compared block by block by name: the header fields that
     changed, the blocks found on one side only, and the worst relative drift
     of the blocks both sides hold;
@@ -143,29 +145,56 @@ def run_side(tree: str, configs: dict[str, str], out: str) -> None:
                "--out", os.path.join(out, "synth", "toy.csv")], out)
 
 
+def _leaves(node, path: str = ""):
+    """(key path, leaf) of a JSON tree, keys sorted and joined by dots, list
+    items as [i], an empty dict or list a leaf; created_unix dropped."""
+    if isinstance(node, dict) and node:
+        for k, v in sorted(node.items()):
+            if k != "created_unix":
+                yield from _leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(node, list) and node:
+        for i, v in enumerate(node):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _json_cells(path_a: str, path_b: str) -> list[str]:
+    """For two JSON files of one layout: each int or bool leaf that changed,
+    as `path old -> new`, and the relative drift of each float leaf that moved."""
+    with open(path_a) as fa, open(path_b) as fb:
+        pairs = zip(_leaves(json.load(fa)), _leaves(json.load(fb)))
+    cells = []
+    for (key, a), (_, b) in pairs:
+        if a == b or not all(isinstance(v, (int, float)) for v in (a, b)):
+            continue
+        if isinstance(a, float) or isinstance(b, float):
+            rel = _rel(np.array([a]), np.array([b]))[0]
+            cells += [f"{key} {rel:.3g}"] if rel > 0 else []  # NaN against NaN has not moved
+        else:  # int or bool: a count or a verdict changed, not a rounding
+            cells.append(f"{key} {json.dumps(a)} -> {json.dumps(b)}")
+    return cells
+
+
 def _numbers(path: str):
     """(layout, float array) of a CSV or JSON file: two files of one layout
     differ only in the numbers."""
     leaves = []
 
-    def walk(node):
-        if isinstance(node, dict):
-            return {k: walk(v) for k, v in sorted(node.items()) if k != "created_unix"}
-        if isinstance(node, list):
-            return [walk(v) for v in node]
+    def number(cell):
         try:
-            leaves.append(float(node))
+            leaves.append(float(cell))
             return "#"
         except (TypeError, ValueError):
-            return node
+            return cell
 
     with open(path) as fh:
         if path.endswith(".json"):
-            return json.dumps(walk(json.load(fh))), np.array(leaves)
+            return json.dumps([(key, number(v)) for key, v in _leaves(json.load(fh))]), np.array(leaves)
         lines = fh.read().splitlines()
     keep = [i for i, name in enumerate(lines[0].split(",")) if name not in TIMING_FIELDS]
     rows = [[cells[i] for i in keep] for cells in (line.split(",") for line in lines)]
-    return [lines[0], *map(walk, rows[1:])], np.array(leaves)
+    return [lines[0], *([number(c) for c in row] for row in rows[1:])], np.array(leaves)
 
 
 def file_kind(rel: str) -> str:
@@ -267,6 +296,8 @@ def drift(path_a: str, path_b: str) -> tuple[str, dict]:
                 stats["m_scaled"] = float(scaled.max(initial=0.0))
                 cells[-1] += f" ({stats['m_scaled']:.3g} against (|c| + |p|)(|c| + |t|))"
         parts.append("by column: " + ", ".join(cells))
+    elif path_a.endswith(".json"):
+        parts.append("by key: " + ", ".join(_json_cells(path_a, path_b)))
     return "; ".join(parts), stats
 
 

@@ -239,7 +239,7 @@ class Tape:
         out += b2.value
 
         def backward(g: Array):
-            g = g.transpose(0, 2, 1).reshape(n, -1)
+            g = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)  # C-ordered rows, B = 1 too
             live = np.abs(g) @ np.ones(g.shape[1]) != 0.0
             gz = np.zeros_like(zv) if z.requires_grad else None
             gh_buf, relu_buf = np.empty_like(h_buf), np.empty(h_buf.shape, dtype=bool)
@@ -347,7 +347,7 @@ class Tape:
             d_sig = -np.sum(gw * w.value) * inv * inv  # read before gw is scaled in place
             gw *= inv
             if live:
-                gw += (u[:, None] @ d_sig.reshape(1, 1)) @ v[None, :]
+                gw += np.multiply.outer(u * d_sig[0], v)  # the products of the K = 1 GEMMs
             return gw, gg
 
         return self._record(gamma.value * scaled, (w, gamma), backward)

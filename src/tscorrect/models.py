@@ -112,6 +112,9 @@ def top_singular_pair(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 class LinearLayer:
     """Dense layer with optional spectral rescaling of its weight."""
 
+    u = property(lambda self: self._pair()[0])
+    v = property(lambda self: self._pair()[1])
+
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, snr_enabled: bool = False):
         bound = 1.0 / math.sqrt(in_dim)
         self.w = Var(rng.uniform(-bound, bound, size=(out_dim, in_dim)), requires_grad=True)
@@ -119,14 +122,19 @@ class LinearLayer:
         self.snr_enabled = bool(snr_enabled)
         if self.snr_enabled:
             self.gamma = Var(np.ones(1), requires_grad=True)
-            # u, v and an (n, min(4, m, n) - 1) block are drawn only to keep the
-            # generator's stream, and so each seed's initial parameters, as it
-            # was: the sync overwrites u and v (a uniform W is never zero), and
-            # the block, once the start of a block power iteration, is unused
-            self.u, self.v = rng.standard_normal(out_dim), rng.standard_normal(in_dim)
+            # u, v (m, n) and an (n, min(4, m, n) - 1) block, once the start of a
+            # block power iteration, are drawn only to keep the generator's stream,
+            # and so each seed's initial parameters, as it was
+            rng.standard_normal(out_dim), rng.standard_normal(in_dim)
             if min(4, out_dim, in_dim) > 1:
                 rng.standard_normal((in_dim, min(4, out_dim, in_dim) - 1))
+            self._uv = None
+
+    def _pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """u and v, solved from W when first read: a restore that writes W first solves once."""
+        if self._uv is None:
             self.spectral_step()
+        return self._uv
 
     def params(self) -> list[tuple[str, Var]]:
         out = [("w", self.w), ("b", self.b)]
@@ -136,7 +144,9 @@ class LinearLayer:
 
     def spectral_step(self) -> None:
         if self.snr_enabled:
-            top_singular_pair(self.w.value, self.u, self.v)
+            if self._uv is None:  # a zero W leaves them zero: sigma is then floored
+                self._uv = np.zeros(len(self.w.value)), np.zeros(self.w.value.shape[1])
+            top_singular_pair(self.w.value, *self._uv)
 
     def effective_weight(self, tape: Tape) -> Var:
         if not self.snr_enabled:
@@ -158,21 +168,27 @@ class RevIn:
     def __init__(self, eps: float = 1e-5, affine: bool = False):
         self.eps = float(eps)
         self.affine = bool(affine)
+        self.kept = None  # (x, z, (mu, sd)): a fixed batch standardized once, read while x is passed
         if self.affine:
             self.weight = Var(np.ones(1), requires_grad=True)
             self.bias = Var(np.zeros(1), requires_grad=True)
 
-    def normalize(self, tape: Tape, x: np.ndarray) -> tuple[Var, tuple[np.ndarray, np.ndarray]]:
+    def standardize(self, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Each row of x (B, T) standardized, and its (mu, sd) columns: constants of x alone."""
         if x.ndim != 2:
             raise DimensionError(f"revin expects (B, T), got {x.shape}")
         mu = x.mean(axis=1, keepdims=True)
         d = x - mu
         # np.var's own arithmetic, without its wrapper
         sd = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / x.shape[1] + self.eps)
-        out = tape.constant(d / sd)
+        return d / sd, (mu, sd)
+
+    def normalize(self, tape: Tape, x: np.ndarray) -> tuple[Var, tuple[np.ndarray, np.ndarray]]:
+        z, stats = self.kept[1:] if self.kept is not None and self.kept[0] is x else self.standardize(x)
+        out = tape.constant(z)
         if self.affine:
             out = tape.add(tape.mul(out, self.weight), self.bias)
-        return out, (mu, sd)
+        return out, stats
 
     def denormalize(self, tape: Tape, y: Var, stats: tuple[np.ndarray, np.ndarray]) -> Var:
         mu, sd = stats
@@ -376,7 +392,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 
 def restore_models(header: dict, blocks: dict[str, np.ndarray],
                    path: str = "checkpoint") -> tuple[ModelConfig, dict]:
-    """Rebuild the models named in the checkpoint at `path`; u and v are recomputed from the restored W."""
+    """Rebuild the models named in the checkpoint at `path`; u and v are solved
+    from the restored W when first read."""
     try:  # ConfigError is a ValueError, as is a negative seed
         cfg, rng = ModelConfig(**header["config"]), np.random.default_rng(header.get("seed", 0))
     except (KeyError, TypeError, ValueError) as e:
@@ -403,6 +420,4 @@ def restore_models(header: dict, blocks: dict[str, np.ndarray],
             unread.discard(key)
     if unread:
         raise LoadError(f"{path}: blocks that no model reads: {', '.join(sorted(unread))}")
-    if "predictor" in models:
-        models["predictor"].spectral_step()
     return cfg, models

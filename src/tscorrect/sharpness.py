@@ -9,7 +9,9 @@ own vectors and forms the product in the first gradient. A loss with kinks
 fixes it once), which no step leaves, so the products are the
 almost-everywhere Hessian's, as autograd's double backward computes them.
 lambda_max extracts the largest (signed) eigenvalue by Lanczos iteration
-with full reorthogonalization: one Hessian-vector product per step, top
+with full reorthogonalization: one Hessian-vector product per step, then
+one block Gram-Schmidt pass over the basis, and a second only when the first
+cancels (Daniel, Gragg, Kaufman and Stewart, 1976: "twice is enough"); top
 Ritz values non-decreasing, and exact once the Krylov space exhausts the
 (masked) dimension. Plain power iteration on H stalls whenever the extreme
 negative eigenvalue rivals the extreme positive one in magnitude, and a
@@ -98,6 +100,12 @@ def _segment_mask(ctx: HvpContext, segment: str | None) -> np.ndarray | None:
     return mask
 
 
+def _project_out(basis: np.ndarray, w: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """One block Gram-Schmidt pass: w minus its components along basis' rows, in place."""
+    w -= np.matmul(basis @ w, basis, out=proj)
+    return w
+
+
 def lambda_max(
     ctx: HvpContext,
     seed: int = 0,
@@ -108,10 +116,12 @@ def lambda_max(
 ) -> SharpnessResult:
     """Largest (algebraic) eigenvalue of the (segment-restricted) Hessian.
 
-    Lanczos with full reorthogonalization, one Hessian-vector product per
-    step. The running estimate is the top eigenvalue of the growing
-    tridiagonal matrix; interlacing makes it non-decreasing step to step,
-    and trace, if given, collects it. Converged means the Ritz residual
+    Lanczos with full reorthogonalization: per step one Hessian-vector
+    product, the three-term recurrence, one block pass against the whole
+    basis, and a second only when the first cut |w| below 1/sqrt(2) of its
+    value (the DGKS test). The running estimate is the top eigenvalue of
+    the growing tridiagonal matrix; interlacing makes it non-decreasing step
+    to step, and trace, if given, collects it. Converged means the Ritz residual
     beta*|s_k| (which bounds the distance from the estimate to a true
     eigenvalue) fell below tol relative to the estimate, or the Krylov
     space exhausted the masked dimension, in which case the value is exact
@@ -137,22 +147,21 @@ def lambda_max(
         if mask is not None:
             w *= mask
         alphas.append(float(q @ w))
-        # full reorthogonalization, block Gram-Schmidt twice to kill roundoff drift
-        for _ in range(2):
-            w -= np.matmul(done @ w, done, out=proj)
-        beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas)
+        w -= np.multiply(q, alphas[-1], out=proj)  # the three-term recurrence, in proj
         if betas:
-            tri += np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(tri)
+            w -= np.multiply(basis[it - 2], betas[-1], out=proj)
+        before = float(np.linalg.norm(w))
+        beta = float(np.linalg.norm(_project_out(done, w, proj)))
+        if beta < before / math.sqrt(2.0):  # the first pass cancelled: a second (DGKS)
+            beta = float(np.linalg.norm(_project_out(done, w, proj)))
+        vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         theta = float(vals[-1])
         if trace is not None:
             trace.append(theta)
         scale = max(abs(theta), 1e-12)
-        if beta * abs(float(vecs[-1, -1])) <= tol * scale:
+        # the Ritz residual met tol, or the Krylov space is invariant, exactly
+        if beta * abs(float(vecs[-1, -1])) <= tol * scale or beta <= 1e-12 * max(1.0, scale):
             return SharpnessResult(theta, it, True)
-        if beta <= 1e-12 * max(1.0, scale):
-            return SharpnessResult(theta, it, True)  # invariant subspace, exactly
         if it == steps:
             break
         np.divide(w, beta, out=basis[it])

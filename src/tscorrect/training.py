@@ -398,6 +398,8 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
         point_weights = point_weights / point_weights.mean()
     f = copy.deepcopy(f)
     store = ParamStore(f.parameters())
+    # RevIN's statistics and standardized batch depend on x alone: every pass reuses them
+    f.revin.kept = (x, *f.revin.standardize(x))
     # theta0's piece: one forward pass keeps its relu masks and residual signs
     # (sign(0) = 0), so each probe's mean((f(x) - y) * w) crosses no kink
     probe = Tape(record=False)

@@ -293,28 +293,37 @@ def test_pointwise_mlp_matches_layer_chain():
         z[n // 2] = 0.0  # hidden unit 5 is exactly 0 there: relu's kink
         weight = rng.standard_normal((n, 4))
 
-        def run(fused: bool):
-            # fused on n windows of one position: its (n, 4, 1) stack holds the chain's (n, 4)
+        def run(layout: str):
+            # fused on n windows of one position, whose (n, 4, 1) stack holds the
+            # chain's (n, 4), or on one window of n positions, a (1, 4, n) stack
             t = Tape()
-            v = [Var(a, requires_grad=True) for a in (z[:, None] if fused else z, w1, b1, w2, b2)]
-            if fused:
+            zin = {"chain": z, "windows": z[:, None], "one window": z[None]}[layout]
+            v = [Var(a, requires_grad=True) for a in (zin, w1, b1, w2, b2)]
+            if layout == "windows":
                 out = t.pointwise_mlp(*v)
                 t.backward(t.mean(t.mul(out, t.constant(weight[:, :, None]))))
                 return out.value[:, :, 0], [v[0].grad[:, 0], *(x.grad for x in v[1:])]
+            if layout == "one window":
+                out = t.pointwise_mlp(*v)
+                t.backward(t.mean(t.mul(out, t.constant(weight.T[None]))))
+                return out.value[0].T, [v[0].grad[0], *(x.grad for x in v[1:])]
             out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
             t.backward(t.mean(t.mul(out, t.constant(weight))))
             return out.value, [x.grad for x in v]
 
-        (chain, chain_grads), (fused, fused_grads) = run(False), run(True)
-        assert np.array_equal(fused, chain), n
-        for a, b in zip(fused_grads, chain_grads):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), n
-        # the blocks written in place sum exactly as fresh blocks do
+        chain, chain_grads = run("chain")
         # the mean's backward hands the product 1/n times the weight
         ref, ref_grads = reference_pointwise_mlp(z, w1, b1, w2, b2, weight * (1.0 / weight.size), POINTWISE_CHUNK)
-        assert np.array_equal(fused, ref), n
-        for a, b in zip(fused_grads, ref_grads):
-            assert np.array_equal(a, b), n
+        for layout in ("windows", "one window"):
+            fused, fused_grads = run(layout)
+            assert np.array_equal(fused, chain), (n, layout)
+            for a, b in zip(fused_grads, chain_grads):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), (n, layout)
+            # the blocks written in place sum exactly as fresh blocks do, and
+            # both layouts read the same C-ordered gradient rows
+            assert np.array_equal(fused, ref), (n, layout)
+            for a, b in zip(fused_grads, ref_grads):
+                assert np.array_equal(a, b), (n, layout)
 
 
 @pytest.mark.parametrize("case", ["half dead", "all dead", "one live row per block", "nan row"])

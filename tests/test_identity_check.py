@@ -2,6 +2,7 @@
 checkpoints; no tree runs."""
 
 import importlib.util
+import json
 import os
 from types import SimpleNamespace
 
@@ -93,3 +94,26 @@ def test_checkpoints_compare_block_by_block(tmp_path):
     summary = ic.kind_summary([("seed0/checkpoints/best.ckpt", verdict, stats),
                                ("seed1/checkpoints/best.ckpt", "identical", {})])
     assert summary == ["checkpoint: 1 of 2 differ, worst relative drift 1e-09"]
+
+
+def test_json_drift_by_key_path_names_changed_counts_and_verdicts(tmp_path):
+    ic = load_identity_check()
+    base = {"split": "val", "total": {"value": 2.0, "iterations": 12, "converged": True},
+            "masked_in": {"value": 0.5, "iterations": 47, "converged": False},
+            "trace": [1.0, 3.0], "created_unix": 1}
+    head = json.loads(json.dumps(base))
+    head["total"]["value"] = 2.0 * (1 + 3e-12)
+    head["masked_in"].update(iterations=48, converged=True)
+    head["trace"][1] = 3.0 * (1 - 1e-9)
+    head["created_unix"] = 2
+    paths = []
+    for side, doc in (("base", base), ("head", head)):
+        paths.append(str(tmp_path / f"{side}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(doc, fh)
+    verdict, stats = ic.drift(*paths)
+    by_key = verdict.split("; by key: ")[1].split(", ")
+    assert by_key[0] == "masked_in.converged false -> true"
+    assert by_key[1] == "masked_in.iterations 47 -> 48"
+    assert by_key[2].startswith("total.value 3e-12") and by_key[3].startswith("trace[1] 1e-09")
+    assert len(by_key) == 4 and stats["worst"] == 1.0  # false -> true reads as 0 -> 1

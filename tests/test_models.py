@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tscorrect import models as models_module
 from tscorrect.autodiff import ParamStore, Tape, Var
 from tscorrect.errors import ConfigError, DimensionError, LoadError
 from tscorrect.models import (
@@ -615,21 +616,27 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path, backbone, snr):
 
 
 @pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)
-def test_checkpoint_preserves_power_iteration_buffers(tmp_path, backbone, snr):
+def test_checkpoint_preserves_power_iteration_buffers(tmp_path, backbone, snr, monkeypatch):
     cfg = tiny_cfg(backbone=backbone, snr=snr)
     f = build_predictor(cfg, RNG([4, 10]))
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, "supervised", cfg, seed=4, epoch=0, models={"predictor": f})
+    tracked = [name for name, layer in f.layers.items() if layer.snr_enabled]
+    assert len(tracked) == {"none": 0, "pre": 1, "post": 1, "both": len(f.layers)}[snr]
+    pairs = {name: (f.layers[name].u, f.layers[name].v) for name in tracked}
+    solves = []
+    monkeypatch.setattr(models_module, "top_singular_pair",
+                        lambda w, u, v: solves.append(w.shape) or top_singular_pair(w, u, v))
     _, models = restore_models(*load_checkpoint(path))
     f2 = models["predictor"]
     assert list(f2.layers) == list(f.layers)
-    tracked = [name for name, layer in f.layers.items() if layer.snr_enabled]
-    assert len(tracked) == {"none": 0, "pre": 1, "post": 1, "both": len(f.layers)}[snr]
     for name in tracked:
-        a, b = f.layers[name], f2.layers[name]
+        b = f2.layers[name]
         # no block holds u or v: the restore recomputes them from W, bit for bit
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(pairs[name][0], b.u)
+        assert np.array_equal(pairs[name][1], b.v)
+    # once per rescaled layer, from the restored W; reading again solves nothing
+    assert solves == [f.layers[name].w.value.shape for name in tracked]
 
 
 @pytest.mark.parametrize("backbone,snr", BACKBONE_SNR)

@@ -16,7 +16,7 @@ import pytest
 from tscorrect.autodiff import ParamStore, Tape
 from tscorrect.data import SplitSpec, SyntheticConfig, build_splits, flatten_channels, make_synthetic
 from tscorrect.errors import ContractError, DimensionError
-from tscorrect.models import MlpPredictor, ModelConfig
+from tscorrect.models import MlpPredictor, ModelConfig, RevIn
 from tscorrect import sharpness
 from tscorrect.sharpness import (
     EPS_BASE,
@@ -351,6 +351,30 @@ def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
             assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value), segment
 
 
+def count_block_passes(monkeypatch):
+    """The basis length of each block Gram-Schmidt pass lambda_max runs, in order."""
+    passes, project_out = [], sharpness._project_out
+    monkeypatch.setattr(sharpness, "_project_out", lambda b, w, p: passes.append(len(b)) or project_out(b, w, p))
+    return passes
+
+
+def test_a_first_pass_that_cancels_runs_a_second_and_matches_dense_eigensolve(monkeypatch):
+    # a clustered top and one eigenvalue of -1e6 keep Lanczos going until the
+    # Krylov space is all of R^8; the eighth residual is then roundoff alone,
+    # which the first pass against the whole basis cancels, so DGKS runs a second
+    passes = count_block_passes(monkeypatch)
+    for s in range(4):
+        rng = np.random.default_rng(40 + s)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        a = (q * np.concatenate([[-1e6], 10.0 - 1e-3 * np.arange(7)])) @ q.T
+        passes.clear()
+        res = lambda_max(quad_ctx(a), seed=s)
+        ref = float(np.linalg.eigvalsh(a)[-1])
+        assert (res.iterations, res.converged) == (8, True)
+        assert passes == [1, 2, 3, 4, 5, 6, 7, 8, 8], s
+        assert abs(res.value - ref) <= 1e-8 * abs(ref), s
+
+
 # ---------------------------------------------------------------------------
 # theta0's piece: lambda_max of the almost-everywhere Hessian
 
@@ -379,6 +403,49 @@ def test_segment_sharpness_interlaces_below_the_total(trained_snr_both):
     for seg in ctx.segments:
         for s in range(6):
             assert lambda_max(ctx, segment=seg, seed=s).value <= total * (1.0 + 1e-9), (seg, s)
+
+
+def test_each_lanczos_iteration_on_a_trained_predictor_runs_one_block_pass(trained_snr_both, monkeypatch):
+    passes = count_block_passes(monkeypatch)
+    ctx = predictor_loss_context(*trained_snr_both, 16)
+    for segment in (None, *sorted(ctx.segments)):
+        passes.clear()
+        res = lambda_max(ctx, segment=segment)
+        assert res.converged and passes == list(range(1, res.iterations + 1)), segment
+
+
+def test_pass_on_the_kept_standardization_is_a_fresh_forward_bit_for_bit(monkeypatch):
+    # the context standardizes its batch once; each pass must equal
+    # MlpPredictor.forward from scratch on the same frozen relu masks, with
+    # RevIN's affine weight and bias still differentiated in the pass
+    calls, standardize = [], RevIn.standardize
+    monkeypatch.setattr(RevIn, "standardize", lambda rv, x: calls.append(len(x)) or standardize(rv, x))
+    raw = make_synthetic(SyntheticConfig(length=600, seed=1))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=32, horizon=16)
+    for snr, affine in (("both", True), ("none", False)):
+        cfg = ModelConfig(lookback=32, horizon=16, hidden=24, snr=snr, revin_affine=affine)
+        f = MlpPredictor(cfg, np.random.default_rng(2))
+        if affine:
+            f.revin.weight.value[...], f.revin.bias.value[...] = 1.3, -0.2
+        ctx = predictor_loss_context(f, splits.train, batch=24)
+        x, y = (flatten_channels(a[:24]) for a in (splits.train.x, splits.train.y))
+        g = copy.deepcopy(f)
+        store = ParamStore(g.parameters())
+        probe = Tape(record=False)
+        probe.masks = []
+        w = np.sign(g.forward(probe, x).value - y)
+        theta = ctx.theta0 + 1e-3 * np.random.default_rng(3).standard_normal(ctx.n)
+        store.value[...] = theta
+        tape = Tape()
+        tape.frozen = iter(probe.masks)
+        loss = tape.mean(tape.mul(tape.sub(g.forward(tape, x), tape.constant(y)), tape.constant(w)))
+        tape.backward(loss)
+        calls.clear()
+        value, grad = ctx.loss_and_grad(theta)
+        assert calls == []
+        assert value == loss.value.item() and np.array_equal(grad, store.grad), snr
+        if affine:
+            assert np.all(grad[ctx.n - 2:] != 0.0)  # revin.weight and revin.bias
 
 
 def test_context_costs_one_forward_and_each_product_two_gradient_passes(trained_snr_both, monkeypatch):
