@@ -18,15 +18,16 @@ Conventions:
   * no broadcasting beyond scalar-with-array, save for the bias rows of
     ``linear`` (x @ w.T + b) and ``pointwise_mlp``'s output, added in place
     to the matmul output (its hidden bias rides in the GEMM, against a
-    column of ones); the conv bias, added in place
-    as b tiled r times over r output rows at once; the (B, 1) constant
+    column of ones); the conv bias, b tiled r times over r output rows at
+    once, its gradient the gemv ``np.ones(n) @ g``; the (B, 1) constant
     columns of ``affine_rows``; and the candidate axis of
     ``candidate_mean``, where candidates c of (B, S, ...) meet p of
     (B, ...), and the gradient of p sums over that axis. Every other
     backward rule stays a plain transpose/sum;
-  * layouts: ``conv_pyramid`` works channels-last, (B, T, C), and
-    ``pointwise_mlp`` maps its (B, T, d) features to the (B, S, T)
-    candidate stack the losses read, so no op only moves axes;
+  * layouts: ``conv_pyramid`` works channels-last, (B, T, C), and reads
+    each level's input through row-pair views, with no im2col copy
+    (``conv_halving``); ``pointwise_mlp`` maps its (B, T, d) features to
+    the (B, S, T) candidate stack the losses read, so no op only moves axes;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread;
@@ -135,6 +136,46 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
     return out.reshape(B, t_out, c_out), backward
 
 
+def conv_halving(x: Array, w: Array, b: Array):
+    """conv1d with kernel 3, stride 2 and padding 1 on x (B, T, C_in), T
+    even: the (B, T/2, C_out) output, and backward(g, need_x) -> (gx or
+    None, gw, gb) for g of its shape. Output o reads rows 2o - 1, 2o and
+    2o + 1: taps 1-2 are row o of the view x.reshape(B T/2, 2 C_in), tap 0
+    the odd half of row o - 1, so no input row is copied."""
+    B, T, c_in = x.shape
+    if T % 2 or w.shape[1:] != (c_in, 3):
+        raise DimensionError(f"conv_pyramid needs an even length and (C_out, {c_in}, 3) weights, "
+                             f"got input {x.shape} and weights {w.shape}")
+    c_out, t_out, n = len(w), T // 2, B * T // 2
+    pairs = x.reshape(n, 2 * c_in)  # row o: rows 2o and 2o + 1; its odd half is pairs[:, c_in:]
+    # contiguous weights, each GEMM NN: BLAS runs x @ W.T for a few outputs 2-3x slower
+    w12t = np.ascontiguousarray(w[:, :, 1:].transpose(0, 2, 1)).reshape(c_out, 2 * c_in)
+    out = np.empty((n, c_out))
+    np.matmul(pairs[:-1, c_in:], np.ascontiguousarray(w[:, :, 0].T), out=out[1:])  # tap 0, one row down
+    out.reshape(B, t_out, c_out)[:, 0] = 0.0  # padding, not the previous window's last row
+    out += pairs @ w12t.T.copy()
+    # the bias as one row of r copies: `out += b` would loop only C_out wide
+    r = math.gcd(n, 256)
+    wide = out.reshape(-1, r * c_out)
+    wide += np.tile(b, r)
+
+    def backward(g: Array, need_x: bool):
+        gf = g.reshape(n, c_out)
+        up = np.concatenate((gf[1:], gf[:1]))  # row i: output i + 1's gradient, read from odd row i
+        up.reshape(B, t_out, c_out)[:, -1] = 0.0  # no output past each window's end
+        gw = np.empty(w.shape)
+        gw[:, :, 0] = (pairs[:, c_in:].T @ up).T
+        gw[:, :, 1:] = (pairs.T @ gf).reshape(2, c_in, c_out).transpose(2, 1, 0)
+        gb = np.ones(n) @ gf  # a BLAS gemv: faster than gf.sum(axis=0)
+        if not need_x:
+            return None, gw, gb
+        gx = gf @ w12t  # taps 1-2 of each row pair, so no scatter
+        gx[:, c_in:] += up @ np.ascontiguousarray(w[:, :, 0])
+        return gx.reshape(x.shape), gw, gb
+
+    return out.reshape(B, t_out, c_out), backward
+
+
 class Tape:
     """Ordered record of operations; replayed in reverse by backward()."""
 
@@ -233,9 +274,9 @@ class Tape:
             h = np.matmul(zb, w1b, out=h_buf[: len(zb)])
             return np.maximum(h, 0.0, out=h)
 
-        out = np.empty((n, len(w2v)))
+        out, w2t = np.empty((n, len(w2v))), np.ascontiguousarray(w2v.T)  # NN: see conv_halving
         for rows in blocks:
-            np.matmul(hidden(zv[rows]), w2v.T, out=out[rows])
+            np.matmul(hidden(zv[rows]), w2t, out=out[rows])
         out += b2.value
 
         def backward(g: Array):
@@ -258,7 +299,7 @@ class Tape:
                 else:
                     continue
                 h = hidden(zr)
-                gw2 += gr.T @ h
+                gw2 += (h.T @ gr).T  # the same bits as gr.T @ h, faster
                 gh = np.matmul(gr, w2v, out=gh_buf[: len(h)])
                 gh *= np.greater(h, 0.0, out=relu_buf[: len(h)])
                 gw1 += gh.T @ zr
@@ -301,15 +342,15 @@ class Tape:
 
         return self._record(out.transpose(0, 2, 1), (x, w, b), backward)
 
-    def conv_pyramid(self, x: Var, layers: Sequence[tuple[Var, Var]], stride: int, padding: int) -> Var:
-        """Channels-last conv1d levels on x (B, T, C_0), each level's output
-        (B, T_l, C_l) the next one's input; returns them side by side, each
-        flattened per row and folded onto T positions: (B, T, sum T_l C_l / T)."""
+    def conv_pyramid(self, x: Var, layers: Sequence[tuple[Var, Var]]) -> Var:
+        """conv_halving levels on x (B, T, C_0), each level's output (B, T_l,
+        C_l) the next one's input, every input of even length; returns them side
+        by side, each flattened per row and folded onto T positions: (B, T, sum T_l C_l / T)."""
         B, T, _ = x.value.shape
         params = [v for layer in layers for v in layer]
         levels, cur = [], x.value  # (output, backward) of each level
         for w, b in layers:
-            levels.append(conv_channels_last(cur, w.value, b.value, stride, padding))
+            levels.append(conv_halving(cur, w.value, b.value))
             cur = levels[-1][0]
         folded = [out.reshape(B, T, -1) for out, _ in levels]
         edges = np.cumsum([0] + [f.shape[2] for f in folded])

@@ -29,8 +29,6 @@ from .errors import ConfigError, DimensionError, LoadError
 
 SIGMA_FLOOR = 1e-12
 CONV_KERNEL = 3
-CONV_STRIDE = 2
-CONV_PADDING = 1
 N_CONV_LAYERS = 4
 
 SNR_CHOICES = ("none", "pre", "post", "both")
@@ -294,7 +292,7 @@ class ReconstructionNet:
     def encode(self, tape: Tape, y: np.ndarray) -> Var:
         if y.ndim != 2 or y.shape[1] != self.cfg.horizon:
             raise DimensionError(f"encode expects (B, {self.cfg.horizon}), got {y.shape}")
-        return tape.conv_pyramid(tape.constant(y[:, :, None]), self.convs, CONV_STRIDE, CONV_PADDING)
+        return tape.conv_pyramid(tape.constant(y[:, :, None]), self.convs)
 
     def forward(self, tape: Tape, y: np.ndarray) -> Var:
         """All candidate label sets, stacked: (B, S, H)."""

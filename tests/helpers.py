@@ -151,6 +151,48 @@ def reference_conv_channels_last(x, w, b, stride, padding):
     return out.reshape(B, t_out, c_out), backward
 
 
+def reference_conv_halving(x, w, b):
+    """autodiff.conv_halving in its plain form: the row pairs (2o, 2o + 1)
+    as a concatenated copy, the tap-0 term an explicit 0 at each window's
+    first output, the bias added row by row, and the input gradient
+    assembled from its even and odd rows. Same GEMMs, in the same grouping
+    and order of sums: the bit-exact reference for the kernel's views. The
+    odd rows stay a strided view, as in the kernel: at C_in = 1 their weight
+    gradient is a gemv, whose last bits depend on the vector's stride."""
+    B, T, c = x.shape
+    c_out, n = len(w), B * T // 2
+    first = np.arange(n) % (T // 2) == 0  # each window's first output, which has no tap 0
+    last = np.roll(first, -1)
+    odd = x[:, 1::2].reshape(n, c)
+    pairs = np.concatenate((x[:, 0::2].reshape(n, c), odd), axis=1)
+    w0, w12t = np.ascontiguousarray(w[:, :, 0]), np.concatenate((w[:, :, 1], w[:, :, 2]), axis=1)
+    out = np.zeros((n, c_out))
+    out[1:] = odd[:-1] @ np.ascontiguousarray(w0.T)
+    out[first] = 0.0
+    out = out + pairs @ np.ascontiguousarray(w12t.T)
+    out += b
+
+    def backward(g, need_x):
+        gf = g.reshape(n, c_out)
+        nxt = np.zeros((n, c_out))  # row i: output i + 1's gradient within the window
+        nxt[:-1] = gf[1:]
+        nxt[last] = 0.0
+        gw = np.empty(w.shape)
+        gw[:, :, 0] = (odd.T @ nxt).T
+        g12 = pairs.T @ gf
+        gw[:, :, 1], gw[:, :, 2] = g12[:c].T, g12[c:].T
+        gb = np.ones(n) @ gf
+        if not need_x:
+            return None, gw, gb
+        g12x = gf @ w12t
+        gx = np.empty(x.shape)
+        gx[:, 0::2] = g12x[:, :c].reshape(B, T // 2, c)
+        gx[:, 1::2] = (g12x[:, c:] + nxt @ w0).reshape(B, T // 2, c)
+        return gx, gw, gb
+
+    return out.reshape(B, T // 2, c_out), backward
+
+
 def conv_levels(g, y):
     """Each conv level's (B, T_l, C_l) output, read back from its slice of
     g.encode(y)'s (B, H, d_feat) features: level l holds columns
@@ -166,7 +208,9 @@ def reference_pointwise_mlp(z, w1, b1, w2, b2, g, chunk):
     block's hidden layer and gradients fresh arrays: the (N, out) output
     relu(z @ w1.T + b1) @ w2.T + b2 and, for its (N, out) upstream gradient
     g, the gradients of z, w1, b1, w2 and b2. The bit-exact reference for
-    the in-place blocks."""
+    the in-place blocks; the heads multiply a contiguous w2.T, as the op
+    does, and gw2 keeps the plain gr.T @ h, whose bits the op's
+    (h.T @ gr).T must match."""
     n, k = len(z), -(-len(z) // chunk)
     blocks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
@@ -175,9 +219,9 @@ def reference_pointwise_mlp(z, w1, b1, w2, b2, g, chunk):
         h += b1
         return np.maximum(h, 0.0, out=h)
 
-    out = np.empty((n, len(w2)))
+    out, w2t = np.empty((n, len(w2))), np.ascontiguousarray(w2.T)
     for rows in blocks:
-        out[rows] = hidden(rows) @ w2.T
+        out[rows] = hidden(rows) @ w2t
     out += b2
     gz = np.empty_like(z)
     gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v) for v in (w1, b1, w2, b2)]

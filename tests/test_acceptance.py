@@ -132,12 +132,12 @@ def _primitive_checks(rng):
         ("conv1d s1 p0", lambda t, v: _wmean(t, t.conv1d(v[0], v[1], v[2], stride=1, padding=0), w235),
          [rng.standard_normal((2, 2, 7)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)]),
         ("conv_pyramid 3 levels", lambda t, v: _wmean(t, t.conv_pyramid(
-            v[0], [(v[1], v[2]), (v[3], v[4]), (v[5], v[6])], stride=2, padding=1), w286),
+            v[0], [(v[1], v[2]), (v[3], v[4]), (v[5], v[6])]), w286),
          [rng.standard_normal((2, 8, 2)), rng.standard_normal((4, 2, 3)), rng.standard_normal(4),
           rng.standard_normal((8, 4, 3)), rng.standard_normal(8),
           rng.standard_normal((16, 8, 3)), rng.standard_normal(16)]),
         ("conv_pyramid 2 levels", lambda t, v: _wmean(t, t.conv_pyramid(
-            v[0], [(v[1], v[2]), (v[3], v[4])], stride=2, padding=1), w1122),
+            v[0], [(v[1], v[2]), (v[3], v[4])]), w1122),
          [rng.standard_normal((1, 12, 1)), rng.standard_normal((2, 1, 3)), rng.standard_normal(2),
           rng.standard_normal((4, 2, 3)), rng.standard_normal(4)]),
         ("pointwise_mlp 2 blocks", lambda t, v: _wmean(t, t.pointwise_mlp(*v), wmlp),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last
+from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last, conv_halving
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import co_objective_loss
 from tscorrect.models import SIGMA_FLOOR
@@ -151,6 +151,33 @@ def test_conv_channels_last_matches_the_padded_reference_bit_for_bit(k, stride, 
         for need_x in (True, False):
             for got, want in zip(back(g, need_x), ref_back(g, need_x)):
                 assert (got is None and want is None) or np.array_equal(got, want), (t_len, need_x)
+
+
+@pytest.mark.parametrize("dm", [2, 4])
+@pytest.mark.parametrize("h", [16, 96])
+def test_conv_halving_matches_the_general_conv_at_every_level(h, dm):
+    # the encoder's level l: length h / 2^l, 1 or dm 2^(l-1) channels in, dm 2^l out
+    rng = RNG([h, dm])
+    for level in range(4):
+        c_in, c_out = (dm << level >> 1) if level else 1, dm << level
+        x = rng.standard_normal((7, h >> level, c_in))
+        w, b = rng.standard_normal((c_out, c_in, 3)), rng.standard_normal(c_out)
+        out, back = conv_halving(x, w, b)
+        ref, ref_back = reference_conv_channels_last(x, w, b, 2, 1)
+        g = rng.standard_normal(ref.shape)
+        for got, want in [(out, ref), *zip(back(g, True), ref_back(g, True))]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (level, got.shape)
+        assert back(g, False)[0] is None
+
+
+def test_conv_pyramid_refuses_an_odd_length_at_any_level():
+    w1, b1 = Var(np.ones((2, 1, 3)), requires_grad=True), Var(np.zeros(2), requires_grad=True)
+    w2, b2 = Var(np.ones((4, 2, 3)), requires_grad=True), Var(np.zeros(4), requires_grad=True)
+    Tape().conv_pyramid(Var(np.ones((2, 8, 1))), [(w1, b1), (w2, b2)])  # levels of 8 and 4
+    for t_len in (5, 6):  # level 0 odd; level 1 gets 3
+        with pytest.raises(DimensionError):
+            Tape().conv_pyramid(Var(np.ones((2, t_len, 1))), [(w1, b1), (w2, b2)])
 
 
 def test_conv1d_zero_weights_gives_bias_broadcast():
@@ -307,6 +334,9 @@ def test_pointwise_mlp_matches_layer_chain():
                 out = t.pointwise_mlp(*v)
                 t.backward(t.mean(t.mul(out, t.constant(weight.T[None]))))
                 return out.value[0].T, [v[0].grad[0], *(x.grad for x in v[1:])]
+            # w2 held as the transpose of a contiguous w2.T: the chain's head
+            # product x @ w.T is then NN, the orientation the op uses
+            v[3].value = np.ascontiguousarray(w2.T).T
             out = t.linear(t.relu(t.linear(v[0], v[1], v[2])), v[3], v[4])
             t.backward(t.mean(t.mul(out, t.constant(weight))))
             return out.value, [x.grad for x in v]
@@ -655,7 +685,7 @@ def test_non_recording_tape_gives_the_same_values_and_records_nothing():
 
     def forward(t):
         p = [Var(a, requires_grad=True) for a in (w, b, w1, b1, w2, b2)]
-        z = t.conv_pyramid(t.constant(x.transpose(0, 2, 1)), [(p[0], p[1])], stride=2, padding=1)
+        z = t.conv_pyramid(t.constant(x.transpose(0, 2, 1)), [(p[0], p[1])])
         return t.mean(t.abs(t.pointwise_mlp(t.reshape(z, (2, 6, 4)), *p[2:])))
 
     recording, silent = Tape(), Tape(record=False)

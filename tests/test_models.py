@@ -22,7 +22,7 @@ from tscorrect.models import (
     save_checkpoint,
     top_singular_pair,
 )
-from helpers import conv_levels, fd_model_worst_rel_err, reference_conv_channels_last
+from helpers import conv_levels, fd_model_worst_rel_err, reference_conv_halving
 
 RNG = np.random.default_rng
 
@@ -414,7 +414,7 @@ def test_recon_shape_walk():
 
 
 def reference_encode(g, y, upstream):
-    """Tape.conv_pyramid on g's encoder, from reference_conv_channels_last:
+    """Tape.conv_pyramid on g's encoder, from reference_conv_halving:
     the (B, H, d_feat) features, each level's output unfolded onto the H
     rows, and the conv weight and bias gradients for the upstream gradient,
     each level's upstream slice plus what the level above sends back."""
@@ -422,7 +422,7 @@ def reference_encode(g, y, upstream):
     per = g.cfg.dim_multiplier // 2
     levels, cur = [], y[:, :, None]
     for w, bias in g.convs:
-        levels.append(reference_conv_channels_last(cur, w.value, bias.value, 2, 1))
+        levels.append(reference_conv_halving(cur, w.value, bias.value))
         cur = levels[-1][0]
     feats = np.concatenate([out.reshape(b, h, per) for out, _ in levels], axis=2)
     grads, gx = [], None
