@@ -32,6 +32,10 @@ file prints as `identical`, or with what a waiver states:
   * in a checkpoint, compared block by block by name: the header fields that
     changed, the blocks found on one side only, and the worst relative drift
     of the blocks both sides hold;
+  * in a CSV or JSON file, compared the same way column by column or key path
+    by key path: the columns or keys found on one side only, and the drift of
+    those both sides hold (a shared one whose text cells or row count differ
+    reads `layout differs` and drifts without bound);
   * in a mask dump, the count of flipped cells of the boolean M and M_lt, and
     the drift of m = (c - p)(c - t) against the scale of its factors,
     (|c| + |p|)(|c| + |t|), next to m's plain relative drift. m cancels where
@@ -159,42 +163,43 @@ def _leaves(node, path: str = ""):
         yield path, node
 
 
-def _json_cells(path_a: str, path_b: str) -> list[str]:
-    """For two JSON files of one layout: each int or bool leaf that changed,
-    as `path old -> new`, and the relative drift of each float leaf that moved."""
-    with open(path_a) as fa, open(path_b) as fb:
-        pairs = zip(_leaves(json.load(fa)), _leaves(json.load(fb)))
-    cells = []
-    for (key, a), (_, b) in pairs:
-        if a == b or not all(isinstance(v, (int, float)) for v in (a, b)):
-            continue
-        if isinstance(a, float) or isinstance(b, float):
-            rel = _rel(np.array([a]), np.array([b]))[0]
-            cells += [f"{key} {rel:.3g}"] if rel > 0 else []  # NaN against NaN has not moved
-        else:  # int or bool: a count or a verdict changed, not a rounding
-            cells.append(f"{key} {json.dumps(a)} -> {json.dumps(b)}")
-    return cells
-
-
-def _numbers(path: str):
-    """(layout, float array) of a CSV or JSON file: two files of one layout
-    differ only in the numbers."""
-    leaves = []
-
-    def number(cell):
-        try:
-            leaves.append(float(cell))
-            return "#"
-        except (TypeError, ValueError):
-            return cell
-
+def _fields(path: str) -> dict[str, list]:
+    """A CSV's columns by name, timing columns dropped, or a JSON file's
+    leaves by key path, each as its list of cells."""
     with open(path) as fh:
         if path.endswith(".json"):
-            return json.dumps([(key, number(v)) for key, v in _leaves(json.load(fh))]), np.array(leaves)
-        lines = fh.read().splitlines()
-    keep = [i for i, name in enumerate(lines[0].split(",")) if name not in TIMING_FIELDS]
-    rows = [[cells[i] for i in keep] for cells in (line.split(",") for line in lines)]
-    return [lines[0], *([number(c) for c in row] for row in rows[1:])], np.array(leaves)
+            return {key: [leaf] for key, leaf in _leaves(json.load(fh))}
+        header, *rows = (line.split(",") for line in fh.read().splitlines())
+    return {name: [r[i] for r in rows] for i, name in enumerate(header) if name not in TIMING_FIELDS}
+
+
+def _numbers(cells: list) -> tuple[list, np.ndarray]:
+    """(layout, float array) of a field's cells, each number in the layout as
+    "#": two fields of one layout differ only in the numbers."""
+    layout, numbers = [], []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+            layout.append("#")
+        except (TypeError, ValueError):
+            layout.append(cell)
+    return layout, np.array(numbers)
+
+
+def _json_cells(a: dict, b: dict, nums: dict) -> list[str]:
+    """For the shared JSON leaves of one layout: each int or bool that
+    changed, as `path old -> new`, and the relative drift of each float that moved."""
+    cells = []
+    for key, (x, y) in nums.items():
+        (va,), (vb,) = a[key], b[key]
+        if va == vb or not len(x):
+            continue
+        if isinstance(va, float) or isinstance(vb, float):
+            rel = _rel(x, y)[0]
+            cells += [f"{key} {rel:.3g}"] if rel > 0 else []  # NaN against NaN has not moved
+        else:  # int or bool: a count or a verdict changed, not a rounding
+            cells.append(f"{key} {json.dumps(va)} -> {json.dumps(vb)}")
+    return cells
 
 
 def file_kind(rel: str) -> str:
@@ -215,22 +220,6 @@ def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rel = np.divide(np.abs(a - b), scale, out=np.zeros_like(scale), where=scale > 0)
     rel[np.isnan(a) != np.isnan(b)] = np.inf
     return rel
-
-
-def _float(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return float("nan")
-
-
-def _columns(path: str) -> dict[str, np.ndarray]:
-    """A CSV's columns by name, timing columns dropped; a cell that is not a
-    number reads NaN."""
-    with open(path) as fh:
-        header, *rows = (line.split(",") for line in fh.read().splitlines())
-    return {name: np.array([_float(r[i]) for r in rows], dtype=np.float64)
-            for i, name in enumerate(header) if name not in TIMING_FIELDS}
 
 
 def _checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -269,35 +258,47 @@ def checkpoint_drift(path_a: str, path_b: str) -> tuple[str, dict]:
 def drift(path_a: str, path_b: str) -> tuple[str, dict]:
     """How two files that are not byte-identical differ: the verdict line and
     its figures, "worst" (the worst relative drift of any number) and, in a
-    mask dump, "m_scaled" and the flipped cells of each of FLAGS."""
+    mask dump, "m_scaled" and the flipped cells of each of FLAGS. A CSV
+    compares its columns by name and a JSON file its leaves by key path, as
+    checkpoint_drift compares blocks: the fields on one side only are listed,
+    and a shared field whose cells other than numbers differ drifts without bound."""
     try:
         if path_a.endswith(".ckpt"):
             return checkpoint_drift(path_a, path_b)
-        (layout_a, a), (layout_b, b) = _numbers(path_a), _numbers(path_b)
+        a, b = _fields(path_a), _fields(path_b)
     except (ValueError, UnicodeDecodeError):
         return "bytes differ", {}
-    if layout_a != layout_b or a.shape != b.shape:
-        return "layout differs", {}
-    stats = {"worst": float(_rel(a, b).max(initial=0.0))}
-    parts = [f"worst relative drift {stats['worst']:.3g}"]
+    parts = [f"only in {side}: {', '.join(only)}" for side, mine, theirs in zip(SIDES, (a, b), (b, a))
+             if (only := [key for key in mine if key not in theirs])]
+    nums, unaligned = {}, []  # shared fields: (base, head) numbers if of one layout, else listed
+    for key in (key for key in a if key in b):
+        (layout_a, x), (layout_b, y) = _numbers(a[key]), _numbers(b[key])
+        if layout_a == layout_b:
+            nums[key] = x, y
+        else:
+            unaligned.append(key)
+    if unaligned:
+        parts.append(f"layout differs: {', '.join(unaligned)}")
+    rel = {key: _rel(x, y).max(initial=0.0) for key, (x, y) in nums.items()}
+    stats = {"worst": float(max([*rel.values()] + [np.inf] * len(unaligned), default=0.0))}
+    parts.append(f"worst relative drift {stats['worst']:.3g}")
     if path_a.endswith(".csv"):
-        cols_a, cols_b = _columns(path_a), _columns(path_b)
         cells = []
-        for name, col in cols_a.items():
+        for name, (col, col_b) in nums.items():
             if name in FLAGS:
-                stats[name] = int(np.count_nonzero(col != cols_b[name]))
+                stats[name] = int(np.count_nonzero(col != col_b))
                 cells.append(f"{name} {stats[name]} flipped")
                 continue
-            cells.append(f"{name} {_rel(col, cols_b[name]).max(initial=0.0):.3g}")
+            cells.append(f"{name} {rel[name]:.3g}")
             if name == "m" and file_kind(path_a) == "mask dump":
-                c, p, t = (np.abs(cols_a[k]) for k in ("y_tilde", "y_hat", "y"))
+                c, p, t = (np.abs(nums[k][0]) for k in ("y_tilde", "y_hat", "y"))
                 scale = (c + p) * (c + t)
-                scaled = np.divide(np.abs(col - cols_b[name]), scale, out=np.zeros_like(scale), where=scale > 0)
+                scaled = np.divide(np.abs(col - col_b), scale, out=np.zeros_like(scale), where=scale > 0)
                 stats["m_scaled"] = float(scaled.max(initial=0.0))
                 cells[-1] += f" ({stats['m_scaled']:.3g} against (|c| + |p|)(|c| + |t|))"
-        parts.append("by column: " + ", ".join(cells))
-    elif path_a.endswith(".json"):
-        parts.append("by key: " + ", ".join(_json_cells(path_a, path_b)))
+        parts += ["by column: " + ", ".join(cells)] if cells else []
+    elif path_a.endswith(".json") and (cells := _json_cells(a, b, nums)):
+        parts.append("by key: " + ", ".join(cells))
     return "; ".join(parts), stats
 
 

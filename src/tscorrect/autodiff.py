@@ -50,11 +50,6 @@ Array = np.ndarray
 POINTWISE_CHUNK = 1024
 
 
-def as_array(data) -> Array:
-    """Coerce to a contiguous float64 ndarray."""
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
 class Var:
     """A node in the computation graph: a value, plus a gradient array for
     leaves created with requires_grad=True (None for every other Var)."""
@@ -62,7 +57,7 @@ class Var:
     __slots__ = ("value", "grad", "requires_grad")
 
     def __init__(self, value, requires_grad: bool = False):
-        self.value = as_array(value)
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.value) if self.requires_grad else None
 
@@ -497,22 +492,6 @@ class Tape:
             return (np.full(shape, g.item() * scale),)
 
         return self._record(x.value.mean(), (x,), backward)
-
-    # ---- shape moves ---------------------------------------------------
-
-    def reshape(self, x: Var, shape: Sequence[int]) -> Var:
-        shape = tuple(int(s) for s in shape)
-        try:
-            out = x.value.reshape(shape)  # metadata-only when contiguous
-        except ValueError as e:
-            raise DimensionError(f"cannot reshape {x.value.shape} to {shape}: {e}") from None
-
-        orig = x.value.shape
-
-        def backward(g: Array):
-            return (g.reshape(orig),)
-
-        return self._record(out, (x,), backward)
 
     # ---- reverse pass ----------------------------------------------------
 

@@ -403,30 +403,33 @@ def cmd_diagnose(args) -> int:
     _atomic_json(os.path.join(out, "breakdown.json"), breakdown)
 
     if args.sharpness:
-        ctx = predictor_loss_context(f, ds, cfg["train"]["sharpness_batch"])
-        report = {"split": args.split, "loss": "l1", "total": dataclasses.asdict(lambda_max(ctx))}
+        def probe(ctx, windows, segment=None):  # an entry states the windows it read
+            return {**dataclasses.asdict(lambda_max(ctx, segment=segment)), "windows": windows}
+
+        batch = cfg["train"]["sharpness_batch"]
+        ctx, n = predictor_loss_context(f, ds, batch), min(batch, len(ds))
+        report = {"split": args.split, "loss": "l1", "total": probe(ctx, n)}
         for name in sorted(ctx.segments):
-            report[name] = dataclasses.asdict(lambda_max(ctx, segment=name))
+            report[name] = probe(ctx, n, name)
         # masked variants average the same L1 loss under the candidate-mean mask;
         # rebinding ctx frees each context, and its copy of f, before the next probe
-        take_s = min(cfg["train"]["sharpness_batch"], len(ds), take)
+        take_s = min(n, take)
         w_in = mask_mean[: take_s * ds.n_channels]
         for label, weights in (("masked_in", w_in), ("masked_out", 1.0 - w_in)):
             ctx = predictor_loss_context(f, ds, take_s, point_weights=weights)
-            report[label] = dataclasses.asdict(lambda_max(ctx))
+            report[label] = probe(ctx, take_s)
         _atomic_json(os.path.join(out, "sharpness.json"), report)
 
     # channel alignment: symmetric KL between channel distributions
     nch = ds.n_channels
     rows = []
     if nch >= 2:
-        # raw labels, candidate means and the conv-feature readout
-        views = (y, cands.mean(axis=1), g.intermediate(Tape(record=False), y).value)
+        views = (y, cands.mean(axis=1))  # raw labels and candidate means
         rows = [(i, j, *(kl_alignment(*channel_histograms([v[i::nch].ravel(), v[j::nch].ravel()]))
                          for v in views))
                 for i in range(nch) for j in range(i + 1, nch)]
     write_csv(os.path.join(out, "kl_table.csv"),
-              ("channel_a", "channel_b", "kl_raw", "kl_candidates", "kl_intermediate"), rows)
+              ("channel_a", "channel_b", "kl_raw", "kl_candidates"), rows)
     print(out)
     return 0
 

@@ -286,8 +286,6 @@ class ReconstructionNet:
         self.ffn_in = LinearLayer(cfg.d_feat, cfg.recon_hidden, rng)
         # one (S, recon_hidden) draw: the same numbers as S single-output heads
         self.heads = LinearLayer(cfg.recon_hidden, cfg.series_count, rng)
-        # diagnostic readout on raw conv features; never receives loss gradient
-        self.readout = LinearLayer(cfg.d_feat, 1, rng)
 
     def encode(self, tape: Tape, y: np.ndarray) -> Var:
         if y.ndim != 2 or y.shape[1] != self.cfg.horizon:
@@ -299,24 +297,13 @@ class ReconstructionNet:
         ffn, heads = self.ffn_in, self.heads
         return tape.pointwise_mlp(self.encode(tape, y), ffn.w, ffn.b, heads.w, heads.b)
 
-    def intermediate(self, tape: Tape, y: np.ndarray) -> Var:
-        """Diagnostic readout applied to raw conv features, skipping the FFN."""
-        b, h = y.shape
-        z = self.encode(tape, y)
-        flat = tape.reshape(z, (b * h, self.cfg.d_feat))
-        return tape.reshape(self.readout.apply(tape, flat), (b, h))
-
     def parameters(self) -> list[tuple[str, Var]]:
         out = []
         for i, (w, b) in enumerate(self.convs, start=1):
             out += [(f"conv{i}.w", w), (f"conv{i}.b", b)]
-        for name in ("ffn_in", "heads", "readout"):
+        for name in ("ffn_in", "heads"):
             out += [(f"{name}.{n}", v) for n, v in getattr(self, name).params()]
         return out
-
-    def loss_parameters(self) -> list[tuple[str, Var]]:
-        """Parameters that training losses may touch (readout excluded)."""
-        return [(n, v) for n, v in self.parameters() if not n.startswith("readout.")]
 
 
 def build_recon(cfg: ModelConfig, rng: np.random.Generator) -> ReconstructionNet:
@@ -327,7 +314,7 @@ def build_recon(cfg: ModelConfig, rng: np.random.Generator) -> ReconstructionNet
 # checkpoints: uint64-LE header length, JSON header, then raw float64 blocks
 
 
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 def save_checkpoint(path: str, kind: str, config: ModelConfig, seed: int, epoch: int, models: dict) -> None:

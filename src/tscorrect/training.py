@@ -199,7 +199,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     batch_loss_fn(tape, x, y) returns the loss, the prediction values and
     the batch's LossBreakdown, or None.
     """
-    store = ParamStore(f.parameters() + (g.loss_parameters() if g is not None else []))
+    store = ParamStore(f.parameters() + (g.parameters() if g is not None else []))
     opt = Adam(store, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     rng = np.random.default_rng([cfg.seed, 1])
     n = len(bundle.train)
@@ -328,7 +328,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     labels = flatten_channels(bundle.train.y)
     records: list[GridRecord] = []
     best = best_f = None
-    outer = Sgd(ParamStore(g.loss_parameters()), cfg.grid_outer_lr)
+    outer = Sgd(ParamStore(g.parameters()), cfg.grid_outer_lr)
     for i in range(cfg.grid_candidates):
         f = predictor_factory(i)
         theta = ParamStore(f.parameters())

@@ -9,7 +9,7 @@ tolerances used throughout.
 
 import numpy as np
 
-from tscorrect.autodiff import Tape, Var, as_array
+from tscorrect.autodiff import Tape, Var
 from tscorrect.losses import align_candidates
 
 
@@ -89,7 +89,7 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
     scam_masked_loss's weight arrays."""
     c, p = (x if isinstance(x, Var) else Var(x) for x in (c, p))
     cv = c.value
-    pv, tv = align_candidates(cv, p.value, as_array(t))
+    pv, tv = align_candidates(cv, p.value, np.ascontiguousarray(t, dtype=np.float64))
     weights = (w_pred, w_rec, w_sup)
     a, b, d = res = [None if np.ndim(w) == 0 and w == 0 else x - y
                      for w, x, y in zip(weights, (cv, cv, tv), (pv, tv, pv))]
@@ -113,7 +113,7 @@ def weighted_candidate_l1(tape, c, p, t, w_pred, w_rec, w_sup):
 def loss_identity_check(y_tilde, y_hat, y) -> float:
     """Max pointwise gap between the absolute-difference form and the
     masked min form of the correction objective. Should be ~1e-16."""
-    c, p, t = as_array(y_tilde), as_array(y_hat), as_array(y)
+    c, p, t = (np.ascontiguousarray(a, dtype=np.float64) for a in (y_tilde, y_hat, y))
     a = c - p
     b = c - t
     lhs = np.abs(t - p) + np.abs(a) + np.abs(b) - np.abs(a - b)

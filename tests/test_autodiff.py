@@ -402,7 +402,7 @@ def spectral_chain(t, w, gamma, u, v):
     spectral_weight op replaced, floor branch included."""
     if u @ (w.value @ v) <= SIGMA_FLOOR:
         return t.mul(gamma, t.mul(w, 1.0 / SIGMA_FLOOR))
-    sig = t.reshape(t.matmul(t.constant(u[None, :]), t.matmul(w, t.constant(v[:, None]))), (1,))
+    sig = t.matmul(t.constant(u[None, :]), t.matmul(w, t.constant(v[:, None])))  # (1, 1)
     return t.mul(gamma, t.mul(w, t.reciprocal(sig)))
 
 
@@ -427,7 +427,7 @@ def test_spectral_weight_matches_the_op_chain_bit_for_bit(shape, zero):
         return out.value, w.grad, gamma.grad, ops
 
     (*chain, chain_ops), (*fused, fused_ops) = run(False), run(True)
-    assert (chain_ops, fused_ops) == (2 if zero else 6, 1)
+    assert (chain_ops, fused_ops) == (2 if zero else 5, 1)
     for a, b in zip(fused, chain):
         assert np.array_equal(a, b)
 
@@ -541,33 +541,22 @@ def test_candidate_l1_equals_sum_and_broadcast_form(seed, weights, stacked):
 
 
 def test_fd_reductions_and_reshapes():
+    # one set of values in two shapes: each input is built in the shape it is read in
     rng = RNG(16)
     x = rng.uniform(-2, 2, (2, 6))
-
-    def build_reshape(t, v):
-        r = t.reshape(v[0], (3, 4))
-        return t.mean(t.mul(r, r))
 
     def build_mean_of_means(t, v):
         m = t.mean(v[0])
         return t.mul(m, t.mean(t.mul(v[0], v[0])))
 
-    for build in (build_reshape, build_mean_of_means):
-        assert fd_worst_rel_err(build, [x], rng) < 1e-6
+    for shaped in (x, x.reshape(3, 4)):
+        assert fd_worst_rel_err(build_mean_of_means, [shaped], rng) < 1e-6
 
 
 def test_fd_reciprocal():
     rng = RNG(17)
     x = rng.uniform(0.5, 2.0, (3, 3))
     assert fd_worst_rel_err(lambda t, v: t.mean(t.reciprocal(v[0])), [x], rng) < 1e-6
-
-
-def test_reshape_gradient_roundtrip():
-    t = Tape()
-    x = Var(RNG(18).standard_normal((2, 6)), requires_grad=True)
-    y = t.reshape(x, (3, 4))
-    t.backward(t.mean(t.mul(y, t.constant(np.arange(12.0).reshape(3, 4)))))
-    assert np.array_equal(x.grad, np.arange(12.0).reshape(2, 6) * (1.0 / 12))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +631,7 @@ def test_only_requires_grad_leaves_hold_a_grad():
 
 def test_ops_on_constants_only_are_not_recorded():
     t = Tape()
-    c = t.reshape(t.mul(t.constant(np.ones(4)), t.constant(np.full(4, 2.0))), (2, 2))
+    c = t.mul(t.constant(np.ones((2, 2))), t.constant(np.full((2, 2), 2.0)))
     assert len(t) == 0 and not c.requires_grad and c.grad is None
     assert np.array_equal(c.value, np.full((2, 2), 2.0))
     w = Var(np.eye(2), requires_grad=True)
@@ -680,13 +669,13 @@ def test_constant_operand_leaves_leaf_gradient_unchanged():
 def test_non_recording_tape_gives_the_same_values_and_records_nothing():
     rng = RNG(25)
     x, w, b = rng.uniform(-2, 2, (2, 1, 12)), rng.uniform(-2, 2, (4, 1, 3)), rng.uniform(-2, 2, 4)
-    w1, b1 = rng.uniform(-2, 2, (6, 4)), rng.uniform(-2, 2, 6)
+    w1, b1 = rng.uniform(-2, 2, (6, 2)), rng.uniform(-2, 2, 6)
     w2, b2 = rng.uniform(-2, 2, (2, 6)), rng.uniform(-2, 2, 2)
 
     def forward(t):
         p = [Var(a, requires_grad=True) for a in (w, b, w1, b1, w2, b2)]
         z = t.conv_pyramid(t.constant(x.transpose(0, 2, 1)), [(p[0], p[1])])
-        return t.mean(t.abs(t.pointwise_mlp(t.reshape(z, (2, 6, 4)), *p[2:])))
+        return t.mean(t.abs(t.pointwise_mlp(z, *p[2:])))  # z: 6 x 4 features folded onto (2, 12, 2)
 
     recording, silent = Tape(), Tape(record=False)
     out = forward(silent)

@@ -756,7 +756,13 @@ def test_diagnose_split_picks_the_breakdown_and_curvature_windows_not_the_mask_d
     bundle = make_bundle(cfg, load_series(cfg))
     bd = json.load(open(os.path.join(out, "breakdown.json")))
     assert bd["split"] == "test" and bd["windows"] == min(len(bundle.test), 50)
-    assert json.load(open(os.path.join(out, "sharpness.json")))["split"] == "test"
+    sharp = json.load(open(os.path.join(out, "sharpness.json")))
+    assert sharp["split"] == "test"
+    # the unmasked probes read the curvature batch, the masked ones no more than the breakdown's windows
+    curvature = min(cfg["train"]["sharpness_batch"], len(bundle.test))
+    assert curvature > 50
+    assert [sharp[k]["windows"] for k in ("total", "embedding", "projector")] == [curvature] * 3
+    assert [sharp[k]["windows"] for k in ("masked_in", "masked_out")] == [50, 50]
     # the mask dumps still come from the validation split, which starts at b1
     with open(os.path.join(out, "masks", "sample0_cand0.csv")) as fh:
         assert fh.readline().startswith("t,") and int(fh.readline().split(",")[0]) == bundle.boundaries[0]
@@ -808,7 +814,7 @@ def test_diagnose_zero_breakdown_windows_exits_2_before_any_output(scam_pipeline
 
 def test_diagnose_kl_table_univariate_has_no_rows(diagnosis):
     lines = open(os.path.join(diagnosis, "kl_table.csv")).read().strip().split("\n")
-    assert lines[0] == "channel_a,channel_b,kl_raw,kl_candidates,kl_intermediate"
+    assert lines[0] == "channel_a,channel_b,kl_raw,kl_candidates"
     assert len(lines) == 1  # single synthetic channel: no pairs
 
 

@@ -117,3 +117,32 @@ def test_json_drift_by_key_path_names_changed_counts_and_verdicts(tmp_path):
     assert by_key[1] == "masked_in.iterations 47 -> 48"
     assert by_key[2].startswith("total.value 3e-12") and by_key[3].startswith("trace[1] 1e-09")
     assert len(by_key) == 4 and stats["worst"] == 1.0  # false -> true reads as 0 -> 1
+
+
+def test_a_dropped_column_or_added_key_compares_what_both_sides_hold(tmp_path):
+    ic = load_identity_check()
+    base, head = str(tmp_path / "base.csv"), str(tmp_path / "head.csv")
+    with open(base, "w") as fh:
+        fh.write("channel_a,channel_b,kl_raw,kl_candidates,kl_intermediate\n0,1,0.5,0.25,0.125\n")
+    with open(head, "w") as fh:
+        fh.write("channel_a,channel_b,kl_raw,kl_candidates\n0,1,0.5,0.25\n")
+    verdict, stats = ic.drift(base, head)
+    assert verdict == ("only in base: kl_intermediate; worst relative drift 0; "
+                       "by column: channel_a 0, channel_b 0, kl_raw 0, kl_candidates 0")
+    assert stats == {"worst": 0.0}
+    # one more row: the shared columns no longer line up, so they drift without bound
+    with open(head, "a") as fh:
+        fh.write("0,2,0.5,0.25\n")
+    verdict, stats = ic.drift(base, head)
+    assert verdict == ("only in base: kl_intermediate; layout differs: channel_a, channel_b, "
+                       "kl_raw, kl_candidates; worst relative drift inf")
+    assert stats["worst"] == np.inf
+
+    paths = []
+    for side, doc in (("base", {"total": {"value": 2.0}}), ("head", {"total": {"value": 2.0, "windows": 16}})):
+        paths.append(str(tmp_path / f"{side}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(doc, fh)
+    verdict, stats = ic.drift(*paths)
+    assert verdict == "only in head: total.windows; worst relative drift 0"
+    assert stats == {"worst": 0.0}

@@ -426,6 +426,19 @@ def test_scam_records_are_complete(scam_run):
                 assert np.isfinite(v)
 
 
+def test_scam_batch_loss_reaches_every_recon_parameter(monkeypatch):
+    # the trainer's store holds all of g.parameters(), so every one must be trained
+    batch_losses = []
+    monkeypatch.setattr("tscorrect.training._fit", lambda bundle, f, g, cfg, fn: batch_losses.append(fn) or [])
+    splits, mc = toy_bundle(seed=1), toy_model_config()
+    g = ReconstructionNet(mc, np.random.default_rng(1))
+    train_scam(splits, g, MlpPredictor(mc, np.random.default_rng(0)), TrainConfig(mode="scam", seed=0))
+    tape = Tape()
+    x, y = (flatten_channels(a[:64]) for a in (splits.train.x, splits.train.y))
+    tape.backward(batch_losses[0](tape, x, y)[0])
+    assert [name for name, v in g.parameters() if not v.grad.any()] == []
+
+
 def test_best_epoch_restore_recomputes_the_singular_pairs(tmp_path):
     # the restored weights are the best epoch's, not the last one's, so u and v
     # have to follow them; a checkpoint of the trained model restores the same pairs
@@ -508,7 +521,7 @@ def log_phi(monkeypatch) -> list:
     phis, forward = [], ReconstructionNet.forward
 
     def logged(self, tape, y):
-        phis.append(np.concatenate([v.value.ravel() for _, v in self.loss_parameters()]))
+        phis.append(np.concatenate([v.value.ravel() for _, v in self.parameters()]))
         return forward(self, tape, y)
 
     monkeypatch.setattr(ReconstructionNet, "forward", logged)
@@ -566,7 +579,7 @@ def test_grid_search_returns_the_best_round(monkeypatch):
     best = min(records, key=lambda r: r.test_mse)
     assert best.index < len(records) - 1  # g must be set back from a later phi
     assert evaluate(f, splits.test, cfg.eval_batch) == (best.test_mse, best.test_mae)
-    phi = np.concatenate([v.value.ravel() for _, v in g.loss_parameters()])
+    phi = np.concatenate([v.value.ravel() for _, v in g.parameters()])
     # every round runs the same number of chunks; the best round's first pass reads its phi
     assert np.array_equal(phi, phis[best.index * len(phis) // len(records)])
     assert not np.array_equal(phi, phis[-1])
