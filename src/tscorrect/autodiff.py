@@ -16,18 +16,19 @@ them.
 Conventions:
   * everything is float64, row-major;
   * no broadcasting beyond scalar-with-array, save for the bias rows of
-    ``linear`` (x @ w.T + b) and ``pointwise_mlp``'s output, added in place
-    to the matmul output (its hidden bias rides in the GEMM, against a
-    column of ones); the conv bias, b tiled r times over r output rows at
-    once, its gradient the gemv ``np.ones(n) @ g``; the (B, 1) constant
-    columns of ``affine_rows``; and the candidate axis of
-    ``candidate_mean``, where candidates c of (B, S, ...) meet p of
+    ``linear`` (x @ w.T + b), added in place to the matmul output; the
+    conv bias and ``pointwise_mlp``'s output bias, b tiled r times over r
+    output rows at once (its hidden bias rides in the GEMM, against a
+    column of ones), the conv bias gradient the gemv ``np.ones(n) @ g``;
+    the (B, 1) constant columns of ``affine_rows``; and the candidate axis
+    of ``candidate_mean``, where candidates c of (B, S, ...) meet p of
     (B, ...), and the gradient of p sums over that axis. Every other
     backward rule stays a plain transpose/sum;
-  * layouts: ``conv_pyramid`` works channels-last, (B, T, C), and reads
-    each level's input through row-pair views, with no im2col copy
-    (``conv_halving``); ``pointwise_mlp`` maps its (B, T, d) features to
-    the (B, S, T) candidate stack the losses read, so no op only moves axes;
+  * layouts: ``conv_pyramid`` works channels-last, (B, T, C); its levels
+    (``conv_halving``, row-pair views, no im2col) run only on unit windows,
+    and the batch is one GEMM of x's stride-2^L tiles against the matrix
+    they give; ``pointwise_mlp`` maps its (B, T, d) features to the
+    (B, S, T) candidate stack the losses read, so no op only moves axes;
   * subgradient choices at kinks: sign(0) = 0 for abs, indicator(x > 0)
     for relu;
   * a Tape and the Vars it produced are confined to one thread;
@@ -86,12 +87,6 @@ class ParamStore:
             v.value, v.grad = self.value[span].reshape(v.value.shape), self.grad[span].reshape(v.grad.shape)
 
 
-def packed(x: Array) -> Array:
-    """x (..., n), last axis contiguous, as (...) n-float blobs that numpy
-    copies in one move each, not in an n-long inner loop (2.4x at n = 2)."""
-    return x.view(np.dtype((np.void, x.shape[-1] * x.itemsize)))[..., 0]
-
-
 def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
     """conv1d on x (B, T, C_in): the (B, T_out, C_out) output, and
     backward(g, need_x) -> (gx or None, gw, gb) for g of its shape."""
@@ -139,8 +134,8 @@ def conv_halving(x: Array, w: Array, b: Array):
     the odd half of row o - 1, so no input row is copied."""
     B, T, c_in = x.shape
     if T % 2 or w.shape[1:] != (c_in, 3):
-        raise DimensionError(f"conv_pyramid needs an even length and (C_out, {c_in}, 3) weights, "
-                             f"got input {x.shape} and weights {w.shape}")
+        raise DimensionError(f"a conv level needs an even length and (C_out, {c_in}, 3) weights, "
+                             f"got length {T} and weights {w.shape}")
     c_out, t_out, n = len(w), T // 2, B * T // 2
     pairs = x.reshape(n, 2 * c_in)  # row o: rows 2o and 2o + 1; its odd half is pairs[:, c_in:]
     # contiguous weights, each GEMM NN: BLAS runs x @ W.T for a few outputs 2-3x slower
@@ -169,6 +164,31 @@ def conv_halving(x: Array, w: Array, b: Array):
         return gx.reshape(x.shape), gw, gb
 
     return out.reshape(B, t_out, c_out), backward
+
+
+def halving_levels(x: Array, layers: Sequence[tuple[Array, Array]]):
+    """conv_halving levels (w, b) on x (B, T, C_0), each level's output (B,
+    T_l, C_l) the next one's input, every input of even length: the outputs
+    side by side, each flattened per row and folded onto T positions, (B, T,
+    D), and backward(g) -> [gw_0, gb_0, gw_1, ...], x taken as a constant."""
+    B, T, _ = x.shape
+    levels = []  # (output, backward) of each level
+    for w, b in layers:
+        levels.append(conv_halving(levels[-1][0] if levels else x, w, b))
+    feats = np.concatenate([out.reshape(B, T, -1) for out, _ in levels], axis=2)
+    edges = np.cumsum([0] + [out.size // (B * T) for out, _ in levels])
+
+    def backward(g: Array):
+        grads, gx = [], None
+        for level, (out, back) in reversed(list(enumerate(levels))):
+            go = np.ascontiguousarray(g[:, :, edges[level] : edges[level + 1]]).reshape(out.shape)
+            if gx is not None:
+                go += gx  # what the next level sends back
+            gx, gw, gb = back(go, level > 0)
+            grads[:0] = [gw, gb]
+        return grads
+
+    return feats, backward
 
 
 class Tape:
@@ -272,11 +292,12 @@ class Tape:
         out, w2t = np.empty((n, len(w2v))), np.ascontiguousarray(w2v.T)  # NN: see conv_halving
         for rows in blocks:
             np.matmul(hidden(zv[rows]), w2t, out=out[rows])
-        out += b2.value
+        r = math.gcd(n, 256)  # b2 as one row of r copies, as in conv_halving
+        out.reshape(-1, r * len(w2v))[...] += np.tile(b2.value, r)
 
         def backward(g: Array):
+            live = (g != 0.0).any(axis=1).reshape(n)  # NaN and inf live, +-0 dead
             g = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)  # C-ordered rows, B = 1 too
-            live = np.abs(g) @ np.ones(g.shape[1]) != 0.0
             gz = np.zeros_like(zv) if z.requires_grad else None
             gh_buf, relu_buf = np.empty_like(h_buf), np.empty(h_buf.shape, dtype=bool)
             gw1, gb1, gw2, gb2 = sums = [np.zeros_like(v.value) for v in (w1, b1, w2, b2)]
@@ -338,33 +359,44 @@ class Tape:
         return self._record(out.transpose(0, 2, 1), (x, w, b), backward)
 
     def conv_pyramid(self, x: Var, layers: Sequence[tuple[Var, Var]]) -> Var:
-        """conv_halving levels on x (B, T, C_0), each level's output (B, T_l,
-        C_l) the next one's input, every input of even length; returns them side
-        by side, each flattened per row and folded onto T positions: (B, T, sum T_l C_l / T)."""
-        B, T, _ = x.value.shape
-        params = [v for layer in layers for v in layer]
-        levels, cur = [], x.value  # (output, backward) of each level
-        for w, b in layers:
-            levels.append(conv_halving(cur, w.value, b.value))
-            cur = levels[-1][0]
-        folded = [out.reshape(B, T, -1) for out, _ in levels]
-        edges = np.cumsum([0] + [f.shape[2] for f in folded])
-        feats = np.empty((B, T, edges[-1]))
-        for f, lo, hi in zip(folded, edges, edges[1:]):
-            packed(feats[:, :, lo:hi])[...] = packed(f)
+        """``halving_levels`` on x (B, T, C_0), T a multiple of TILE = 2^len(layers):
+        (B, T, D). The levels are linear between their biases, so tile t, feature
+        rows [t TILE, (t + 1) TILE), is one affine map of the 2 TILE - 1 input rows
+        up to its last, zeros before row 0: a matrix K shared by every tile, plus
+        tile 0's constant, which the levels' left padding moves, or the other
+        tiles' one. K comes from the levels run on unit windows with zero biases,
+        the constants from a zero window with the biases; the batch is then one
+        GEMM, x's tiles times K, with the constants riding in it as two rows."""
+        B, T, c0 = x.value.shape
+        tile, params = 1 << len(layers), [v for layer in layers for v in layer]
+        if T % tile:
+            raise DimensionError(f"{len(layers)} conv levels need a length divisible by {tile}, got {T}")
+        lead, span, n = (tile - 1) * c0, (2 * tile - 1) * c0, B * T // tile  # floats before a tile, in all
+        k, k_back = halving_levels(np.eye(span, 2 * tile * c0, c0).reshape(span, 2 * tile, c0),
+                                   [(w.value, np.zeros_like(b.value)) for w, b in layers])
+        c, c_back = halving_levels(np.zeros((1, 2 * tile, c0)), [(w.value, b.value) for w, b in layers])
+        k = np.vstack((k[:, tile:].reshape(span, -1), c.reshape(2, -1)))  # unit windows' tile 1; tiles 0, 1
+        xp = np.pad(x.value.reshape(B, -1), ((0, 0), (lead, 0)))
+        tiles = np.zeros((B, T // tile, span + 2))  # a tile's input rows, then a 1 for its constant
+        tiles[:, :, :span] = np.lib.stride_tricks.sliding_window_view(xp, span, axis=1)[:, :: tile * c0]
+        tiles[:, 0, span] = tiles[:, 1:, span + 1] = 1.0
+        tiles = tiles.reshape(n, span + 2)
 
         def backward(g: Array):
-            g, grads, gx = np.ascontiguousarray(g), [], None
-            for level in reversed(range(len(layers))):
-                go = np.empty(levels[level][0].shape)
-                packed(go.reshape(B, T, -1))[...] = packed(g[:, :, edges[level] : edges[level + 1]])
-                if gx is not None:
-                    go += gx  # what the next level sends back
-                gx, gw, gb = levels[level][1](go, level > 0 or x.requires_grad)
-                grads[:0] = [gw, gb]
+            gf = g.reshape(n, -1)
+            gk = tiles.T @ gf
+            grads = c_back(gk[span:].reshape(1, 2 * tile, -1))
+            units = k_back(np.hstack((np.zeros_like(gk[:span]), gk[:span])).reshape(span, 2 * tile, -1))
+            grads[::2] = [gc + gu for gc, gu in zip(grads[::2], units[::2])]
+            gx = None
+            if x.requires_grad:  # a window's last TILE rows are its tile, the rest end the tile before
+                gt = (gf @ np.ascontiguousarray(k[:span].T)).reshape(B, T // tile, span)
+                gx = gt[:, :, lead:].copy()
+                gx[:, :-1, c0:] += gt[:, 1:, :lead]
+                gx = gx.reshape(x.value.shape)
             return gx, *(gv if v.requires_grad else None for v, gv in zip(params, grads))
 
-        return self._record(feats, (x, *params), backward)
+        return self._record((tiles @ k).reshape(B, T, -1), (x, *params), backward)
 
     def spectral_weight(self, w: Var, gamma: Var, u: Array, v: Array, floor: float) -> Var:
         """gamma * w / sigma, sigma = u^T w v with u, v held constant (so dL/dw has

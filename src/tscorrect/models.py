@@ -268,7 +268,9 @@ class ReconstructionNet:
     holds exactly dim_multiplier/2 features per horizon position once its
     (T_l, C_l) output is unfolded row-major onto the horizon grid. Horizon
     position j therefore reads conv position floor(j * T_l / H), whose
-    receptive field on the input window is 2^(l+1) - 1 wide.
+    receptive field on the input window is 2^(l+1) - 1 wide. With no
+    nonlinearity between levels, each 16 horizon rows are one affine map of
+    the 31 rows up to their last; conv_pyramid applies it as one GEMM.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):

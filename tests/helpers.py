@@ -193,6 +193,76 @@ def reference_conv_halving(x, w, b):
     return out.reshape(B, T // 2, c_out), backward
 
 
+def reference_levels(x, layers):
+    """The conv pyramid level by level (reference_conv_halving), each level's
+    output the next one's input: the outputs folded onto x's T rows side by
+    side, (B, T, D), and backward(g, need_x) -> (gx or None, [gw_0, gb_0,
+    ...]), each level fed its slice of g plus what the level above sends
+    back."""
+    B, T, _ = x.shape
+    levels, cur = [], x
+    for w, b in layers:
+        levels.append(reference_conv_halving(cur, w, b))
+        cur = levels[-1][0]
+    edges = np.cumsum([0] + [out.size // (B * T) for out, _ in levels])
+    feats = np.concatenate([out.reshape(B, T, -1) for out, _ in levels], axis=2)
+
+    def backward(g, need_x):
+        grads, gx = [], None
+        for level in reversed(range(len(levels))):
+            out, back = levels[level]
+            go = np.ascontiguousarray(g[:, :, edges[level]:edges[level + 1]]).reshape(out.shape)
+            if gx is not None:
+                go += gx
+            gx, gw, gb = back(go, level > 0 or need_x)
+            grads[:0] = [gw, gb]
+        return gx, grads
+
+    return feats, backward
+
+
+def reference_tile_pyramid(x, layers):
+    """Tape.conv_pyramid in its plain form: K and the two constants read off
+    reference_levels on unit windows with zero biases and on a zero window
+    with the biases, each tile's input rows gathered by index from a
+    zero-padded copy of x next to a one-hot pair of constant columns, and the
+    input gradient added back window by window. Same GEMMs in the same
+    grouping: the bit-exact reference for the kernel's views. Returns the
+    (B, T, D) features and backward(g) -> (gx, [gw_0, gb_0, ...])."""
+    B, T, c0 = x.shape
+    tile = 2 ** len(layers)
+    span, nt = (2 * tile - 1) * c0, T // tile
+    units = np.zeros((span, 2 * tile * c0))
+    units[np.arange(span), c0 + np.arange(span)] = 1.0  # float j of tile 1's 2 tile - 1 input rows
+    zero_biases = [(w, np.zeros(len(w))) for w, _ in layers]
+    kf, k_back = reference_levels(units.reshape(span, 2 * tile, c0), zero_biases)
+    cf, c_back = reference_levels(np.zeros((1, 2 * tile, c0)), layers)
+    # K, then tile 0's constant and the other tiles' one
+    k = np.concatenate((kf[:, tile:].reshape(span, -1), cf.reshape(2, -1)))
+    xp = np.concatenate((np.zeros((B, tile - 1, c0)), x), axis=1).reshape(B, -1)
+    tiles = np.zeros((B, nt, span + 2))
+    tiles[:, :, :span] = xp[:, np.arange(nt)[:, None] * tile * c0 + np.arange(span)]
+    tiles[:, 0, span] = 1.0
+    tiles[:, 1:, span + 1] = 1.0
+    tiles = tiles.reshape(B * nt, span + 2)
+
+    def backward(g):
+        gf = g.reshape(B * nt, -1)
+        gk = tiles.T @ gf
+        _, grads = c_back(gk[span:].reshape(1, 2 * tile, -1), False)
+        unit_in = np.concatenate((np.zeros((span, len(gk[0]))), gk[:span]), axis=1)
+        _, unit_grads = k_back(unit_in.reshape(span, 2 * tile, -1), False)
+        for i in range(0, len(grads), 2):
+            grads[i] = grads[i] + unit_grads[i]
+        gt = (gf @ np.ascontiguousarray(k[:span].T)).reshape(B, nt, span)
+        gxp = np.zeros((B, (T + tile - 1) * c0))
+        for t in range(nt):
+            gxp[:, t * tile * c0:t * tile * c0 + span] += gt[:, t]
+        return gxp[:, (tile - 1) * c0:].reshape(x.shape), grads
+
+    return (tiles @ k).reshape(B, T, -1), backward
+
+
 def conv_levels(g, y):
     """Each conv level's (B, T_l, C_l) output, read back from its slice of
     g.encode(y)'s (B, H, d_feat) features: level l holds columns

@@ -9,7 +9,7 @@ from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import co_objective_loss
 from tscorrect.models import SIGMA_FLOOR
 from tscorrect.training import Adam
-from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last,
+from helpers import (away_from_kinks, fd_worst_rel_err, reference_conv_channels_last, reference_levels,
                      reference_pointwise_mlp, weighted_candidate_l1)
 
 RNG = np.random.default_rng
@@ -178,6 +178,34 @@ def test_conv_pyramid_refuses_an_odd_length_at_any_level():
     for t_len in (5, 6):  # level 0 odd; level 1 gets 3
         with pytest.raises(DimensionError):
             Tape().conv_pyramid(Var(np.ones((2, t_len, 1))), [(w1, b1), (w2, b2)])
+
+
+@pytest.mark.parametrize("c0", [1, 2])
+@pytest.mark.parametrize("dm", [2, 4])
+@pytest.mark.parametrize("b", [1, 7, 896])
+@pytest.mark.parametrize("h", [16, 32, 96, 192])
+def test_conv_pyramid_matches_the_per_level_chain(h, b, dm, c0):
+    # the one tile GEMM sums in another order than the levels run one by
+    # one, so features and every gradient agree to rounding, for 1-4 levels
+    rng = RNG([h, b, dm, c0])
+    for n_levels in range(1, 5):
+        chans = [c0] + [dm << level for level in range(n_levels)]
+        layers = [(rng.uniform(-1, 1, (c, c_in, 3)) / np.sqrt(3 * c_in), rng.standard_normal(c))
+                  for c_in, c in zip(chans, chans[1:])]
+        x = rng.standard_normal((b, h, c0))
+        xv = Var(x, requires_grad=True)
+        params = [(Var(w, requires_grad=True), Var(bias, requires_grad=True)) for w, bias in layers]
+        t = Tape()
+        feats = t.conv_pyramid(xv, params)
+        upstream = rng.standard_normal(feats.value.shape)
+        t.backward(t.mean(t.mul(feats, t.constant(upstream))))
+        ref, ref_back = reference_levels(x, layers)
+        # the mean's backward hands the product 1/n times the upstream
+        ref_gx, ref_grads = ref_back(upstream * (1.0 / upstream.size), True)
+        got = [feats.value, xv.grad, *(v.grad for layer in params for v in layer)]
+        for i, (a, r) in enumerate(zip(got, [ref, ref_gx, *ref_grads])):
+            assert a.shape == r.shape
+            assert np.max(np.abs(a - r)) <= 1e-13 * np.max(np.abs(r)), (n_levels, i)
 
 
 def test_conv1d_zero_weights_gives_bias_broadcast():
@@ -395,6 +423,32 @@ def test_pointwise_mlp_backward_skips_dead_rows(case):
         assert np.max(np.abs(x.grad - r), initial=0.0) <= 1e-12 * np.max(np.abs(r), initial=0.0)
     if case == "all dead":
         assert not any(x.grad.any() for x in v)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0])
+def test_pointwise_mlp_live_rows_nan_and_inf_but_not_negative_zero(fill):
+    # a row of NaN or of inf is live and reaches z's gradient; a row of -0.0
+    # only is dead, so its z row, NaN here, is never recomputed
+    rng = RNG(26)
+    z = rng.standard_normal((3, 5, 4))
+    w1, b1 = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, 6)
+    w2, b2 = rng.uniform(-1, 1, (2, 6)), rng.uniform(-1, 1, 2)
+    weight = rng.standard_normal((3, 2, 5))
+    weight[1, :, 2] = fill  # position 2 of window 1: row 7 of the (15, 4) rows
+    if fill == 0.0:
+        z[1, 2] = np.nan
+    v = [Var(a, requires_grad=True) for a in (z, w1, b1, w2, b2)]
+    t = Tape()
+    with np.errstate(invalid="ignore"):
+        t.backward(t.mean(t.mul(t.pointwise_mlp(*v), t.constant(weight))))
+    gz = v[0].grad
+    others = np.delete(gz.reshape(15, 4), 7, axis=0)
+    assert np.isfinite(others).all()
+    if fill == 0.0:
+        assert all(np.isfinite(x.grad).all() for x in v)
+        assert not gz[1, 2].any() and not np.signbit(gz[1, 2]).any()
+    else:
+        assert not np.isfinite(gz[1, 2]).any()
 
 
 def spectral_chain(t, w, gamma, u, v):

@@ -22,7 +22,7 @@ from tscorrect.models import (
     save_checkpoint,
     top_singular_pair,
 )
-from helpers import conv_levels, fd_model_worst_rel_err, reference_conv_halving
+from helpers import conv_levels, fd_model_worst_rel_err, reference_tile_pyramid
 
 RNG = np.random.default_rng
 
@@ -414,26 +414,11 @@ def test_recon_shape_walk():
 
 
 def reference_encode(g, y, upstream):
-    """Tape.conv_pyramid on g's encoder, from reference_conv_halving:
-    the (B, H, d_feat) features, each level's output unfolded onto the H
-    rows, and the conv weight and bias gradients for the upstream gradient,
-    each level's upstream slice plus what the level above sends back."""
-    b, h = y.shape
-    per = g.cfg.dim_multiplier // 2
-    levels, cur = [], y[:, :, None]
-    for w, bias in g.convs:
-        levels.append(reference_conv_halving(cur, w.value, bias.value))
-        cur = levels[-1][0]
-    feats = np.concatenate([out.reshape(b, h, per) for out, _ in levels], axis=2)
-    grads, gx = [], None
-    for level in reversed(range(len(levels))):
-        out, back = levels[level]
-        go = np.ascontiguousarray(upstream[:, :, level * per:(level + 1) * per]).reshape(out.shape)
-        if gx is not None:
-            go += gx
-        gx, gw, gb = back(go, level > 0)
-        grads[:0] = [gw, gb]
-    return feats, grads
+    """Tape.conv_pyramid on g's encoder, from reference_tile_pyramid: the
+    (B, H, d_feat) features and the conv weight and bias gradients for the
+    upstream gradient."""
+    feats, backward = reference_tile_pyramid(y[:, :, None], [(w.value, b.value) for w, b in g.convs])
+    return feats, backward(upstream)[1]
 
 
 @pytest.mark.parametrize("dm", [2, 4])
