@@ -16,16 +16,15 @@ them.
 Conventions:
   * everything is float64, row-major;
   * no broadcasting beyond scalar-with-array, save for the bias rows of
-    ``linear`` (x @ w.T + b), added in place to the matmul output; the
-    conv bias and ``pointwise_mlp``'s output bias, b tiled r times over r
-    output rows at once (its hidden bias rides in the GEMM, against a
-    column of ones), the conv bias gradient the gemv ``np.ones(n) @ g``;
-    the (B, 1) constant columns of ``affine_rows``; and the candidate axis
-    of ``candidate_mean``, where candidates c of (B, S, ...) meet p of
-    (B, ...), and the gradient of p sums over that axis. Every other
-    backward rule stays a plain transpose/sum;
+    ``linear`` (x @ w.T + b) and the conv, added in place to the matmul
+    output; ``pointwise_mlp``'s output bias, b tiled r times over r output
+    rows at once (its hidden bias rides in the GEMM, against a column of
+    ones); the (B, 1) constant columns of ``affine_rows``; and the
+    candidate axis of ``candidate_mean``, where candidates c of (B, S, ...)
+    meet p of (B, ...), and the gradient of p sums over that axis. Every
+    other backward rule stays a plain transpose/sum;
   * layouts: ``conv_pyramid`` works channels-last, (B, T, C); its levels
-    (``conv_halving``, row-pair views, no im2col) run only on unit windows,
+    (``conv_channels_last``, stride 2, padding 1) run only on unit windows,
     and the batch is one GEMM of x's stride-2^L tiles against the matrix
     they give; ``pointwise_mlp`` maps its (B, T, d) features to the
     (B, S, T) candidate stack the losses read, so no op only moves axes;
@@ -107,10 +106,7 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
     flat = cols.reshape(B * t_out, c_in * k)
     wf = w.reshape(c_out, c_in * k)
     out = flat @ wf.T
-    # the bias as one row of r copies: `out += b` would loop only C_out wide
-    r = math.gcd(B * t_out, 256)
-    wide = out.reshape(-1, r * c_out)
-    wide += np.tile(b, r)
+    out += b
 
     def backward(g: Array, need_x: bool):
         gf = g.reshape(B * t_out, c_out)
@@ -126,55 +122,16 @@ def conv_channels_last(x: Array, w: Array, b: Array, stride: int, padding: int):
     return out.reshape(B, t_out, c_out), backward
 
 
-def conv_halving(x: Array, w: Array, b: Array):
-    """conv1d with kernel 3, stride 2 and padding 1 on x (B, T, C_in), T
-    even: the (B, T/2, C_out) output, and backward(g, need_x) -> (gx or
-    None, gw, gb) for g of its shape. Output o reads rows 2o - 1, 2o and
-    2o + 1: taps 1-2 are row o of the view x.reshape(B T/2, 2 C_in), tap 0
-    the odd half of row o - 1, so no input row is copied."""
-    B, T, c_in = x.shape
-    if T % 2 or w.shape[1:] != (c_in, 3):
-        raise DimensionError(f"a conv level needs an even length and (C_out, {c_in}, 3) weights, "
-                             f"got length {T} and weights {w.shape}")
-    c_out, t_out, n = len(w), T // 2, B * T // 2
-    pairs = x.reshape(n, 2 * c_in)  # row o: rows 2o and 2o + 1; its odd half is pairs[:, c_in:]
-    # contiguous weights, each GEMM NN: BLAS runs x @ W.T for a few outputs 2-3x slower
-    w12t = np.ascontiguousarray(w[:, :, 1:].transpose(0, 2, 1)).reshape(c_out, 2 * c_in)
-    out = np.empty((n, c_out))
-    np.matmul(pairs[:-1, c_in:], np.ascontiguousarray(w[:, :, 0].T), out=out[1:])  # tap 0, one row down
-    out.reshape(B, t_out, c_out)[:, 0] = 0.0  # padding, not the previous window's last row
-    out += pairs @ w12t.T.copy()
-    # the bias as one row of r copies: `out += b` would loop only C_out wide
-    r = math.gcd(n, 256)
-    wide = out.reshape(-1, r * c_out)
-    wide += np.tile(b, r)
-
-    def backward(g: Array, need_x: bool):
-        gf = g.reshape(n, c_out)
-        up = np.concatenate((gf[1:], gf[:1]))  # row i: output i + 1's gradient, read from odd row i
-        up.reshape(B, t_out, c_out)[:, -1] = 0.0  # no output past each window's end
-        gw = np.empty(w.shape)
-        gw[:, :, 0] = (pairs[:, c_in:].T @ up).T
-        gw[:, :, 1:] = (pairs.T @ gf).reshape(2, c_in, c_out).transpose(2, 1, 0)
-        gb = np.ones(n) @ gf  # a BLAS gemv: faster than gf.sum(axis=0)
-        if not need_x:
-            return None, gw, gb
-        gx = gf @ w12t  # taps 1-2 of each row pair, so no scatter
-        gx[:, c_in:] += up @ np.ascontiguousarray(w[:, :, 0])
-        return gx.reshape(x.shape), gw, gb
-
-    return out.reshape(B, t_out, c_out), backward
-
-
 def halving_levels(x: Array, layers: Sequence[tuple[Array, Array]]):
-    """conv_halving levels (w, b) on x (B, T, C_0), each level's output (B,
-    T_l, C_l) the next one's input, every input of even length: the outputs
-    side by side, each flattened per row and folded onto T positions, (B, T,
-    D), and backward(g) -> [gw_0, gb_0, gw_1, ...], x taken as a constant."""
+    """conv_channels_last levels (w, b), stride 2 and padding 1, on x (B, T,
+    C_0), each level's output (B, T_l, C_l) the next one's input, every input
+    of even length: the outputs side by side, each flattened per row and
+    folded onto T positions, (B, T, D), and backward(g) -> [gw_0, gb_0,
+    gw_1, ...], x taken as a constant."""
     B, T, _ = x.shape
     levels = []  # (output, backward) of each level
     for w, b in layers:
-        levels.append(conv_halving(levels[-1][0] if levels else x, w, b))
+        levels.append(conv_channels_last(levels[-1][0] if levels else x, w, b, 2, 1))
     feats = np.concatenate([out.reshape(B, T, -1) for out, _ in levels], axis=2)
     edges = np.cumsum([0] + [out.size // (B * T) for out, _ in levels])
 
@@ -289,10 +246,11 @@ class Tape:
             h = np.matmul(zb, w1b, out=h_buf[: len(zb)])
             return np.maximum(h, 0.0, out=h)
 
-        out, w2t = np.empty((n, len(w2v))), np.ascontiguousarray(w2v.T)  # NN: see conv_halving
+        # w2 transposed once, each GEMM NN: BLAS runs x @ W.T for a few outputs 2-3x slower
+        out, w2t = np.empty((n, len(w2v))), np.ascontiguousarray(w2v.T)
         for rows in blocks:
             np.matmul(hidden(zv[rows]), w2t, out=out[rows])
-        r = math.gcd(n, 256)  # b2 as one row of r copies, as in conv_halving
+        r = math.gcd(n, 256)  # b2 as one row of r copies: `+= b2` would loop only S wide
         out.reshape(-1, r * len(w2v))[...] += np.tile(b2.value, r)
 
         def backward(g: Array):

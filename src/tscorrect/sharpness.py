@@ -112,7 +112,6 @@ def lambda_max(
     max_iters: int = MAX_POWER_ITERS,
     tol: float = RAYLEIGH_TOL,
     segment: str | None = None,
-    trace: list | None = None,
 ) -> SharpnessResult:
     """Largest (algebraic) eigenvalue of the (segment-restricted) Hessian.
 
@@ -121,11 +120,11 @@ def lambda_max(
     basis, and a second only when the first cut |w| below 1/sqrt(2) of its
     value (the DGKS test). The running estimate is the top eigenvalue of
     the growing tridiagonal matrix; interlacing makes it non-decreasing step
-    to step, and trace, if given, collects it. Converged means the Ritz residual
-    beta*|s_k| (which bounds the distance from the estimate to a true
-    eigenvalue) fell below tol relative to the estimate, or the Krylov
-    space exhausted the masked dimension, in which case the value is exact
-    up to the finite-difference error of the Hessian-vector products.
+    to step. Converged means the Ritz residual beta*|s_k| (which bounds the
+    distance from the estimate to a true eigenvalue) fell below tol relative
+    to the estimate, or the Krylov space exhausted the masked dimension, in
+    which case the value is exact up to the finite-difference error of the
+    Hessian-vector products.
     """
     if max_iters < 1 or not tol > 0:
         raise ContractError(f"lambda_max needs max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
@@ -156,8 +155,6 @@ def lambda_max(
             beta = float(np.linalg.norm(_project_out(done, w, proj)))
         vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         theta = float(vals[-1])
-        if trace is not None:
-            trace.append(theta)
         scale = max(abs(theta), 1e-12)
         # the Ritz residual met tol, or the Krylov space is invariant, exactly
         if beta * abs(float(vecs[-1, -1])) <= tol * scale or beta <= 1e-12 * max(1.0, scale):

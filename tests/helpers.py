@@ -151,58 +151,16 @@ def reference_conv_channels_last(x, w, b, stride, padding):
     return out.reshape(B, t_out, c_out), backward
 
 
-def reference_conv_halving(x, w, b):
-    """autodiff.conv_halving in its plain form: the row pairs (2o, 2o + 1)
-    as a concatenated copy, the tap-0 term an explicit 0 at each window's
-    first output, the bias added row by row, and the input gradient
-    assembled from its even and odd rows. Same GEMMs, in the same grouping
-    and order of sums: the bit-exact reference for the kernel's views. The
-    odd rows stay a strided view, as in the kernel: at C_in = 1 their weight
-    gradient is a gemv, whose last bits depend on the vector's stride."""
-    B, T, c = x.shape
-    c_out, n = len(w), B * T // 2
-    first = np.arange(n) % (T // 2) == 0  # each window's first output, which has no tap 0
-    last = np.roll(first, -1)
-    odd = x[:, 1::2].reshape(n, c)
-    pairs = np.concatenate((x[:, 0::2].reshape(n, c), odd), axis=1)
-    w0, w12t = np.ascontiguousarray(w[:, :, 0]), np.concatenate((w[:, :, 1], w[:, :, 2]), axis=1)
-    out = np.zeros((n, c_out))
-    out[1:] = odd[:-1] @ np.ascontiguousarray(w0.T)
-    out[first] = 0.0
-    out = out + pairs @ np.ascontiguousarray(w12t.T)
-    out += b
-
-    def backward(g, need_x):
-        gf = g.reshape(n, c_out)
-        nxt = np.zeros((n, c_out))  # row i: output i + 1's gradient within the window
-        nxt[:-1] = gf[1:]
-        nxt[last] = 0.0
-        gw = np.empty(w.shape)
-        gw[:, :, 0] = (odd.T @ nxt).T
-        g12 = pairs.T @ gf
-        gw[:, :, 1], gw[:, :, 2] = g12[:c].T, g12[c:].T
-        gb = np.ones(n) @ gf
-        if not need_x:
-            return None, gw, gb
-        g12x = gf @ w12t
-        gx = np.empty(x.shape)
-        gx[:, 0::2] = g12x[:, :c].reshape(B, T // 2, c)
-        gx[:, 1::2] = (g12x[:, c:] + nxt @ w0).reshape(B, T // 2, c)
-        return gx, gw, gb
-
-    return out.reshape(B, T // 2, c_out), backward
-
-
 def reference_levels(x, layers):
-    """The conv pyramid level by level (reference_conv_halving), each level's
-    output the next one's input: the outputs folded onto x's T rows side by
-    side, (B, T, D), and backward(g, need_x) -> (gx or None, [gw_0, gb_0,
-    ...]), each level fed its slice of g plus what the level above sends
-    back."""
+    """The conv pyramid level by level (reference_conv_channels_last, stride
+    2, padding 1), each level's output the next one's input: the outputs
+    folded onto x's T rows side by side, (B, T, D), and backward(g, need_x)
+    -> (gx or None, [gw_0, gb_0, ...]), each level fed its slice of g plus
+    what the level above sends back."""
     B, T, _ = x.shape
     levels, cur = [], x
     for w, b in layers:
-        levels.append(reference_conv_halving(cur, w, b))
+        levels.append(reference_conv_channels_last(cur, w, b, 2, 1))
         cur = levels[-1][0]
     edges = np.cumsum([0] + [out.size // (B * T) for out, _ in levels])
     feats = np.concatenate([out.reshape(B, T, -1) for out, _ in levels], axis=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last, conv_halving
+from tscorrect.autodiff import POINTWISE_CHUNK, ParamStore, Tape, Var, conv_channels_last
 from tscorrect.errors import ContractError, DimensionError
 from tscorrect.losses import co_objective_loss
 from tscorrect.models import SIGMA_FLOOR
@@ -151,24 +151,6 @@ def test_conv_channels_last_matches_the_padded_reference_bit_for_bit(k, stride, 
         for need_x in (True, False):
             for got, want in zip(back(g, need_x), ref_back(g, need_x)):
                 assert (got is None and want is None) or np.array_equal(got, want), (t_len, need_x)
-
-
-@pytest.mark.parametrize("dm", [2, 4])
-@pytest.mark.parametrize("h", [16, 96])
-def test_conv_halving_matches_the_general_conv_at_every_level(h, dm):
-    # the encoder's level l: length h / 2^l, 1 or dm 2^(l-1) channels in, dm 2^l out
-    rng = RNG([h, dm])
-    for level in range(4):
-        c_in, c_out = (dm << level >> 1) if level else 1, dm << level
-        x = rng.standard_normal((7, h >> level, c_in))
-        w, b = rng.standard_normal((c_out, c_in, 3)), rng.standard_normal(c_out)
-        out, back = conv_halving(x, w, b)
-        ref, ref_back = reference_conv_channels_last(x, w, b, 2, 1)
-        g = rng.standard_normal(ref.shape)
-        for got, want in [(out, ref), *zip(back(g, True), ref_back(g, True))]:
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (level, got.shape)
-        assert back(g, False)[0] is None
 
 
 def test_conv_pyramid_refuses_an_odd_length_at_any_level():

@@ -5,6 +5,7 @@ eval, and diagnose tests to keep the suite quick.
 """
 
 import argparse
+import ast
 import glob
 import json
 import math
@@ -412,13 +413,14 @@ def test_readme_paths_exist():
 
 def test_readme_code_names_resolve():
     # a deleted or renamed op takes README's mention with it: `Tape.candidate_l1` outlived its op.
-    # Code names start from tscorrect, its modules by short name or the classes
+    # README's code names start from tscorrect, its modules by short name or the classes
     # they define; file names, `[section] key` pairs and BENCHMARK.json metric
-    # names share the dotted form and are left out
+    # names share the dotted form and are left out. A module's docstrings name
+    # ``code`` from that module: its attributes or those of a class it defines
     mods = {n.rpartition(".")[2]: m for n, m in sys.modules.items() if n.startswith("tscorrect.")}
-    space = {"tscorrect": sys.modules["tscorrect"], **mods,
-             **{k: v for m in mods.values() for k, v in vars(m).items()
-                if isinstance(v, type) and v.__module__ == m.__name__}}
+    classes = {short: [v for v in vars(m).values() if isinstance(v, type) and v.__module__ == m.__name__]
+               for short, m in mods.items()}
+    space = {"tscorrect": sys.modules["tscorrect"], **mods, **{c.__name__: c for cs in classes.values() for c in cs}}
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     skip = {m["name"] for kind in ("end_to_end", "per_layer") for m in bench[kind]}
@@ -428,16 +430,26 @@ def test_readme_code_names_resolve():
              and not n.endswith((".py", ".json", ".csv", ".ckpt", ".ini", ".md"))}
     assert {"Tape.pointwise_mlp", "ReconstructionNet.forward", "training.train_scam"} <= names
 
-    def resolves(name: str) -> bool:
-        head, *rest = name.split(".")
-        obj = space[head]
-        for part in rest:
+    def resolves(obj, parts) -> bool:
+        for part in parts:
             obj = getattr(obj, part, None)
             if obj is None:
                 return False
         return True
 
-    assert [n for n in sorted(names) if not resolves(n)] == []
+    stale = [n for n in sorted(names) if not resolves(space[n.split(".")[0]], n.split(".")[1:])]
+    doc_names = set()
+    for short, m in mods.items():
+        with open(m.__file__) as fh:
+            tree = ast.parse(fh.read())
+        docs = (ast.get_docstring(node) or "" for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+        for n in sorted(set(re.findall(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``", "\n".join(docs)))):
+            doc_names.add(f"{short}: {n}")
+            if not any(resolves(root, n.split(".")) for root in [m, *classes[short]]):
+                stale.append(f"{short}: {n}")
+    assert {"autodiff: Tape.backward", "autodiff: conv_pyramid"} <= doc_names
+    assert stale == []
 
 
 @pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(ROOT, "scripts", "*.py"))),

@@ -151,8 +151,9 @@ def test_lambda_max_homogeneity():
 def test_lambda_max_trace_monotone_and_final():
     rng = np.random.default_rng(8)
     a = sym(rng, 15)
-    trace = []
-    res = lambda_max(quad_ctx(a), seed=2, trace=trace)
+    res = lambda_max(quad_ctx(a), seed=2)
+    # the k-th estimate: the same run cut after k iterations
+    trace = [lambda_max(quad_ctx(a), seed=2, max_iters=k).value for k in range(1, res.iterations + 1)]
     assert len(trace) == res.iterations
     assert trace[-1] == res.value
     steps = np.diff(trace)
@@ -163,8 +164,8 @@ def test_lambda_max_nonconverged_reports_last_estimate():
     rng = np.random.default_rng(9)
     a = sym(rng, 20)
     ref = float(np.linalg.eigvalsh(a)[-1])
-    trace = []
-    res = lambda_max(quad_ctx(a), seed=0, max_iters=2, trace=trace)
+    res = lambda_max(quad_ctx(a), seed=0, max_iters=2)
+    trace = [lambda_max(quad_ctx(a), seed=0, max_iters=k).value for k in (1, 2)]
     assert not res.converged
     assert res.iterations == 2
     assert res.value == trace[-1]
