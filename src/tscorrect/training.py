@@ -68,18 +68,15 @@ class TrainConfig:
 
 
 class _Optimizer:
-    """Shared step protocol over a ParamStore: a non-finite gradient anywhere
-    skips the whole step and bumps skipped_steps instead of corrupting the
-    parameters or the optimizer state. Subclasses define only the update,
-    one op over the store's flat arrays."""
+    """One step over a ParamStore, inside _step's update protocol: a
+    non-finite gradient anywhere skips it and bumps skipped_steps instead of
+    corrupting the parameters or the optimizer state. Subclasses define only
+    the update, one op over the store's flat arrays."""
 
     def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = float(lr)
         self.skipped_steps = 0
-
-    def zero_grad(self) -> None:
-        self.store.grad.fill(0.0)
 
     def step(self) -> None:
         if not np.isfinite(self.store.grad).all():
@@ -150,6 +147,17 @@ BREAKDOWN_FIELDS = [f.name for f in fields(L.LossBreakdown)]
 TIMING_FIELDS = {"wall_time_s"}
 
 
+def _step(opt: _Optimizer, f, backward, *args):
+    """Every loop's update: zero opt's gradient, fill it by backward(*args), step,
+    then re-solve predictor f's singular pairs unless f is None. Returns backward's result."""
+    opt.store.grad.fill(0.0)
+    out = backward(*args)
+    opt.step()
+    if f is not None:
+        f.spectral_step()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -163,9 +171,7 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
     n = len(ds)
     if n == 0:
         raise ContractError("empty window dataset")
-    sq = 0.0
-    ab = 0.0
-    count = 0
+    sums = np.zeros(3)
     for lo in range(0, n, batch):
         hi = min(lo + batch, n)
         x = flatten_channels(ds.x[lo:hi])
@@ -177,11 +183,12 @@ def evaluate(model, ds: WindowDataset, batch: int = 512, scaler=None) -> tuple[f
             mu = np.tile(scaler.mean, hi - lo)[:, None]
             pred = pred * sd + mu
             y = y * sd + mu
-        d = pred - y
-        sq += float(np.sum(d * d))
-        ab += float(np.sum(np.abs(d)))
-        count += d.size
-    return sq / count, ab / count
+        sums += _error_sums(pred - y)
+    return float(sums[0] / sums[2]), float(sums[1] / sums[2])
+
+
+def _error_sums(d: np.ndarray) -> np.ndarray:
+    return np.array([np.sum(d * d), np.sum(np.abs(d)), d.size], dtype=float)
 
 
 def _batch_indices(n: int, batch: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -209,33 +216,25 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     best_state = store.value.copy()
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
-        sq = ab = 0.0
-        count = 0
-        bsum = np.zeros(len(BREAKDOWN_FIELDS))
+        sums, bsum = np.zeros(3), np.zeros(len(BREAKDOWN_FIELDS))
         for idx in _batch_indices(n, cfg.batch_size, rng):
             x = flatten_channels(bundle.train.x[idx])
             y = flatten_channels(bundle.train.y[idx])
             tape = Tape()
             loss, yhat, parts = batch_loss_fn(tape, x, y)
-            opt.zero_grad()
-            tape.backward(loss)
-            opt.step()
-            f.spectral_step()
-            d = yhat - y
-            sq += float(np.sum(d * d))
-            ab += float(np.sum(np.abs(d)))
-            count += d.size
+            _step(opt, f, tape.backward, loss)
+            sums += _error_sums(yhat - y)
             if parts is not None:
-                bsum += np.array(astuple(parts)) * d.size
+                bsum += np.array(astuple(parts)) * y.size
         val_mse, val_mae = evaluate(f, bundle.val, cfg.eval_batch)
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
-        bmean = bsum / count  # all zeros when batch_loss_fn gives no breakdown
+        bmean = bsum / sums[2]  # all zeros when batch_loss_fn gives no breakdown
         lam = None
         if cfg.log_sharpness:
             lam = lambda_max(predictor_loss_context(f, bundle.val, cfg.sharpness_batch), seed=cfg.seed).value
         records.append(EpochRecord(
             epoch=epoch,
-            train_mse=sq / count, train_mae=ab / count,
+            train_mse=float(sums[0] / sums[2]), train_mae=float(sums[1] / sums[2]),
             val_mse=val_mse, val_mae=val_mae,
             test_mse=test_mse, test_mae=test_mae,
             **{name: float(v) for name, v in zip(BREAKDOWN_FIELDS, bmean)},
@@ -314,13 +313,13 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
                       cfg: TrainConfig) -> tuple[object, ReconstructionNet, list[GridRecord]]:
     """Outer loop over candidate label sets (Alg: propose, fit, score, refine).
 
-    Each outer round i freezes the reconstruction parameters phi_i, fits a
-    freshly initialized predictor theta_i on the candidate labels until the
-    RMS gradient falls below the threshold or the step budget runs out, then
-    scores theta_i on raw test labels and takes one full-batch gradient step
-    on the reconstruction loss mean|c - t| to propose phi_{i+1}. Both losses
-    are halves of the co-objective. Returns the predictor of the round with
-    the lowest test MSE, and g set back to that round's phi.
+    Each outer round i freezes the candidate labels of the reconstruction
+    parameters phi_i, takes one full-batch gradient step on the reconstruction
+    loss mean|c - t| to propose phi_{i+1}, fits a freshly initialized predictor
+    theta_i on the frozen candidates until the RMS gradient falls below the
+    threshold or the step budget runs out, then scores theta_i on raw test
+    labels. Both losses are halves of the co-objective. Returns the predictor
+    of the round with the lowest test MSE, and g set back to that round's phi.
     """
     rng = np.random.default_rng([cfg.seed, 2])
     n, nch = len(bundle.train), bundle.train.n_channels
@@ -332,23 +331,11 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     for i in range(cfg.grid_candidates):
         f = predictor_factory(i)
         theta = ParamStore(f.parameters())
-        if cfg.grid_inner_optimizer == "adam":
-            inner = Adam(theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        else:
-            inner = Sgd(theta, cfg.lr)
-        # phi is frozen until the outer step, whose |c - t| loss never reads f: one
-        # taped pass per chunk gives every train row's candidates, loss_rec and the gradient
-        outer.zero_grad()
-        cands, loss_rec = [], 0.0
-        for lo in range(0, n, cfg.eval_batch):
-            y = labels[lo * nch : (lo + cfg.eval_batch) * nch]
-            tape = Tape()
-            cands.append(g.forward(tape, y))
-            # y stands in for the predictions, which a weight of 0 never reads
-            chunk = L.co_objective_loss(tape, cands[-1], y, y, pred_weight=0.0)
-            tape.backward(tape.mul(chunk, y.size / labels.size))
-            loss_rec += chunk.value.item() * (y.size / labels.size)
-        frozen = np.concatenate([c.value for c in cands])
+        inner = (Adam(theta, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                 if cfg.grid_inner_optimizer == "adam" else Sgd(theta, cfg.lr))
+        # the |c - t| loss never reads f, so phi can step before theta_i is fit
+        phi = outer.store.value.copy()
+        frozen, loss_rec = _step(outer, None, _recon_pass, g, labels, cfg.eval_batch * nch)
         # one stream of batches over as many epochs as the budget takes
         batches = (idx for _ in itertools.count() for idx in _batch_indices(n, cfg.batch_size, rng))
         for steps, idx in enumerate(batches, 1):
@@ -357,11 +344,9 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             tape = Tape()
             loss = L.co_objective_loss(tape, frozen[rows], f.forward(tape, x), labels[rows],
                                        rec_weight=0.0)
-            inner.zero_grad()
-            tape.backward(loss)
+            _step(inner, f, tape.backward, loss)
+            # the update reads the gradient and never writes it
             gnorm = float(np.linalg.norm(theta.grad)) / np.sqrt(theta.grad.size)
-            inner.step()
-            f.spectral_step()
             if steps >= cfg.grid_inner_steps or gnorm <= cfg.grid_grad_threshold:
                 break
         test_mse, test_mae = evaluate(f, bundle.test, cfg.eval_batch)
@@ -371,10 +356,24 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
         ))
         if best is None or test_mse < best.test_mse:
-            best, best_f, best_phi = records[-1], f, outer.store.value.copy()
-        outer.step()
+            best, best_f, best_phi = records[-1], f, phi
     outer.store.value[...] = best_phi
     return best_f, g, records
+
+
+def _recon_pass(g: ReconstructionNet, labels: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
+    """g's candidates for every label row, and the reconstruction loss mean|c - t|, whose
+    gradient accumulates into g's: one taped pass per chunk of `rows` rows at a time."""
+    cands, loss_rec = [], 0.0
+    for lo in range(0, len(labels), rows):
+        y = labels[lo : lo + rows]
+        tape = Tape()
+        cands.append(g.forward(tape, y))
+        # y stands in for the predictions, which a weight of 0 never reads
+        chunk = L.co_objective_loss(tape, cands[-1], y, y, pred_weight=0.0)
+        tape.backward(tape.mul(chunk, y.size / labels.size))
+        loss_rec += chunk.value.item() * (y.size / labels.size)
+    return np.concatenate([c.value for c in cands]), loss_rec
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from tscorrect.training import (
     Adam,
     TIMING_FIELDS,
     TrainConfig,
+    _step,
     evaluate,
     predictor_loss_context,
     train_scam,
@@ -264,10 +265,7 @@ def test_criterion_03_spectral_rescaling():
         tape = Tape()
         err = tape.sub(f.forward(tape, xb), tape.constant(yb))
         loss = tape.mean(tape.mul(err, err))
-        opt.zero_grad()
-        tape.backward(loss)
-        opt.step()
-        f.spectral_step()
+        _step(opt, f, tape.backward, loss)
         for layer in layers:
             w_eff = layer.effective_weight(Tape()).value
             sn = float(np.linalg.svd(w_eff, compute_uv=False)[0])

@@ -393,6 +393,10 @@ def test_readme_names_every_key_flag_and_column(scam_pipeline, diagnosis, tmp_pa
         names |= set(manifest) | set(manifest["seeds"]["0"])
     missing = not_in_readme(names)
     assert not missing, f"README does not name {len(missing)}: {' '.join(missing)}"
+    # and the Configuration table names no key that the schema lacks
+    rows = re.findall(r"^\| `\[(\w+)\]` \|(.*)\|$", readme_text(), re.M)
+    assert {s: set(re.findall(r"`(\w+)`", cells)) for s, cells in rows} == \
+        {s: set(keys) for s, keys in cli._SCHEMA.items()}
 
 
 def test_readme_library_use_runs(tmp_path):
@@ -636,8 +640,8 @@ def test_rerun_is_byte_identical_up_to_timing(tmp_path):
         run = os.path.join(str(tmp_path), root)
         run_dir = os.path.join(run, os.listdir(run)[0])
         lines = open(os.path.join(run_dir, "seed0", "epochs.csv")).read().strip().split("\n")
-        drop = EPOCH_CSV_FIELDS.index("wall_time_s")
-        return [",".join(c for i, c in enumerate(l.split(",")) if i != drop) for l in lines]
+        drop = {EPOCH_CSV_FIELDS.index(name) for name in TIMING_FIELDS}
+        return [",".join(c for i, c in enumerate(l.split(",")) if i not in drop) for l in lines]
 
     assert epochs_lines("runs_a") == epochs_lines("runs_b")
 

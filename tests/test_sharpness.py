@@ -165,10 +165,19 @@ def test_lambda_max_nonconverged_reports_last_estimate():
     a = sym(rng, 20)
     ref = float(np.linalg.eigvalsh(a)[-1])
     res = lambda_max(quad_ctx(a), seed=0, max_iters=2)
-    trace = [lambda_max(quad_ctx(a), seed=0, max_iters=k).value for k in (1, 2)]
+    # two Lanczos steps by hand, from the start vector that seed 0 draws
+    q1 = np.random.default_rng(0).standard_normal(20)
+    q1 /= np.linalg.norm(q1)
+    alpha1 = q1 @ a @ q1
+    r = a @ q1 - alpha1 * q1
+    beta1 = np.linalg.norm(r)
+    alpha2 = (r / beta1) @ a @ (r / beta1)
+    two_step = np.linalg.eigvalsh([[alpha1, beta1], [beta1, alpha2]])[-1]
     assert not res.converged
     assert res.iterations == 2
-    assert res.value == trace[-1]
+    assert res.value == pytest.approx(two_step, rel=1e-9)
+    # the last estimate is reported, not the one-step Rayleigh quotient
+    assert res.value > alpha1
     # Rayleigh-Ritz approaches from below, so even the crude estimate
     # cannot overshoot the true top eigenvalue
     assert res.value <= ref + 1e-9

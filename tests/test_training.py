@@ -36,8 +36,10 @@ from tscorrect.training import (
     Adam,
     EpochRecord,
     Sgd,
+    TIMING_FIELDS,
     TrainConfig,
     _batch_indices,
+    _step,
     evaluate,
     train_grid_search,
     train_scam,
@@ -99,7 +101,7 @@ def test_adam_first_step_is_signed_lr():
     assert np.allclose(p.value, [-1e-3, 1e-3], atol=1e-8)
 
 
-def test_adam_zero_gradient_is_a_no_op():
+def test_adam_step_on_a_gradient_of_zeros_is_a_no_op():
     p = Var(np.array([1.5]), requires_grad=True)
     opt = Adam(store(p), lr=0.1)
     opt.step()
@@ -208,7 +210,7 @@ def test_packed_optimizer_equals_per_parameter_loop(kind):
     assert np.array_equal(flat.value, np.concatenate([v.ravel() for v in values]))
     assert all(np.shares_memory(p.value, flat.value) and np.shares_memory(p.grad, flat.grad) for p in params)
     for step in grads:
-        opt.zero_grad()
+        flat.grad.fill(0.0)
         for p, g in zip(params, step):
             p.grad[...] += g
         opt.step()
@@ -240,12 +242,47 @@ def test_backward_accumulates_into_packed_views():
     flat = store(wv, bv)
     opt = Adam(flat, lr=0.1)
     flat.grad[...] = 1.0
-    opt.zero_grad()
+    flat.grad.fill(0.0)
     got = grads_of(wv, bv)
     assert all(np.array_equal(a, r) for a, r in zip(got, ref))
     assert np.array_equal(flat.grad, np.concatenate([ref[0].ravel(), ref[1]]))
     opt.step()
     assert np.array_equal(flat.value, np.concatenate([wv.value.ravel(), bv.value]))
+
+
+def test_step_zeroes_steps_and_resolves_the_singular_pairs():
+    # _step drops a stale gradient, steps on what backward accumulates or skips a
+    # non-finite sum, leaves u, v the pair of the W it leaves, and returns backward's result
+    f = MlpPredictor(toy_model_config(snr="both"), np.random.default_rng(0))
+    opt = Sgd(ParamStore(f.parameters()), lr=0.1)
+    grad = opt.store.grad
+    g1, g2 = np.random.default_rng(1).standard_normal((2, grad.size))
+    bad = g1.copy()
+    bad[3] = np.nan
+    result = object()
+
+    def backward(*passes):
+        for g in passes:
+            grad[...] += g
+        return result
+
+    def assert_exact_pairs():
+        for layer in f.layers.values():
+            u, v = np.zeros_like(layer.u), np.zeros_like(layer.v)
+            top_singular_pair(layer.w.value, u, v)
+            assert np.array_equal(layer.u, u) and np.array_equal(layer.v, v)
+
+    before = opt.store.value.copy()
+    grad[...] = 1e3
+    assert _step(opt, f, backward, bad) is result
+    assert opt.skipped_steps == 1 and np.array_equal(opt.store.value, before)
+    assert_exact_pairs()
+    grad[...] = 1e3
+    assert _step(opt, f, backward, g1, g2) is result
+    assert opt.skipped_steps == 1
+    assert np.array_equal(opt.store.value, before - 0.1 * (g1 + g2))
+    assert not np.array_equal(opt.store.value, before)
+    assert_exact_pairs()
 
 
 def test_optimizer_refuses_a_repeated_or_gradless_var():
@@ -475,7 +512,7 @@ def test_log_sharpness_leaves_training_unchanged():
         runs.append(([a.copy() for a in state], records))
     (state_off, off), (state_on, on) = runs
     assert all(np.array_equal(a, b) for a, b in zip(state_on, state_off))
-    skip = {"lambda_max", "wall_time_s"}
+    skip = {"lambda_max", *TIMING_FIELDS}
     kept = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k not in skip}
     assert len(on) == 3 and [kept(r) for r in on] == [kept(r) for r in off]
     assert all(r.lambda_max is None for r in off)
