@@ -29,8 +29,8 @@ from tscorrect.data import (SplitSpec, SyntheticConfig, build_splits,
                             flatten_channels, make_synthetic, regime_index)
 from tscorrect.losses import summarize_candidates
 from tscorrect.models import ModelConfig, MlpPredictor, ReconstructionNet
-from tscorrect.sharpness import lambda_max
-from tscorrect.training import TrainConfig, predictor_loss_context, train_scam
+from tscorrect.sharpness import lambda_max, predictor_loss_context
+from tscorrect.training import TrainConfig, train_scam
 
 
 def run_seed(args, seed):
@@ -45,7 +45,7 @@ def run_seed(args, seed):
     g = ReconstructionNet(mc, np.random.default_rng([seed, 11]))
     cfg = TrainConfig(mode="scam", lr=args.lr, batch_size=args.batch,
                       max_epochs=args.epochs, patience=args.epochs, seed=seed)
-    f, g, _ = train_scam(bundle, g, f, cfg)
+    train_scam(bundle, g, f, cfg)
 
     ds = bundle.train
     x = flatten_channels(ds.x)

@@ -45,14 +45,13 @@ from .models import (
     restore_models,
     save_checkpoint,
 )
-from .sharpness import channel_histograms, kl_alignment, lambda_max
+from .sharpness import channel_histograms, kl_alignment, lambda_max, predictor_loss_context
 from .training import (
     EPOCH_CSV_FIELDS,
     GRID_CSV_FIELDS,
     MODES,
     TrainConfig,
     evaluate,
-    predictor_loss_context,
     train_grid_search,
     train_scam,
     train_supervised,
@@ -228,16 +227,15 @@ def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows
     mcfg = model_config(cfg)
     mode = cfg["experiment"]["mode"]
     tcfg = TrainConfig(mode=mode, seed=seed, **cfg["train"])
-    f = build_predictor(mcfg, np.random.default_rng([seed, 10]))
     g = None if mode == "supervised" else build_recon(mcfg, np.random.default_rng([seed, 11]))
     summary: dict = {"seed": seed, "mode": mode, "checkpoint": "checkpoints/best.ckpt"}
     ckpt = os.path.join(seed_dir, "checkpoints", "best.ckpt")
     if mode == "grid_search":
         factory = lambda i: build_predictor(mcfg, np.random.default_rng([seed, 100 + i]))
-        f, g, grecords = train_grid_search(bundle, g, factory, tcfg)
-        best = min(grecords, key=lambda r: r.test_mse)
-        # the trainer hands back the best round's predictor and phi
-        save_checkpoint(ckpt, mode, mcfg, seed, best.index, {"predictor": f, "recon": g})
+        # the trainer hands back the best round's predictor and index, with g set to its phi
+        f, index, grecords = train_grid_search(bundle, g, factory, tcfg)
+        best = grecords[index]
+        save_checkpoint(ckpt, mode, mcfg, seed, index, {"predictor": f, "recon": g})
         write_csv(os.path.join(seed_dir, "trajectory.csv"), GRID_CSV_FIELDS,
                   map(dataclasses.astuple, grecords))
         summary.update({
@@ -248,15 +246,16 @@ def run_seed(cfg: dict, seed: int, seed_dir: str, data: RawSeries | SplitWindows
             "trajectory_csv": "trajectory.csv",
         })
         return summary
+    f = build_predictor(mcfg, np.random.default_rng([seed, 10]))
+    # the trainer restored the best epoch's state and names it, so the header does too
     if g is None:
-        _, records = train_supervised(bundle, f, tcfg)
+        index, records = train_supervised(bundle, f, tcfg)
         models = {"predictor": f}
     else:
-        _, _, records = train_scam(bundle, g, f, tcfg)
+        index, records = train_scam(bundle, g, f, tcfg)
         models = {"predictor": f, "recon": g}
-    # the trainer restored the best epoch's state, so the header names it
-    best_epoch = min(records, key=lambda r: r.val_mse)
-    save_checkpoint(ckpt, mode, mcfg, seed, best_epoch.epoch, models)
+    best_epoch = records[index]
+    save_checkpoint(ckpt, mode, mcfg, seed, index, models)
     if g is not None:
         _dump_masks(os.path.join(seed_dir, "masks"), g, f, bundle,
                     cfg["experiment"]["mask_dump_samples"])
@@ -403,21 +402,20 @@ def cmd_diagnose(args) -> int:
     _atomic_json(os.path.join(out, "breakdown.json"), breakdown)
 
     if args.sharpness:
-        def probe(ctx, windows, segment=None):  # an entry states the windows it read
-            return {**dataclasses.asdict(lambda_max(ctx, segment=segment)), "windows": windows}
+        def probe(ctx, segment=None):  # an entry states the windows its context read
+            return {**dataclasses.asdict(lambda_max(ctx, segment=segment)), "windows": ctx.windows}
 
-        batch = cfg["train"]["sharpness_batch"]
-        ctx, n = predictor_loss_context(f, ds, batch), min(batch, len(ds))
-        report = {"split": args.split, "loss": "l1", "total": probe(ctx, n)}
+        ctx = predictor_loss_context(f, ds, cfg["train"]["sharpness_batch"])
+        report = {"split": args.split, "loss": "l1", "total": probe(ctx)}
         for name in sorted(ctx.segments):
-            report[name] = probe(ctx, n, name)
+            report[name] = probe(ctx, name)
         # masked variants average the same L1 loss under the candidate-mean mask;
         # rebinding ctx frees each context, and its copy of f, before the next probe
-        take_s = min(n, take)
+        take_s = min(ctx.windows, take)
         w_in = mask_mean[: take_s * ds.n_channels]
         for label, weights in (("masked_in", w_in), ("masked_out", 1.0 - w_in)):
             ctx = predictor_loss_context(f, ds, take_s, point_weights=weights)
-            report[label] = probe(ctx, take_s)
+            report[label] = probe(ctx)
         _atomic_json(os.path.join(out, "sharpness.json"), report)
 
     # channel alignment: symmetric KL between channel distributions

@@ -241,14 +241,6 @@ class MlpPredictor:
         out += [(f"revin.{n}", v) for n, v in self.revin.params()]
         return out
 
-    def segments(self) -> dict[str, list[str]]:
-        """The last layer is the projector, any earlier ones the embedding."""
-        out: dict[str, list[str]] = {}
-        for i, (name, layer) in enumerate(self.layers.items()):
-            seg = "projector" if i == len(self.layers) - 1 else "embedding"
-            out.setdefault(seg, []).extend(f"{name}.{n}" for n, _ in layer.params())
-        return out
-
 
 def build_predictor(cfg: ModelConfig, rng: np.random.Generator) -> MlpPredictor:
     return MlpPredictor(cfg, rng)

@@ -5,7 +5,7 @@ at a fixed step, so any loss that exposes (loss, gradient) as a function of a
 flat parameter vector can be probed, if it keeps no vector it is given and
 gives up the gradient it returns: hvp writes both probes into the context's
 own vectors and forms the product in the first gradient. A loss with kinks
-(L1, ReLU) is probed on theta0's own piece (training.predictor_loss_context
+(L1, ReLU) is probed on theta0's own piece (``predictor_loss_context``
 fixes it once), which no step leaves, so the products are the
 almost-everywhere Hessian's, as autograd's double backward computes them.
 lambda_max extracts the largest (signed) eigenvalue by Lanczos iteration
@@ -21,12 +21,15 @@ meets the eigensolve-oracle tolerance this module is tested against.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .autodiff import ParamStore, Tape
+from .data import WindowDataset, flatten_channels
 from .errors import ContractError, DimensionError
 
 EPS_BASE = 1e-6
@@ -40,11 +43,13 @@ class HvpContext:
 
     loss_and_grad maps a flat parameter vector, one of the context's own that
     it must not keep, to (loss, gradient), a gradient the caller then owns;
-    segments name slices of the vector (for per-component curvature)."""
+    segments name slices of the vector (for per-component curvature), and
+    windows counts the windows the loss reads, if it reads any."""
 
     theta0: np.ndarray
     loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     segments: dict[str, slice] = field(default_factory=dict)
+    windows: int = 0
 
     def __post_init__(self):
         self.theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
@@ -164,6 +169,52 @@ def lambda_max(
         np.divide(w, beta, out=basis[it])
         betas.append(beta)
     return SharpnessResult(theta, steps, steps == dim)
+
+
+# ---------------------------------------------------------------------------
+# predictor contexts
+
+
+def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
+                           point_weights: np.ndarray | None = None) -> HvpContext:
+    """Curvature context for the predictor's L1 loss on its first min(batch, len(ds))
+    windows, optionally a weighted mean over output points (e.g. by a mask). It
+    probes a private copy of f in its own store, so f, an optimizer whose
+    store backs f, and other contexts on f never see its parameter writes.
+    Its segments: f's last layer is the projector, any earlier ones the embedding."""
+    take = min(batch, len(ds))
+    x = flatten_channels(ds.x[:take])
+    y = flatten_channels(ds.y[:take])
+    if point_weights is not None and point_weights.shape != y.shape:
+        raise ContractError(f"point weights {point_weights.shape} vs targets {y.shape}")
+    if point_weights is not None and point_weights.mean() > 0:
+        # the loss over the weighted points is their weighted mean, so that
+        # two weightings of unequal mass are compared on one scale
+        point_weights = point_weights / point_weights.mean()
+    f = copy.deepcopy(f)
+    store = ParamStore(f.parameters())
+    # RevIN's statistics and standardized batch depend on x alone: every pass reuses them
+    f.revin.kept = (x, *f.revin.standardize(x))
+    # theta0's piece: one forward pass keeps its relu masks and residual signs
+    # (sign(0) = 0), so each probe's mean((f(x) - y) * w) crosses no kink
+    probe = Tape(record=False)
+    probe.masks = []
+    w = np.sign(f.forward(probe, x).value - y) * (1.0 if point_weights is None else point_weights)
+
+    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        store.value[...] = theta
+        tape = Tape()
+        tape.frozen = iter(probe.masks)
+        loss = tape.mean(tape.mul(tape.sub(f.forward(tape, x), tape.constant(y)), tape.constant(w)))
+        store.grad.fill(0.0)
+        tape.backward(loss)
+        return loss.value.item(), store.grad.copy()
+
+    *embedding, projector = f.layers
+    spans = {seg: [sl for name, sl in store.slices.items() if name.split(".")[0] in layers]
+             for seg, layers in (("embedding", embedding), ("projector", [projector]))}
+    segments = {seg: slice(own[0].start, own[-1].stop) for seg, own in spans.items() if own}
+    return HvpContext(store.value.copy(), loss_and_grad, segments, take)
 
 
 # ---------------------------------------------------------------------------

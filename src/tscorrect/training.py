@@ -9,7 +9,6 @@ standardized units. Runs are deterministic functions of (config, seed).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import time
 from dataclasses import astuple, dataclass, fields
@@ -21,7 +20,7 @@ from .autodiff import ParamStore, Tape
 from .data import SplitWindows, WindowDataset, flatten_channels
 from .errors import ConfigError, ContractError
 from .models import ReconstructionNet
-from .sharpness import HvpContext, lambda_max
+from .sharpness import lambda_max, predictor_loss_context
 
 MODES = ("supervised", "grid_search", "co_objective", "scam")
 
@@ -200,8 +199,9 @@ def _batch_indices(n: int, batch: int, rng: np.random.Generator) -> list[np.ndar
 # shared epoch loop
 
 
-def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[EpochRecord]:
-    """Run epochs of batch_loss_fn, early-stop on val MSE, restore the best.
+def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> tuple[int, list[EpochRecord]]:
+    """Run epochs of batch_loss_fn, early-stop on val MSE, restore the first best
+    epoch; returns its index and the records. Raises if no val MSE is finite.
 
     batch_loss_fn(tape, x, y) returns the loss, the prediction values and
     the batch's LossBreakdown, or None.
@@ -211,9 +211,7 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
     rng = np.random.default_rng([cfg.seed, 1])
     n = len(bundle.train)
     records: list[EpochRecord] = []
-    best_val = np.inf
-    best_epoch = -1
-    best_state = store.value.copy()
+    best_val, best_epoch, best_state = np.inf, -1, None
     for epoch in range(cfg.max_epochs):
         t0 = time.perf_counter()
         sums, bsum = np.zeros(3), np.zeros(len(BREAKDOWN_FIELDS))
@@ -247,16 +245,18 @@ def _fit(bundle: SplitWindows, f, g, cfg: TrainConfig, batch_loss_fn) -> list[Ep
             best_state = store.value.copy()
         elif epoch - best_epoch >= cfg.patience:
             break
+    if best_epoch < 0:
+        raise ContractError(f"none of {len(records)} epochs reached a finite val MSE; no best epoch to restore")
     store.value[...] = best_state
     f.spectral_step()
-    return records
+    return best_epoch, records
 
 
 # ---------------------------------------------------------------------------
 # training modes
 
 
-def train_supervised(bundle: SplitWindows, model, cfg: TrainConfig) -> tuple[object, list[EpochRecord]]:
+def train_supervised(bundle: SplitWindows, model, cfg: TrainConfig) -> tuple[int, list[EpochRecord]]:
     """Plain L1 training of the predictor on raw labels."""
 
     def batch_loss(tape: Tape, x: np.ndarray, y: np.ndarray):
@@ -264,11 +264,11 @@ def train_supervised(bundle: SplitWindows, model, cfg: TrainConfig) -> tuple[obj
         loss = tape.mean(tape.abs(tape.sub(yhat, tape.constant(y))))
         return loss, yhat.value, None
 
-    records = _fit(bundle, model, None, cfg, batch_loss)
-    return model, records
+    return _fit(bundle, model, None, cfg, batch_loss)
 
 
-def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
+def train_scam(bundle: SplitWindows, g: ReconstructionNet, f,
+               cfg: TrainConfig) -> tuple[int, list[EpochRecord]]:
     """Joint training of the reconstruction net and the predictor, averaged
     over candidates: the masked correction loss, or for mode co_objective its
     unmasked form mean(|c - t| + |c - p|), whose raw-label term trains only
@@ -286,8 +286,7 @@ def train_scam(bundle: SplitWindows, g: ReconstructionNet, f, cfg: TrainConfig):
             loss = L.co_objective_loss(tape, cands, yhat, y)
         return loss, yhat.value, parts
 
-    records = _fit(bundle, f, g, cfg, batch_loss)
-    return f, g, records
+    return _fit(bundle, f, g, cfg, batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ GRID_CSV_FIELDS = [f.name for f in fields(GridRecord)]
 
 
 def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_factory,
-                      cfg: TrainConfig) -> tuple[object, ReconstructionNet, list[GridRecord]]:
+                      cfg: TrainConfig) -> tuple[object, int, list[GridRecord]]:
     """Outer loop over candidate label sets (Alg: propose, fit, score, refine).
 
     Each outer round i freezes the candidate labels of the reconstruction
@@ -319,7 +318,8 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     theta_i on the frozen candidates until the RMS gradient falls below the
     threshold or the step budget runs out, then scores theta_i on raw test
     labels. Both losses are halves of the co-objective. Returns the predictor
-    of the round with the lowest test MSE, and g set back to that round's phi.
+    of the round with the lowest test MSE (the first such), that round's index
+    and every round's record, and sets g back to that round's phi.
     """
     rng = np.random.default_rng([cfg.seed, 2])
     n, nch = len(bundle.train), bundle.train.n_channels
@@ -358,7 +358,7 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
         if best is None or test_mse < best.test_mse:
             best, best_f, best_phi = records[-1], f, phi
     outer.store.value[...] = best_phi
-    return best_f, g, records
+    return best_f, best.index, records
 
 
 def _recon_pass(g: ReconstructionNet, labels: np.ndarray, rows: int) -> tuple[np.ndarray, float]:
@@ -375,48 +375,3 @@ def _recon_pass(g: ReconstructionNet, labels: np.ndarray, rows: int) -> tuple[np
         loss_rec += chunk.value.item() * (y.size / labels.size)
     return np.concatenate([c.value for c in cands]), loss_rec
 
-
-# ---------------------------------------------------------------------------
-# curvature contexts
-
-
-def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
-                           point_weights: np.ndarray | None = None) -> HvpContext:
-    """Curvature context for the predictor's L1 loss on a fixed batch of
-    windows, optionally a weighted mean over output points (e.g. by a mask). It
-    probes a private copy of f in its own store, so f, an optimizer whose
-    store backs f, and other contexts on f never see its parameter writes."""
-    take = min(batch, len(ds))
-    x = flatten_channels(ds.x[:take])
-    y = flatten_channels(ds.y[:take])
-    if point_weights is not None and point_weights.shape != y.shape:
-        raise ContractError(f"point weights {point_weights.shape} vs targets {y.shape}")
-    if point_weights is not None and point_weights.mean() > 0:
-        # the loss over the weighted points is their weighted mean, so that
-        # two weightings of unequal mass are compared on one scale
-        point_weights = point_weights / point_weights.mean()
-    f = copy.deepcopy(f)
-    store = ParamStore(f.parameters())
-    # RevIN's statistics and standardized batch depend on x alone: every pass reuses them
-    f.revin.kept = (x, *f.revin.standardize(x))
-    # theta0's piece: one forward pass keeps its relu masks and residual signs
-    # (sign(0) = 0), so each probe's mean((f(x) - y) * w) crosses no kink
-    probe = Tape(record=False)
-    probe.masks = []
-    w = np.sign(f.forward(probe, x).value - y) * (1.0 if point_weights is None else point_weights)
-
-    def loss_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        store.value[...] = theta
-        tape = Tape()
-        tape.frozen = iter(probe.masks)
-        loss = tape.mean(tape.mul(tape.sub(f.forward(tape, x), tape.constant(y)), tape.constant(w)))
-        store.grad.fill(0.0)
-        tape.backward(loss)
-        return loss.value.item(), store.grad.copy()
-
-    spans = store.slices
-    segments = {
-        seg: slice(min(spans[p].start for p in plist), max(spans[p].stop for p in plist))
-        for seg, plist in f.segments().items() if plist
-    }
-    return HvpContext(store.value.copy(), loss_and_grad, segments)

@@ -39,14 +39,13 @@ from tscorrect.models import (
     build_recon,
     top_singular_pair,
 )
-from tscorrect.sharpness import HvpContext, lambda_max
+from tscorrect.sharpness import HvpContext, lambda_max, predictor_loss_context
 from tscorrect.training import (
     Adam,
     TIMING_FIELDS,
     TrainConfig,
     _step,
     evaluate,
-    predictor_loss_context,
     train_scam,
     train_supervised,
 )
@@ -364,10 +363,10 @@ def _etth1_test_mse(path, mode, snr, seed):
     f = build_predictor(mc, np.random.default_rng([seed, 20]))
     cfg = TrainConfig(mode=mode, lr=1e-3, batch_size=128, max_epochs=8, patience=3, seed=seed)
     if mode == "supervised":
-        f, _ = train_supervised(bundle, f, cfg)
+        train_supervised(bundle, f, cfg)
     else:
         g = build_recon(mc, np.random.default_rng([seed, 21]))
-        f, _, _ = train_scam(bundle, g, f, cfg)
+        train_scam(bundle, g, f, cfg)
     mse, _ = evaluate(f, bundle.test, batch=cfg.eval_batch)
     _ETT_CACHE[key] = mse
     return mse
@@ -423,7 +422,7 @@ def toy_runs():
         g = ReconstructionNet(mc, np.random.default_rng([seed, 11]))
         cfg = TrainConfig(mode="scam", lr=3e-3, batch_size=128, max_epochs=10,
                           patience=10, seed=seed)
-        f, g, _ = train_scam(bundle, g, f, cfg)
+        train_scam(bundle, g, f, cfg)
 
         ds = bundle.train
         x = flatten_channels(ds.x)

@@ -618,6 +618,21 @@ def test_best_epoch_restore_keeps_sigma_tracking(tmp_path, capsys):
     assert abs(max(float(layer.u @ (w @ layer.v)), SIGMA_FLOOR) - sn) <= 1e-6 * sn
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_run_without_a_finite_val_mse_fails_and_saves_no_checkpoint(tmp_path, capsys):
+    # lr = 1e150 overflows the first step, so no epoch's val MSE is finite and no epoch
+    # can be restored: the run exits 1, saving no checkpoint that a manifest would contradict
+    text = (BASE_CONFIG.replace("mode = scam", "mode = supervised").replace("lookback = 16", "lookback = 32")
+            .replace("hidden = 8", "hidden = 16").replace("batch_size = 64", "batch_size = 32")
+            .replace("max_epochs = 2\npatience = 2", "lr = 1e150\nmax_epochs = 3\npatience = 3"))
+    runs = os.path.join(str(tmp_path), "runs")
+    cfg_path = write_config(tmp_path, text=text, out_dir=runs)
+    assert main(["train", "--config", cfg_path]) == 1
+    assert "none of 3 epochs reached a finite val MSE" in capsys.readouterr().err
+    assert glob.glob(os.path.join(runs, "*", "seed0", "checkpoints", "*")) == []
+    assert glob.glob(os.path.join(runs, "*", "manifest.json")) == []
+
+
 def test_mode_override_and_seed_flag(tmp_path, capsys):
     cfg_path = write_config(tmp_path, out_dir=os.path.join(str(tmp_path), "runs"))
     rc = main(["train", "--config", cfg_path, "--mode-override", "supervised", "--seed", "5"])

@@ -6,8 +6,11 @@ a real (piecewise) surface where both routes share the finite-difference
 operator.
 """
 
+import ast
 import copy
+import glob
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -30,8 +33,9 @@ from tscorrect.sharpness import (
     hvp,
     kl_alignment,
     lambda_max,
+    predictor_loss_context,
 )
-from tscorrect.training import TrainConfig, predictor_loss_context, train_supervised
+from tscorrect.training import TrainConfig, train_supervised
 
 
 def quad_ctx(a, segments=None):
@@ -239,6 +243,51 @@ def tiny_mlp_ctx():
     return predictor_loss_context(f, splits.train, batch=64)
 
 
+@pytest.fixture(scope="module")
+def tiny_linear_ctx():
+    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
+    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
+    cfg = ModelConfig(backbone="linear", lookback=16, horizon=16, snr="none")
+    f = MlpPredictor(cfg, np.random.default_rng(0))
+    return predictor_loss_context(f, splits.train, batch=64)
+
+
+@pytest.mark.parametrize("batch", [8, 10**6])
+def test_context_states_the_windows_its_loss_reads(batch):
+    # a batch below the split's window count takes that many windows, one above takes them all
+    raw = make_synthetic(SyntheticConfig(length=600, seed=0))
+    ds = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16).val
+    assert 8 < len(ds) < 10**6
+    f = MlpPredictor(ModelConfig(lookback=16, horizon=16, hidden=8, snr="none"), np.random.default_rng(0))
+    ctx = predictor_loss_context(f, ds, batch)
+    assert ctx.windows == min(batch, len(ds))
+    x, y = (flatten_channels(a[: ctx.windows]) for a in (ds.x, ds.y))
+    resid = np.abs(f.forward(Tape(record=False), x).value - y)
+    assert ctx.loss_and_grad(ctx.theta0)[0] == pytest.approx(resid.mean(), rel=1e-12)
+
+
+def test_only_sharpness_builds_curvature_contexts():
+    # the next change to curvature probes stays in one module: no other module of the
+    # package imports, constructs or names HvpContext
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "tscorrect")
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert "sharpness.py" in map(os.path.basename, paths)
+    found = []
+    for path in paths:
+        if os.path.basename(path) == "sharpness.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rpartition(".")[2] for a in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "HvpContext" in names:
+                found.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert found == []
+
+
 def test_two_contexts_on_one_predictor_stay_independent():
     # criterion 9 builds two contexts on one f before probing either
     raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
@@ -297,20 +346,23 @@ def test_model_lambda_max_matches_dense_fd_hessian(tiny_mlp_ctx):
     assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-12)
 
 
-def test_model_segments_match_submatrix_eigensolve(tiny_mlp_ctx):
-    ctx = tiny_mlp_ctx
-    assert ctx.segments  # the predictor context names its blocks
-    n = ctx.n
-    h = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        h[:, i] = hvp(ctx, e)
-    h = (h + h.T) / 2.0
-    for name, sl in ctx.segments.items():
-        ref = float(np.linalg.eigvalsh(h[sl, sl])[-1])
-        res = lambda_max(ctx, segment=name)
-        assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-6), name
+def test_model_segments_match_submatrix_eigensolve(tiny_mlp_ctx, tiny_linear_ctx):
+    # the last layer is the projector, any earlier ones the embedding; together they
+    # hold every parameter of a predictor without RevIN's affine pair
+    for ctx, names in ((tiny_mlp_ctx, ["embedding", "projector"]), (tiny_linear_ctx, ["projector"])):
+        assert list(ctx.segments) == names
+        assert ctx.segments[names[0]].start == 0 and ctx.segments["projector"].stop == ctx.n
+        n = ctx.n
+        h = np.zeros((n, n))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            h[:, i] = hvp(ctx, e)
+        h = (h + h.T) / 2.0
+        for name, sl in ctx.segments.items():
+            ref = float(np.linalg.eigvalsh(h[sl, sl])[-1])
+            res = lambda_max(ctx, segment=name)
+            assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-6), (names, name)
 
 
 def lambda_max_per_vector(ctx, seed=0, max_iters=MAX_POWER_ITERS, tol=RAYLEIGH_TOL, segment=None):

@@ -382,7 +382,7 @@ def test_supervised_fits_noiseless_sinusoid():
     f = MlpPredictor(toy_model_config(hidden=32), np.random.default_rng(0))
     cfg = TrainConfig(mode="supervised", lr=3e-3, batch_size=64,
                       max_epochs=40, patience=40, seed=0)
-    f, records = train_supervised(splits, f, cfg)
+    _, records = train_supervised(splits, f, cfg)
     assert records[-1].test_mse < 0.01
 
 
@@ -391,9 +391,8 @@ def test_early_stop_halts_at_patience():
     f = MlpPredictor(toy_model_config(hidden=8), np.random.default_rng(5))
     cfg = TrainConfig(mode="supervised", lr=0.5, batch_size=64,
                       max_epochs=60, patience=3, seed=0)
-    f, records = train_supervised(splits, f, cfg)
-    vals = [r.val_mse for r in records]
-    best = int(np.argmin(vals))
+    best, records = train_supervised(splits, f, cfg)
+    assert best == int(np.argmin([r.val_mse for r in records]))
     assert len(records) < cfg.max_epochs  # the lr is hostile enough to trigger it
     assert len(records) == best + cfg.patience + 1
 
@@ -403,9 +402,9 @@ def test_best_state_restored_after_training():
     f = MlpPredictor(toy_model_config(hidden=8), np.random.default_rng(5))
     cfg = TrainConfig(mode="supervised", lr=0.5, batch_size=64,
                       max_epochs=60, patience=3, seed=0)
-    f, records = train_supervised(splits, f, cfg)
+    best, records = train_supervised(splits, f, cfg)
     restored_val, _ = evaluate(f, splits.val, cfg.eval_batch)
-    assert restored_val == min(r.val_mse for r in records)
+    assert restored_val == records[best].val_mse == min(r.val_mse for r in records)
 
 
 def test_fixed_seed_runs_are_bit_identical():
@@ -415,7 +414,7 @@ def test_fixed_seed_runs_are_bit_identical():
         f = MlpPredictor(toy_model_config(hidden=8), np.random.default_rng(7))
         cfg = TrainConfig(mode="supervised", lr=2e-3, batch_size=32,
                           max_epochs=4, patience=4, seed=9)
-        f, records = train_supervised(splits, f, cfg)
+        _, records = train_supervised(splits, f, cfg)
         return ParamStore(f.parameters()).value, [r.val_mse for r in records]
 
     (pa, va), (pb, vb) = run(), run()
@@ -435,7 +434,7 @@ def scam_run():
     g = ReconstructionNet(mc, np.random.default_rng(1))
     cfg = TrainConfig(mode="scam", lr=3e-3, batch_size=64, max_epochs=10,
                       patience=10, seed=0)
-    f, g, records = train_scam(splits, g, f, cfg)
+    _, records = train_scam(splits, g, f, cfg)
     return splits, f, g, records
 
 
@@ -482,9 +481,9 @@ def test_best_epoch_restore_recomputes_the_singular_pairs(tmp_path):
     splits = toy_bundle(seed=0, length=700)
     mc = toy_model_config(backbone="linear", snr="both")
     cfg = TrainConfig(mode="supervised", lr=1.0, batch_size=64, max_epochs=3, patience=3, seed=0)
-    f, records = train_supervised(splits, MlpPredictor(mc, np.random.default_rng(0)), cfg)
-    best = int(np.argmin([r.val_mse for r in records]))
-    assert best < len(records) - 1
+    f = MlpPredictor(mc, np.random.default_rng(0))
+    best, records = train_supervised(splits, f, cfg)
+    assert best == int(np.argmin([r.val_mse for r in records])) < len(records) - 1
     layer = f.layers["layer"]
     u, v = np.zeros_like(layer.u), np.zeros_like(layer.v)
     top_singular_pair(layer.w.value, u, v)
@@ -506,7 +505,7 @@ def test_log_sharpness_leaves_training_unchanged():
         g = ReconstructionNet(mc, np.random.default_rng(1))
         cfg = TrainConfig(mode="scam", lr=3e-3, batch_size=64, max_epochs=3, patience=3, seed=0,
                           log_sharpness=log, sharpness_batch=16)
-        f, g, records = train_scam(splits, g, f, cfg)
+        _, records = train_scam(splits, g, f, cfg)
         pairs = [a for layer in f.layers.values() if layer.snr_enabled for a in (layer.u, layer.v)]
         state = [v.value for _, v in f.parameters() + g.parameters()] + pairs
         runs.append(([a.copy() for a in state], records))
@@ -526,16 +525,16 @@ def test_co_objective_mode_runs_and_tracks_losses():
     g = ReconstructionNet(mc, np.random.default_rng(1))
     cfg = TrainConfig(mode="co_objective", lr=3e-3, batch_size=64,
                       max_epochs=5, patience=5, seed=0)
-    f, g, records = train_scam(splits, g, f, cfg)
+    _, records = train_scam(splits, g, f, cfg)
     assert len(records) == 5
     assert records[-1].loss_rec < records[0].loss_rec
     for r in records:
         # without masking the in/out split is degenerate: everything co-counts
         assert r.loss_rec >= 0.0 and r.loss_pred >= 0.0
     # the mode selects the loss: the masked one takes another path from the same start
-    _, _, masked = train_scam(splits, ReconstructionNet(mc, np.random.default_rng(1)),
-                              MlpPredictor(mc, np.random.default_rng(0)),
-                              dataclasses.replace(cfg, mode="scam"))
+    _, masked = train_scam(splits, ReconstructionNet(mc, np.random.default_rng(1)),
+                           MlpPredictor(mc, np.random.default_rng(0)),
+                           dataclasses.replace(cfg, mode="scam"))
     assert [r.train_mse for r in masked] != [r.train_mse for r in records]
 
 
@@ -577,7 +576,7 @@ def test_grid_search_identity_is_a_fixed_point(monkeypatch):
     cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1,
                       patience=1, seed=0, grid_candidates=2, grid_inner_steps=8,
                       grid_outer_lr=0.05)
-    _, g, records = train_grid_search(splits, g, factory, cfg)
+    _, _, records = train_grid_search(splits, g, factory, cfg)
     # candidates equal labels, so the reconstruction loss is exactly zero and
     # its subgradient vanishes: phi never moves
     for r in records:
@@ -597,7 +596,7 @@ def grid_run():
     cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=5,
                       patience=5, seed=0, grid_candidates=6, grid_inner_steps=40,
                       grid_grad_threshold=1e-4, grid_outer_lr=0.05)
-    _, g, records = train_grid_search(splits, g, factory, cfg)
+    _, _, records = train_grid_search(splits, g, factory, cfg)
     return records
 
 
@@ -612,9 +611,9 @@ def test_grid_search_returns_the_best_round(monkeypatch):
 
     cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1, patience=1,
                       seed=0, grid_candidates=3, grid_inner_steps=10, grid_outer_lr=0.05)
-    f, g, records = train_grid_search(splits, g, factory, cfg)
+    f, index, records = train_grid_search(splits, g, factory, cfg)
     best = min(records, key=lambda r: r.test_mse)
-    assert best.index < len(records) - 1  # g must be set back from a later phi
+    assert index == best.index < len(records) - 1  # g must be set back from a later phi
     assert evaluate(f, splits.test, cfg.eval_batch) == (best.test_mse, best.test_mae)
     phi = np.concatenate([v.value.ravel() for _, v in g.parameters()])
     # every round runs the same number of chunks; the best round's first pass reads its phi
