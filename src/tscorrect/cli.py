@@ -402,13 +402,11 @@ def cmd_diagnose(args) -> int:
     _atomic_json(os.path.join(out, "breakdown.json"), breakdown)
 
     if args.sharpness:
-        def probe(ctx, segment=None):  # an entry states the windows its context read
-            return {**dataclasses.asdict(lambda_max(ctx, segment=segment)), "windows": ctx.windows}
+        def probe(ctx):  # an entry states the windows its context read
+            return {**dataclasses.asdict(lambda_max(ctx)), "windows": ctx.windows}
 
         ctx = predictor_loss_context(f, ds, cfg["train"]["sharpness_batch"])
         report = {"split": args.split, "loss": "l1", "total": probe(ctx)}
-        for name in sorted(ctx.segments):
-            report[name] = probe(ctx, name)
         # masked variants average the same L1 loss under the candidate-mean mask;
         # rebinding ctx frees each context, and its copy of f, before the next probe
         take_s = min(ctx.windows, take)
@@ -446,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--seed", type=int, default=None, help="run a single seed")
         sp.add_argument("--out", default=None, help="output root directory")
-        sp.add_argument("--mode-override", dest="mode_override", default=None, choices=MODES)
+        if name == "train":
+            sp.add_argument("--mode-override", dest="mode_override", default=None, choices=MODES)
         sp.add_argument("--snr", default=None, choices=SNR_CHOICES)
         sp.add_argument("--threads", type=int, default=None, help="seed worker pool size")
         sp.set_defaults(fn=cmd_train)

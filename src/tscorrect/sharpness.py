@@ -13,7 +13,7 @@ with full reorthogonalization: one Hessian-vector product per step, then
 one block Gram-Schmidt pass over the basis, and a second only when the first
 cancels (Daniel, Gragg, Kaufman and Stewart, 1976: "twice is enough"); top
 Ritz values non-decreasing, and exact once the Krylov space exhausts the
-(masked) dimension. Plain power iteration on H stalls whenever the extreme
+dimension. Plain power iteration on H stalls whenever the extreme
 negative eigenvalue rivals the extreme positive one in magnitude, and a
 shifted rerun loses the small top eigenvalue to cancellation, so neither
 meets the eigensolve-oracle tolerance this module is tested against.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,12 +43,10 @@ class HvpContext:
 
     loss_and_grad maps a flat parameter vector, one of the context's own that
     it must not keep, to (loss, gradient), a gradient the caller then owns;
-    segments name slices of the vector (for per-component curvature), and
     windows counts the windows the loss reads, if it reads any."""
 
     theta0: np.ndarray
     loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    segments: dict[str, slice] = field(default_factory=dict)
     windows: int = 0
 
     def __post_init__(self):
@@ -85,26 +83,6 @@ class SharpnessResult:
     converged: bool
 
 
-def _random_unit(n: int, rng: np.random.Generator, mask: np.ndarray | None) -> np.ndarray:
-    v = rng.standard_normal(n)
-    if mask is not None:
-        v = v * mask
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ContractError("empty component segment")
-    return v / nv
-
-
-def _segment_mask(ctx: HvpContext, segment: str | None) -> np.ndarray | None:
-    if segment is None:
-        return None
-    if segment not in ctx.segments:
-        raise ContractError(f"unknown segment {segment!r}; have {sorted(ctx.segments)}")
-    mask = np.zeros(ctx.n)
-    mask[ctx.segments[segment]] = 1.0
-    return mask
-
-
 def _project_out(basis: np.ndarray, w: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """One block Gram-Schmidt pass: w minus its components along basis' rows, in place."""
     w -= np.matmul(basis @ w, basis, out=proj)
@@ -116,9 +94,8 @@ def lambda_max(
     seed: int = 0,
     max_iters: int = MAX_POWER_ITERS,
     tol: float = RAYLEIGH_TOL,
-    segment: str | None = None,
 ) -> SharpnessResult:
-    """Largest (algebraic) eigenvalue of the (segment-restricted) Hessian.
+    """Largest (algebraic) eigenvalue of the Hessian.
 
     Lanczos with full reorthogonalization: per step one Hessian-vector
     product, the three-term recurrence, one block pass against the whole
@@ -127,20 +104,17 @@ def lambda_max(
     the growing tridiagonal matrix; interlacing makes it non-decreasing step
     to step. Converged means the Ritz residual beta*|s_k| (which bounds the
     distance from the estimate to a true eigenvalue) fell below tol relative
-    to the estimate, or the Krylov space exhausted the masked dimension, in
+    to the estimate, or the Krylov space exhausted the dimension ctx.n, in
     which case the value is exact up to the finite-difference error of the
     Hessian-vector products.
     """
     if max_iters < 1 or not tol > 0:
         raise ContractError(f"lambda_max needs max_iters >= 1 and tol > 0, got {max_iters}, {tol}")
-    rng = np.random.default_rng(seed)
-    mask = _segment_mask(ctx, segment)
-
-    dim = ctx.n if mask is None else int(round(float(mask.sum())))
-    steps = min(max_iters, dim)
+    steps = min(max_iters, ctx.n)
     # one block for the Krylov basis: rows never written are never faulted in
     basis = np.empty((steps, ctx.n))
-    basis[0] = _random_unit(ctx.n, rng, mask)
+    basis[0] = np.random.default_rng(seed).standard_normal(ctx.n)
+    basis[0] /= np.linalg.norm(basis[0])  # in place: no copy of the draw lives through the solve
     proj = np.empty(ctx.n)
     alphas: list[float] = []
     betas: list[float] = []
@@ -148,8 +122,6 @@ def lambda_max(
     for it in range(1, steps + 1):
         q, done = basis[it - 1], basis[:it]
         w = hvp(ctx, q)
-        if mask is not None:
-            w *= mask
         alphas.append(float(q @ w))
         w -= np.multiply(q, alphas[-1], out=proj)  # the three-term recurrence, in proj
         if betas:
@@ -168,7 +140,7 @@ def lambda_max(
             break
         np.divide(w, beta, out=basis[it])
         betas.append(beta)
-    return SharpnessResult(theta, steps, steps == dim)
+    return SharpnessResult(theta, steps, steps == ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +152,7 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
     """Curvature context for the predictor's L1 loss on its first min(batch, len(ds))
     windows, optionally a weighted mean over output points (e.g. by a mask). It
     probes a private copy of f in its own store, so f, an optimizer whose
-    store backs f, and other contexts on f never see its parameter writes.
-    Its segments: f's last layer is the projector, any earlier ones the embedding."""
+    store backs f, and other contexts on f never see its parameter writes."""
     take = min(batch, len(ds))
     x = flatten_channels(ds.x[:take])
     y = flatten_channels(ds.y[:take])
@@ -210,11 +181,7 @@ def predictor_loss_context(f, ds: WindowDataset, batch: int = 512,
         tape.backward(loss)
         return loss.value.item(), store.grad.copy()
 
-    *embedding, projector = f.layers
-    spans = {seg: [sl for name, sl in store.slices.items() if name.split(".")[0] in layers]
-             for seg, layers in (("embedding", embedding), ("projector", [projector]))}
-    segments = {seg: slice(own[0].start, own[-1].stop) for seg, own in spans.items() if own}
-    return HvpContext(store.value.copy(), loss_and_grad, segments, take)
+    return HvpContext(store.value.copy(), loss_and_grad, take)
 
 
 # ---------------------------------------------------------------------------

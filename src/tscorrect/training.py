@@ -318,8 +318,8 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
     theta_i on the frozen candidates until the RMS gradient falls below the
     threshold or the step budget runs out, then scores theta_i on raw test
     labels. Both losses are halves of the co-objective. Returns the predictor
-    of the round with the lowest test MSE (the first such), that round's index
-    and every round's record, and sets g back to that round's phi.
+    of the round with the lowest finite test MSE (the first such), that round's
+    index and every round's record, and sets g back to that round's phi.
     """
     rng = np.random.default_rng([cfg.seed, 2])
     n, nch = len(bundle.train), bundle.train.n_channels
@@ -355,8 +355,10 @@ def train_grid_search(bundle: SplitWindows, g: ReconstructionNet, predictor_fact
             loss_target=evaluate(f, bundle.train, cfg.eval_batch)[1],
             inner_steps=steps, grad_norm=gnorm, test_mse=test_mse, test_mae=test_mae,
         ))
-        if best is None or test_mse < best.test_mse:
+        if test_mse < (np.inf if best is None else best.test_mse):
             best, best_f, best_phi = records[-1], f, phi
+    if best is None:
+        raise ContractError(f"none of {len(records)} rounds reached a finite test MSE; no best round")
     outer.store.value[...] = best_phi
     return best_f, best.index, records
 

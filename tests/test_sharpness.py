@@ -27,8 +27,6 @@ from tscorrect.sharpness import (
     RAYLEIGH_TOL,
     HvpContext,
     SharpnessResult,
-    _random_unit,
-    _segment_mask,
     channel_histograms,
     hvp,
     kl_alignment,
@@ -38,7 +36,7 @@ from tscorrect.sharpness import (
 from tscorrect.training import TrainConfig, train_supervised
 
 
-def quad_ctx(a, segments=None):
+def quad_ctx(a):
     """0.5 * theta^T A theta probed at the origin: Hessian is exactly A."""
     a = np.asarray(a, dtype=np.float64)
 
@@ -46,9 +44,7 @@ def quad_ctx(a, segments=None):
         g = a @ theta
         return 0.5 * float(theta @ g), g
 
-    return HvpContext(
-        theta0=np.zeros(a.shape[0]), loss_and_grad=loss_and_grad, segments=segments or {}
-    )
+    return HvpContext(theta0=np.zeros(a.shape[0]), loss_and_grad=loss_and_grad)
 
 
 def sym(rng, n):
@@ -193,34 +189,11 @@ def test_lambda_max_zero_hessian():
     assert res.value == 0.0
 
 
-def test_component_sharpness_block_diagonal():
+def test_lambda_max_of_a_block_diagonal_hessian_is_its_top_block():
     a1 = np.diag([1.0, 4.0])
     a2 = np.diag([2.0, 7.0, 3.0])
     a = np.block([[a1, np.zeros((2, 3))], [np.zeros((3, 2)), a2]])
-    ctx = quad_ctx(a, segments={"first": slice(0, 2), "second": slice(2, 5)})
-    assert abs(lambda_max(ctx, segment="first").value - 4.0) < 1e-9
-    assert abs(lambda_max(ctx, segment="second").value - 7.0) < 1e-9
-    assert abs(lambda_max(ctx).value - 7.0) < 1e-9
-
-
-def test_segment_slice_matches_principal_submatrix():
-    rng = np.random.default_rng(11)
-    a = sym(rng, 10)
-    ref = float(np.linalg.eigvalsh(a[3:8, 3:8])[-1])
-    res = lambda_max(quad_ctx(a, segments={"block": slice(3, 8)}), segment="block")
-    assert abs(res.value - ref) < 1e-8 * max(abs(ref), 1.0)
-
-
-def test_unknown_segment_name_raises():
-    ctx = quad_ctx(np.eye(4), segments={"only": slice(0, 2)})
-    with pytest.raises(ContractError, match="unknown segment"):
-        lambda_max(ctx, segment="missing")
-
-
-def test_empty_segment_raises():
-    ctx = quad_ctx(np.eye(4), segments={"empty": slice(2, 2)})
-    with pytest.raises(ContractError, match="empty"):
-        lambda_max(ctx, segment="empty")
+    assert abs(lambda_max(quad_ctx(a)).value - 7.0) < 1e-9
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -1}, {"tol": 0.0}, {"tol": -1e-6},
@@ -234,22 +207,27 @@ def test_lambda_max_refuses_no_iterations_or_a_tolerance_not_above_zero(kwargs):
 # lambda_max on a real model surface
 
 
-@pytest.fixture(scope="module")
-def tiny_mlp_ctx():
+def tiny_predictor(backbone):
+    """An untrained snr-none predictor, 16 -> 16 (hidden 8), and the train split it is probed on."""
     raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
     splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
-    cfg = ModelConfig(backbone="mlp", lookback=16, horizon=16, hidden=8, snr="none")
-    f = MlpPredictor(cfg, np.random.default_rng(0))
-    return predictor_loss_context(f, splits.train, batch=64)
+    cfg = ModelConfig(backbone=backbone, lookback=16, horizon=16, hidden=8, snr="none")
+    return MlpPredictor(cfg, np.random.default_rng(0)), splits.train
+
+
+@pytest.fixture(scope="module")
+def tiny_mlp_ctx():
+    return predictor_loss_context(*tiny_predictor("mlp"), batch=64)
 
 
 @pytest.fixture(scope="module")
 def tiny_linear_ctx():
-    raw = make_synthetic(SyntheticConfig(length=1200, seed=0))
-    splits = build_splits(raw, SplitSpec(0.6, 0.2, 0.2), lookback=16, horizon=16)
-    cfg = ModelConfig(backbone="linear", lookback=16, horizon=16, snr="none")
-    f = MlpPredictor(cfg, np.random.default_rng(0))
-    return predictor_loss_context(f, splits.train, batch=64)
+    return predictor_loss_context(*tiny_predictor("linear"), batch=64)
+
+
+def dense_hessian(ctx):
+    """The context's Hessian column by column, one product per basis vector, unsymmetrized."""
+    return np.stack([hvp(ctx, e) for e in np.eye(ctx.n)], axis=1)
 
 
 @pytest.mark.parametrize("batch", [8, 10**6])
@@ -332,13 +310,8 @@ def test_point_weights_average_the_loss_over_their_mass():
 
 def test_model_lambda_max_matches_dense_fd_hessian(tiny_mlp_ctx):
     ctx = tiny_mlp_ctx
-    n = ctx.n
-    assert n <= 300  # dense eigensolve must stay cheap
-    h = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        h[:, i] = hvp(ctx, e)
+    assert ctx.n <= 300  # dense eigensolve must stay cheap
+    h = dense_hessian(ctx)
     h = (h + h.T) / 2.0
     ref = float(np.linalg.eigvalsh(h)[-1])
     res = lambda_max(ctx, seed=0)
@@ -346,38 +319,39 @@ def test_model_lambda_max_matches_dense_fd_hessian(tiny_mlp_ctx):
     assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-12)
 
 
-def test_model_segments_match_submatrix_eigensolve(tiny_mlp_ctx, tiny_linear_ctx):
-    # the last layer is the projector, any earlier ones the embedding; together they
-    # hold every parameter of a predictor without RevIN's affine pair
-    for ctx, names in ((tiny_mlp_ctx, ["embedding", "projector"]), (tiny_linear_ctx, ["projector"])):
-        assert list(ctx.segments) == names
-        assert ctx.segments[names[0]].start == 0 and ctx.segments["projector"].stop == ctx.n
-        n = ctx.n
-        h = np.zeros((n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            h[:, i] = hvp(ctx, e)
-        h = (h + h.T) / 2.0
-        for name, sl in ctx.segments.items():
-            ref = float(np.linalg.eigvalsh(h[sl, sl])[-1])
-            res = lambda_max(ctx, segment=name)
-            assert abs(res.value - ref) <= 1e-2 * max(abs(ref), 1e-6), (names, name)
+def test_within_layer_hessian_blocks_are_zero(tiny_mlp_ctx):
+    # on theta0's piece of the L1 loss an snr-none predictor is linear in each layer's
+    # own parameters, so all of its curvature lies in the cross-layer block: a single
+    # layer's curvature says nothing about the function
+    f, _ = tiny_predictor("mlp")
+    spans = {}
+    for name, sl in ParamStore(f.parameters()).slices.items():
+        spans.setdefault(name.split(".")[0], []).append(sl)
+    layers = [np.r_[tuple(sls)] for sls in spans.values()]
+    assert len(layers) == 2 and sorted(np.concatenate(layers)) == list(range(tiny_mlp_ctx.n))
+    h = dense_hessian(tiny_mlp_ctx)
+    first, second = layers
+    assert not h[np.ix_(first, first)].any() and not h[np.ix_(second, second)].any()
+    assert np.abs(h[np.ix_(first, second)]).max() > 0.0
 
 
-def lambda_max_per_vector(ctx, seed=0, max_iters=MAX_POWER_ITERS, tol=RAYLEIGH_TOL, segment=None):
+def test_linear_backbone_has_no_curvature(tiny_linear_ctx):
+    # one layer, linear in its parameters on theta0's piece: the Hessian is exactly 0,
+    # and the first product already spans an invariant Krylov space
+    res = lambda_max(tiny_linear_ctx)
+    assert (res.value, res.iterations, res.converged) == (0.0, 1, True)
+
+
+def lambda_max_per_vector(ctx, seed=0, max_iters=MAX_POWER_ITERS, tol=RAYLEIGH_TOL):
     """Reference: Lanczos that reorthogonalizes against one basis vector at
     a time (modified Gram-Schmidt, twice), the form lambda_max replaced by
     one block product per pass."""
-    rng = np.random.default_rng(seed)
-    mask = _segment_mask(ctx, segment)
-    dim = ctx.n if mask is None else int(round(float(mask.sum())))
-    steps = min(max_iters, dim)
-    q = _random_unit(ctx.n, rng, mask)
+    steps = min(max_iters, ctx.n)
+    q = np.random.default_rng(seed).standard_normal(ctx.n)
+    q /= np.linalg.norm(q)
     basis, alphas, betas, theta = [q], [], [], 0.0
     for it in range(1, steps + 1):
         w = hvp(ctx, q)
-        w = w * mask if mask is not None else w
         alphas.append(float(q @ w))
         for _ in range(2):
             for b in basis:
@@ -394,7 +368,7 @@ def lambda_max_per_vector(ctx, seed=0, max_iters=MAX_POWER_ITERS, tol=RAYLEIGH_T
         q = w / beta
         basis.append(q)
         betas.append(beta)
-    return SharpnessResult(theta, steps, steps == dim)
+    return SharpnessResult(theta, steps, steps == ctx.n)
 
 
 def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
@@ -403,14 +377,12 @@ def test_block_reorthogonalization_matches_per_vector_loop(tiny_mlp_ctx):
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
     eig = np.concatenate([10.0 - 1e-3 * np.arange(8), rng.uniform(-5.0, 5.0, 52)])
-    quad = quad_ctx((q * eig) @ q.T, segments={"middle": slice(5, 45)})
-    cases = [(quad, None), (quad, "middle"), (tiny_mlp_ctx, None)]
-    for ctx, segment in cases:
+    for ctx in (quad_ctx((q * eig) @ q.T), tiny_mlp_ctx):
         for seed in (0, 1):
-            ref = lambda_max_per_vector(ctx, seed=seed, segment=segment)
-            res = lambda_max(ctx, seed=seed, segment=segment)
-            assert (res.iterations, res.converged) == (ref.iterations, ref.converged), segment
-            assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value), segment
+            ref = lambda_max_per_vector(ctx, seed=seed)
+            res = lambda_max(ctx, seed=seed)
+            assert (res.iterations, res.converged) == (ref.iterations, ref.converged), ctx.n
+            assert abs(res.value - ref.value) <= 1e-12 * abs(ref.value), ctx.n
 
 
 def count_block_passes(monkeypatch):
@@ -458,22 +430,10 @@ def test_lambda_max_does_not_depend_on_the_lanczos_seed(trained_snr_both):
     assert max(values) - min(values) <= 1e-6 * max(values), values
 
 
-def test_segment_sharpness_interlaces_below_the_total(trained_snr_both):
-    # Cauchy interlacing: a principal submatrix's top eigenvalue is at most the matrix's
-    ctx = predictor_loss_context(*trained_snr_both, 16)
-    total = min(lambda_max(ctx, seed=s).value for s in range(6))
-    for seg in ctx.segments:
-        for s in range(6):
-            assert lambda_max(ctx, segment=seg, seed=s).value <= total * (1.0 + 1e-9), (seg, s)
-
-
 def test_each_lanczos_iteration_on_a_trained_predictor_runs_one_block_pass(trained_snr_both, monkeypatch):
     passes = count_block_passes(monkeypatch)
-    ctx = predictor_loss_context(*trained_snr_both, 16)
-    for segment in (None, *sorted(ctx.segments)):
-        passes.clear()
-        res = lambda_max(ctx, segment=segment)
-        assert res.converged and passes == list(range(1, res.iterations + 1)), segment
+    res = lambda_max(predictor_loss_context(*trained_snr_both, 16))
+    assert res.converged and passes == list(range(1, res.iterations + 1))
 
 
 def test_pass_on_the_kept_standardization_is_a_fresh_forward_bit_for_bit(monkeypatch):

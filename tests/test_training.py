@@ -621,6 +621,34 @@ def test_grid_search_returns_the_best_round(monkeypatch):
     assert not np.array_equal(phi, phis[-1])
 
 
+def test_grid_search_never_picks_a_round_whose_test_mse_is_not_finite():
+    # a predictor with NaN weights gets a NaN gradient, which Adam skips, so its round
+    # ends with a NaN test MSE: it must lose to every finite round, and a search in
+    # which no round is finite has no best round to hand back
+    splits = toy_bundle(seed=2)
+    mc = toy_model_config()
+    cfg = TrainConfig(mode="grid_search", lr=3e-3, batch_size=64, max_epochs=1, patience=1,
+                      seed=0, grid_candidates=3, grid_inner_steps=5, grid_outer_lr=0.05)
+
+    def factory(nan_rounds):
+        def build(i):
+            f = MlpPredictor(mc, np.random.default_rng(100 + i))
+            if i in nan_rounds:
+                f.layers["layer1"].w.value[...] = np.nan
+            return f
+        return build
+
+    g = ReconstructionNet(mc, np.random.default_rng(3))
+    f, index, records = train_grid_search(splits, g, factory({0}), cfg)
+    mses = [r.test_mse for r in records]
+    assert np.isnan(mses[0]) and np.isfinite(mses[1:]).all()
+    assert index == 1 + int(np.argmin(mses[1:]))
+    assert evaluate(f, splits.test, cfg.eval_batch)[0] == mses[index]
+    g = ReconstructionNet(mc, np.random.default_rng(3))
+    with pytest.raises(ContractError, match="none of 3 rounds reached a finite test MSE"):
+        train_grid_search(splits, g, factory({0, 1, 2}), cfg)
+
+
 def test_grid_search_runs_one_recon_pass_per_chunk_and_round(monkeypatch):
     splits = toy_bundle(seed=2)
     mc = toy_model_config()
